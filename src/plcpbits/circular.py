@@ -1,22 +1,23 @@
-"""Circular (terminator-free) PLCP construction.
+"""The build strategy switch, and circular (terminator-free) input.
 
 For a primitive circular string the machinery of the linear case carries
 over; the counts become purely differential, so the emitted bit vector
 is rotated to start right after a position of PLCP zero and the rotation
-offset is recorded as the decode shift.  Integer powers are rejected:
-their rotations collide, but their BWT exposes the exponent through its
-run lengths, so a power can be shrunk to its primitive root first.
+offset is recorded as the decode shift.  Circular input is therefore
+one anchor shift on the same switch that builds linear input.  Integer
+powers are rejected: their rotations collide, but their BWT exposes the
+exponent through its run lengths, so a power can be shrunk to its
+primitive root first.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
 from . import emlayer
-from .errors import CircularPowerInput, NotAPower, OutOfRange
+from .errors import CircularPowerInput, NotAPower, OutOfRange, UnknownStrategy
 from .hybrid import hybrid_pd
-from .reorder import reorder_pd
+from .reorder import annotate_positions, reorder_pd
 from .rounds import run_rounds_external, run_rounds_internal
-from .succinct import lf_map
 from .textcore import Bwt
 
 
@@ -66,37 +67,33 @@ def shrink_bwt(bwt, exponent=None, factory=None):
 
 def rank_to_position(bwt, sisa, rank):
     """Text position of a rank, walking LF until a sampled rank."""
-    n = bwt.n
-    if not 0 <= rank < n:
+    if not 0 <= rank < bwt.n:
         raise OutOfRange("rank %d out of range" % rank)
-    sampled = {r: pos for r, pos in sisa.pairs()}
-    r = rank
-    for steps in range(n + 1):
-        if r in sampled:
-            return (sampled[r] + steps) % n
-        r = lf_map(bwt, r)
-    raise OutOfRange("rank %d never reached a sample" % rank)
+    return annotate_positions(bwt, sisa, [rank])[rank]
 
 
-def build_circular_plcp(bwt, sisa, factory=None, strategy="external",
-                        cutoff=None, kernel="direct", anchor_rank=None):
-    """Rotated 2n-bit PLCP vector of a primitive circular string.
+def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None,
+               anchor_rank=None):
+    """2n-bit PLCP vector of ``bwt`` by one of three strategies.
 
-    The anchor rank must have LCP zero; rank 0 always qualifies and is
-    the default.  The emitted vector starts at the text position right
-    after the anchor's, recorded as the shift.
+    ``internal`` runs the wavelet-tree rounds, ``external`` the sort-based
+    rounds, ``hybrid`` the sort-based rounds cut after ``cutoff`` rounds
+    (default 3*ceil(log2 n)) plus the sparse kernel.  A circular input
+    must be primitive; its vector starts at the text position right after
+    the anchor rank's, recorded as the shift.  The anchor must have LCP
+    zero; rank 0, the default, always qualifies.
     """
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
-    if n <= 1:
-        raise CircularPowerInput("circular input needs length above one")
-    if detect_period(bwt).exponent != 1:
-        raise CircularPowerInput(
-            "circular input is a proper power; shrink it first"
-        )
-    r_hat = 0 if anchor_rank is None else anchor_rank
-    p_hat = rank_to_position(bwt, sisa, r_hat)
-    shift = (p_hat + 1) % n
+    shift = 0
+    if bwt.circular:
+        if n <= 1:
+            raise CircularPowerInput("circular input needs length above one")
+        if detect_period(bwt).exponent != 1:
+            raise CircularPowerInput(
+                "circular input is a proper power; shrink it first"
+            )
+        shift = (rank_to_position(bwt, sisa, anchor_rank or 0) + 1) % n
 
     if strategy == "internal":
         pd = run_rounds_internal(bwt).pd
@@ -104,9 +101,16 @@ def build_circular_plcp(bwt, sisa, factory=None, strategy="external",
         pd = run_rounds_external(bwt, factory).pd
     elif strategy == "hybrid":
         if cutoff is None:
-            cutoff = max(1, n.bit_length())
-        pd, _ = hybrid_pd(bwt, sisa, cutoff, kernel=kernel,
-                          factory=factory, circular=True)
+            cutoff = 3 * max(1, (n - 1).bit_length())
+        pd, _ = hybrid_pd(bwt, sisa, cutoff, factory=factory,
+                          circular=bwt.circular)
     else:
-        raise OutOfRange("unknown strategy %r" % strategy)
+        raise UnknownStrategy("unknown strategy %r" % strategy)
     return reorder_pd(pd, bwt, sisa, factory=factory, shift=shift)
+
+
+def build_circular_plcp(bwt, sisa, factory=None, strategy="external",
+                        cutoff=None, anchor_rank=None):
+    """Rotated 2n-bit PLCP vector of a primitive circular string."""
+    return build_plcp(bwt, sisa, strategy, cutoff=cutoff, factory=factory,
+                      anchor_rank=anchor_rank)

@@ -15,13 +15,11 @@ import json
 import sys
 
 from . import formats
-from .circular import build_circular_plcp, detect_period
+from .circular import build_plcp, detect_period
 from .emlayer import StreamFactory
 from .errors import (AlphabetTooLarge, EmptyInput, FormatError,
                      HeaderMismatch, PlcpError, VerificationFailed)
-from .hybrid import hybrid_pd
-from .reorder import reconstruct_text, reorder_pd
-from .rounds import run_rounds_external, run_rounds_internal
+from .reorder import reconstruct_text
 from .textcore import (Text, brute_period, build_bwt, build_suffix_array,
                        invert_sa, kasai_lcp, permute_lcp, sample_isa)
 
@@ -95,31 +93,12 @@ def cmd_index(args):
     return EXIT_OK
 
 
-def build_plcp(bwt, sisa, strategy, cutoff=None, kernel="direct",
-               factory=None):
-    """Strategy dispatch shared by the build command and the tests."""
-    factory = factory or StreamFactory()
-    if bwt.circular:
-        return build_circular_plcp(bwt, sisa, factory=factory,
-                                   strategy=strategy, cutoff=cutoff,
-                                   kernel=kernel)
-    if strategy == "internal":
-        pd = run_rounds_internal(bwt).pd
-    elif strategy == "external":
-        pd = run_rounds_external(bwt, factory).pd
-    elif strategy == "hybrid":
-        if cutoff is None:
-            cutoff = 3 * max(1, (bwt.n - 1).bit_length())
-        pd, _ = hybrid_pd(bwt, sisa, cutoff, kernel=kernel, factory=factory)
-    else:
-        raise ValueError("unknown strategy %r" % strategy)
-    return reorder_pd(pd, bwt, sisa, factory=factory)
-
-
-def _verify_against_artifacts(bwt, sisa, plcp):
-    """Recompute the PLCP from the reconstructed text and compare."""
-    symbols = reconstruct_text(bwt, sisa)
-    text = Text(symbols, bwt.sigma, circular=bwt.circular)
+def _verify(text, plcp):
+    """Compare every decoded value with the Kasai oracle on ``text``."""
+    if len(text) != plcp.n:
+        raise HeaderMismatch(
+            "text has %d symbols, artifact says %d" % (len(text), plcp.n)
+        )
     sa = build_suffix_array(text)
     expected = permute_lcp(kasai_lcp(text, sa), invert_sa(sa))
     for i in range(len(text)):
@@ -137,11 +116,12 @@ def cmd_build(args):
         if args.keep_temp:
             print("temporary streams in %s" % factory.directory)
         plcp = build_plcp(bwt, sisa, args.strategy, cutoff=args.cutoff,
-                          kernel=args.kernel, factory=factory)
+                          factory=factory)
         out = args.output or args.bwt.rsplit(".bwt", 1)[0] + ".plcp"
         formats.write_plcp(out, plcp, bwt.sigma, circular=bwt.circular)
         if args.verify_after_build:
-            _verify_against_artifacts(bwt, sisa, plcp)
+            symbols = reconstruct_text(bwt, sisa)
+            _verify(Text(symbols, bwt.sigma, circular=bwt.circular), plcp)
             print("verified %d positions" % bwt.n)
     print("wrote %s (%d bits, shift %d)" % (out, 2 * plcp.n, plcp.shift))
     return EXIT_OK
@@ -162,16 +142,7 @@ def cmd_verify(args):
     with open(args.text, "rb") as fh:
         raw = fh.read()
     text, _ = ingest(raw, circ)
-    if len(text) != plcp.n:
-        raise HeaderMismatch(
-            "text has %d symbols, artifact says %d" % (len(text), plcp.n)
-        )
-    sa = build_suffix_array(text)
-    expected = permute_lcp(kasai_lcp(text, sa), invert_sa(sa))
-    for i in range(len(text)):
-        got = plcp.decode(i)
-        if got != expected[i]:
-            raise VerificationFailed(i, expected[i], got)
+    _verify(text, plcp)
     print("verify: OK (%d positions)" % plcp.n)
     return EXIT_OK
 
@@ -209,7 +180,6 @@ def make_parser():
                    choices=["internal", "external", "hybrid"])
     p.add_argument("--cutoff", type=int, default=None,
                    help="hybrid round cutoff (default 3*ceil(log2 n))")
-    p.add_argument("--kernel", default="direct", choices=["direct"])
     p.add_argument("--keep-temp", action="store_true")
     p.add_argument("--verify-after-build", action="store_true")
     p.set_defaults(func=cmd_build)

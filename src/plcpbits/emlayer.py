@@ -12,9 +12,11 @@ import os
 import pickle
 import shutil
 import tempfile
+from collections import Counter, defaultdict
 from itertools import islice, repeat
+from operator import itemgetter
 
-from .errors import LengthMismatch
+from .errors import AlphabetTooLarge, LengthMismatch, StreamStateError
 
 # Default stream buffer capacity, in items.  Buffers up to this size are
 # considered I/O buffers and are excluded from resident-memory accounting.
@@ -152,21 +154,27 @@ class EmStream:
 
     # -- reading ---------------------------------------------------------
 
+    def _check_finished(self, action):
+        if self._writable:
+            raise StreamStateError(
+                "cannot %s stream %r before finish()" % (action, self.name)
+            )
+
     def rewind(self):
-        assert not self._writable, "cannot rewind a stream still being written"
+        self._check_finished("rewind")
         self.rewinds += 1
         self._pos = 0
         return self
 
     def seek(self, pos):
         # Non-sequential access; compliant algorithms never call this.
-        assert not self._writable
+        self._check_finished("seek in")
         self.non_sequential += 1
         self._pos = pos
 
     def chunks(self):
         """Yield buffered chunks from the cursor to the end."""
-        assert not self._writable, "finish() the stream before reading"
+        self._check_finished("read")
         for chunk in self._backend.chunks(self._pos, self.capacity):
             self._pos += len(chunk)
             yield chunk
@@ -257,193 +265,120 @@ class StreamFactory:
         return False
 
 
+# A bucket pass distributes by one 8-bit digit, into at most 2**8 buckets.
+DIGIT_BITS = 8
+BUCKETS = 1 << DIGIT_BITS
+
+
 def _key_bits(sigma):
     return max(1, (sigma - 1).bit_length())
 
 
-def _binary_pass_pairs(src, bit, factory):
-    """One stable binary bucket pass over (sym, payload) records."""
-    out = factory.stream("sort0")
-    ones = factory.stream("sort1")
-    mask = 1 << bit
-    for chunk in src.chunks():
-        out.append_chunk([p for p in chunk if not p[0] & mask])
-        ones.append_chunk([p for p in chunk if p[0] & mask])
-    ones.finish()
-    for chunk in ones.chunks():
-        out.append_chunk(chunk)
-    factory.release(ones)
-    return out.finish()
+def _bucket_pass(src, key, factory):
+    """One stable bucket pass: the items of ``src`` grouped by ``key(item)``.
 
-
-def _binary_pass_ints(src, bit, factory):
-    out = factory.stream("sort0")
-    ones = factory.stream("sort1")
-    mask = 1 << bit
-    for chunk in src.chunks():
-        out.append_chunk([v for v in chunk if not v & mask])
-        ones.append_chunk([v for v in chunk if v & mask])
-    ones.finish()
-    for chunk in ones.chunks():
-        out.append_chunk(chunk)
-    factory.release(ones)
-    return out.finish()
-
-
-def em_stable_sort_by_symbol(pairs, sigma, factory):
-    """Stable sort of a stream of (sym, payload) records, LSD over key bits.
-
-    Every pass is one sequential read of the previous stream plus two
-    sequential writes.
+    Keys lie below BUCKETS.  Each chunk is split into per-key lists, which
+    are appended to one stream per key and dropped before the next chunk
+    is read; the key streams are then concatenated in key order.
     """
-    cur = pairs
-    cur.rewind()
-    first = True
-    for bit in range(_key_bits(sigma)):
-        nxt = _binary_pass_pairs(cur, bit, factory)
-        if not first:
-            factory.release(cur)
-        cur, first = nxt, False
-    return cur
-
-
-def em_sort_symbols(stream, sigma, factory):
-    """Like em_stable_sort_by_symbol for a stream of bare symbols."""
-    cur = stream
-    cur.rewind()
-    first = True
-    for bit in range(_key_bits(sigma)):
-        nxt = _binary_pass_ints(cur, bit, factory)
-        if not first:
-            factory.release(cur)
-        cur, first = nxt, False
-    return cur
+    buckets = {}
+    for chunk in src.chunks():
+        parts = defaultdict(list)
+        for item in chunk:
+            parts[key(item)].append(item)
+        for k, part in parts.items():
+            if k not in buckets:
+                buckets[k] = factory.stream("bucket")
+            buckets[k].append_chunk(part)
+        del parts
+    out = factory.stream("sorted")
+    for k in sorted(buckets):
+        bucket = buckets.pop(k).finish()
+        for chunk in bucket.chunks():
+            out.append_chunk(chunk)
+        factory.release(bucket)
+    return out.finish()
 
 
 def em_lsd_sort(stream, key_index, key_bits, factory):
     """Stable LSD radix sort of tuple records by an integer component.
 
-    Uses two-bit digits (four buckets per pass).
+    One bucket pass per 8-bit digit of the key, least significant first.
     """
+    key = itemgetter(key_index)
+    stream.rewind()
     cur = stream
-    cur.rewind()
-    first = True
-    for shift in range(0, max(1, key_bits), 2):
-        buckets = [factory.stream("radix%d" % d) for d in range(4)]
-        for chunk in cur.chunks():
-            for d in range(4):
-                buckets[d].append_chunk(
-                    [t for t in chunk if (t[key_index] >> shift) & 3 == d]
-                )
-        if not first:
+    for shift in range(0, max(1, key_bits), DIGIT_BITS):
+        if key_bits <= DIGIT_BITS:
+            digit = key
+        else:
+            def digit(item, shift=shift):
+                return key(item) >> shift & (BUCKETS - 1)
+        nxt = _bucket_pass(cur, digit, factory)
+        if cur is not stream:
             factory.release(cur)
-        out = buckets[0]
-        for b in buckets[1:]:
-            b.finish()
-            for chunk in b.chunks():
-                out.append_chunk(chunk)
-        factory.release(*buckets[1:])
-        cur, first = out.finish(), False
+        cur = nxt
     return cur
+
+
+def em_stable_sort_by_symbol(pairs, sigma, factory):
+    """Stable sort of a stream of (sym, payload) records by symbol.
+
+    Up to BUCKETS symbols this is a single bucket pass: one sequential
+    read of ``pairs`` plus one write and one read of every record.
+    """
+    return em_lsd_sort(pairs, 0, _key_bits(sigma), factory)
+
+
+def inverse_radix_sort(keys, sorted_data, sigma, factory):
+    """Inverse of em_stable_sort_by_symbol on the payload sequence.
+
+    ``keys`` are the symbols in original order; ``sorted_data`` is any data
+    stream ordered as if it had been carried through the forward sort.
+    The sorted data is cut into one run per symbol, sized by counting the
+    keys, and the runs are merged back by re-reading the keys.
+    """
+    if sigma > BUCKETS:
+        raise AlphabetTooLarge(
+            "one run per symbol caps the inverse sort at %d symbols" % BUCKETS
+        )
+    if len(keys) != len(sorted_data):
+        raise LengthMismatch(
+            "keys has %d items, data has %d" % (len(keys), len(sorted_data))
+        )
+    sizes = Counter()
+    for chunk in keys.rewind().chunks():
+        sizes.update(chunk)
+    runs = [None] * sigma
+    order = iter(sorted(sizes.items()))
+    left = 0
+    for chunk in sorted_data.rewind().chunks():
+        start = 0
+        while start < len(chunk):
+            if not left:
+                sym, left = next(order)
+                runs[sym] = factory.stream("run")
+            take = min(left, len(chunk) - start)
+            runs[sym].append_chunk(chunk[start : start + take])
+            start += take
+            left -= take
+    heads = [None if run is None else run.finish().items() for run in runs]
+    out = factory.stream("unsorted")
+    for chunk in keys.rewind().chunks():
+        out.append_chunk([next(heads[k]) for k in chunk])
+    factory.release(*(run for run in runs if run is not None))
+    return out.finish()
 
 
 def bin_un_bucket_sort(keys, sorted_data, factory):
     """Restore the pre-sort order of ``sorted_data`` from its binary keys.
 
     ``sorted_data`` must be the stable binary bucket sort of some original
-    sequence, ``keys`` the key bits in original order.  Realized with two
-    sequential passes over the keys: the sorted data is split into its zero
-    prefix and one suffix, then consumed from the matching side while
-    re-reading the keys.
+    sequence, ``keys`` the key bits in original order.
     """
-    if len(keys) != len(sorted_data):
-        raise LengthMismatch(
-            "keys has %d items, data has %d" % (len(keys), len(sorted_data))
-        )
-    keys.rewind()
-    zero_count = 0
-    for chunk in keys.chunks():
-        zero_count += len(chunk) - sum(chunk)
-
-    sorted_data.rewind()
-    zeros = factory.stream("unsort0")
-    ones = factory.stream("unsort1")
-    taken = 0
-    for chunk in sorted_data.chunks():
-        if taken + len(chunk) <= zero_count:
-            zeros.append_chunk(chunk)
-        elif taken >= zero_count:
-            ones.append_chunk(chunk)
-        else:
-            cut = zero_count - taken
-            zeros.append_chunk(chunk[:cut])
-            ones.append_chunk(chunk[cut:])
-        taken += len(chunk)
-    zeros.finish()
-    ones.finish()
-
-    keys.rewind()
-    out = factory.stream("unsorted")
-    zit = zeros.items()
-    oit = ones.items()
-    for chunk in keys.chunks():
-        out.append_chunk([next(oit) if k else next(zit) for k in chunk])
-    factory.release(zeros, ones)
-    return out.finish()
+    return inverse_radix_sort(keys, sorted_data, 2, factory)
 
 
-def prepare_inverse_levels(keys, sigma, factory):
-    """Per-bit key vectors needed to invert an LSD symbol sort.
-
-    Level b holds bit b of the keys as they were ordered going *into*
-    forward pass b, i.e. after sorting by bits 0..b-1.
-    """
-    levels = []
-    cur = keys
-    cur.rewind()
-    first = True
-    for bit in range(_key_bits(sigma)):
-        mask = 1 << bit
-        lvl = factory.stream("keylvl%d" % bit)
-        for chunk in cur.chunks():
-            lvl.append_chunk([1 if v & mask else 0 for v in chunk])
-        levels.append(lvl.finish())
-        if bit + 1 < _key_bits(sigma):
-            cur.rewind()
-            nxt = _binary_pass_ints(cur, bit, factory)
-            if not first:
-                factory.release(cur)
-            cur, first = nxt, False
-    if not first:
-        factory.release(cur)
-    return levels
-
-
-def inverse_radix_sort(keys, sorted_data, sigma, factory, levels=None):
-    """Inverse of em_stable_sort_by_symbol on the payload sequence.
-
-    ``keys`` are the symbols in original order; ``sorted_data`` is any data
-    stream ordered as if it had been carried through the forward sort.
-    Precomputed ``levels`` (from prepare_inverse_levels) may be supplied
-    when the same key sequence is inverted repeatedly.
-    """
-    owned = False
-    if levels is None:
-        if keys is None:
-            raise LengthMismatch("either keys or levels must be given")
-        if len(keys) != len(sorted_data):
-            raise LengthMismatch(
-                "keys has %d items, data has %d" % (len(keys), len(sorted_data))
-            )
-        levels = prepare_inverse_levels(keys, sigma, factory)
-        owned = True
-    data = sorted_data
-    first = True
-    for lvl in reversed(levels):
-        nxt = bin_un_bucket_sort(lvl, data, factory)
-        if not first:
-            factory.release(data)
-        data, first = nxt, False
-    if owned:
-        factory.release(*levels)
-    return data
+def iter_items(seq):
+    """Items of a finished stream from its start, or of any other iterable."""
+    return seq.rewind().items() if hasattr(seq, "rewind") else iter(seq)

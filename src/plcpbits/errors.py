@@ -41,6 +41,22 @@ class ReducibleRankNeedsZeros(PlcpError):
     """A rank classified as reducible would require zero bits."""
 
 
+class CountConflict(PlcpError):
+    """Sparse kernel counts are negative or land on a rank that has bits."""
+
+
+class StreamStateError(PlcpError):
+    """A stream was read, rewound or sought while still being written."""
+
+
+class WalkIncomplete(PlcpError):
+    """A batched LF walk ended with cursors that had not retired."""
+
+
+class UnknownStrategy(OutOfRange, ValueError):
+    """Build strategy name outside internal, external and hybrid."""
+
+
 class AlphabetTooLarge(PlcpError):
     """More than 256 distinct symbols in a byte-oriented artifact."""
 

@@ -48,6 +48,11 @@ def _read_exact(fh, count, path):
     return raw
 
 
+def _expect_end(fh, path):
+    if fh.read(1):
+        raise FormatError("%s: trailing bytes after the payload" % path)
+
+
 def write_bwt(path, bwt):
     if bwt.sigma > 256:
         raise AlphabetTooLarge("one byte per symbol caps sigma at 256")
@@ -61,6 +66,7 @@ def read_bwt(path, factory=None):
     with open(path, "rb") as fh:
         n, sigma, circular = _read_header(fh, MAGIC_BWT, path)
         symbols = list(_read_exact(fh, n, path))
+        _expect_end(fh, path)
         if any(c >= sigma for c in symbols):
             raise FormatError("%s: symbol outside alphabet" % path)
     return Bwt(symbols, sigma, circular=circular, factory=factory)
@@ -81,6 +87,11 @@ def read_sisa(path):
             raise FormatError("%s: zero sampling rate" % path)
         count = -(-n // rate)
         ranks = struct.unpack("<%dQ" % count, _read_exact(fh, 8 * count, path))
+        _expect_end(fh, path)
+    if any(r >= n for r in ranks):
+        raise FormatError("%s: sampled rank outside 0..n-1" % path)
+    if len(set(ranks)) != len(ranks):
+        raise FormatError("%s: repeated sampled rank" % path)
     return SampledIsa(rate=rate, n=n, ranks=ranks), sigma, circular
 
 
@@ -101,6 +112,7 @@ def read_plcp(path):
         n, sigma, circular = _read_header(fh, MAGIC_K, path)
         (shift,) = struct.unpack("<Q", _read_exact(fh, 8, path))
         raw = _read_exact(fh, (2 * n + 7) // 8, path)
+        _expect_end(fh, path)
     bits = RsBitVector(
         (raw[i // 8] >> (i % 8)) & 1 for i in range(2 * n)
     )

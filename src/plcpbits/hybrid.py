@@ -11,8 +11,10 @@ pluggable kernel over the reconstructed text.
 """
 
 from . import emlayer
-from .errors import ReducibleRankNeedsZeros
-from .reorder import reconstruct_text, reorder_pd
+from .emlayer import iter_items
+from .errors import CountConflict, ReducibleRankNeedsZeros
+from .reorder import (_lf_pass, annotate_positions, reconstruct_text,
+                      reorder_pd)
 from .rounds import PdBits, run_rounds_external
 from .textcore import Text, naive_lcp_pair
 
@@ -34,8 +36,7 @@ def irreducible_missing(bwt, set_marks, factory=None):
     out = []
     prev_sym = None
     rank = 0
-    sit = set_marks.rewind().items() if hasattr(set_marks, "rewind") \
-        else iter(set_marks)
+    sit = iter_items(set_marks)
     for sym in bwt.stream().items():
         if not next(sit) and (rank == 0 or sym != prev_sym):
             out.append(rank)
@@ -54,8 +55,7 @@ def fill_reducible(bwt, set_marks, handled):
     handled = set(handled)
     prev_sym = None
     rank = 0
-    sit = set_marks.rewind().items() if hasattr(set_marks, "rewind") \
-        else iter(set_marks)
+    sit = iter_items(set_marks)
     for sym in bwt.stream().items():
         if not next(sit) and rank not in handled:
             if rank == 0 or sym != prev_sym:
@@ -66,122 +66,25 @@ def fill_reducible(bwt, set_marks, handled):
         rank += 1
 
 
-def _lf_targets(bwt, ranks):
-    """LF images of a sorted rank list, via one BWT scan."""
-    wanted = set(ranks)
-    counters = list(bwt.d_array[: bwt.sigma])
-    out = {}
-    rank = 0
-    for sym in bwt.stream().items():
-        if rank in wanted:
-            out[rank] = counters[sym]
-        counters[sym] += 1
-        rank += 1
-    return out
-
-
-def annotate_positions(bwt, sisa, ranks, factory=None):
-    """Text position of each rank in a sorted list, as a dict.
-
-    Walks all cursors backwards together; each retires at the first
-    sampled rank it meets, at most ``rate`` LF rounds in total.
-    """
-    factory = factory or emlayer.StreamFactory()
-    n = bwt.n
-    samples = sisa.pairs_by_rank()
-    factory.meter.note("isa_samples", len(samples))
-    out = {}
-    tuples = factory.from_items(((r, r, 0) for r in ranks), "cursors")
-    for _ in range(sisa.rate + 1):
-        if not len(tuples):
-            break
-        # retire cursors sitting on a sampled rank
-        survivors = factory.stream("cursors")
-        si = 0
-        for chunk in tuples.rewind().chunks():
-            keep = []
-            for rank, orig, steps in chunk:
-                while si < len(samples) and samples[si][0] < rank:
-                    si += 1
-                if si < len(samples) and samples[si][0] == rank:
-                    out[orig] = (samples[si][1] + steps) % n
-                else:
-                    keep.append((rank, orig, steps))
-            survivors.append_chunk(keep)
-        factory.release(tuples)
-        tuples = survivors.finish()
-        if not len(tuples):
-            break
-        # one LF step for the rest; order by new rank = stable symbol sort
-        counters = list(bwt.d_array[: bwt.sigma])
-        factory.meter.note("lf_counters", bwt.sigma)
-        tagged = factory.stream("tagged")
-        tit = tuples.rewind().items()
-        head = next(tit, None)
-        rank = 0
-        for chunk in bwt.stream().chunks():
-            for sym in chunk:
-                lf = counters[sym]
-                counters[sym] += 1
-                while head is not None and head[0] == rank:
-                    tagged.append((sym, (lf, head[1], head[2] + 1)))
-                    head = next(tit, None)
-                rank += 1
-        tagged.finish()
-        stepped = emlayer.em_stable_sort_by_symbol(tagged, bwt.sigma, factory)
-        nxt = factory.stream("cursors")
-        for chunk in stepped.chunks():
-            nxt.append_chunk([payload for _, payload in chunk])
-        factory.release(tuples, tagged, stepped)
-        tuples = nxt.finish()
-    assert not len(tuples), "cursor failed to reach a sample"
-    factory.release(tuples)
-    return out
-
-
 def _erase_active(pd, active, factory):
     """Drop the partial zero bits of ranks whose rounds were cut short."""
-    out = factory.stream("pd")
-    pd_it = pd.iter_bits()
-    ait = active.rewind().items() if hasattr(active, "rewind") else iter(active)
-    buf = []
-    for m in ait:
-        zeros = 0
-        for b in pd_it:
-            if b:
-                break
-            zeros += 1
-        if not m:
-            buf.extend([0] * zeros)
-        buf.append(1)
-        if len(buf) >= factory.capacity:
-            out.append_chunk(buf)
-            buf = []
-    out.append_chunk(buf)
-    return PdBits(out.finish(), pd.n)
+    return PdBits.from_counts(
+        (0 if m else c for c, m in zip(pd.iter_counts(), iter_items(active))),
+        factory)
 
 
 def _merge_counts(pd, counts_by_rank, factory):
     """Write the kernel counts into PD at their (currently empty) ranks."""
-    out = factory.stream("pd")
-    pd_it = pd.iter_bits()
-    buf = []
-    for rank in range(pd.n):
-        zeros = 0
-        for b in pd_it:
-            if b:
-                break
-            zeros += 1
-        if rank in counts_by_rank:
-            assert zeros == 0, "merging into a rank that already has bits"
-            zeros = counts_by_rank[rank]
-        buf.extend([0] * zeros)
-        buf.append(1)
-        if len(buf) >= factory.capacity:
-            out.append_chunk(buf)
-            buf = []
-    out.append_chunk(buf)
-    return PdBits(out.finish(), pd.n)
+    def merged():
+        for rank, c in enumerate(pd.iter_counts()):
+            if rank in counts_by_rank:
+                if c:
+                    raise CountConflict(
+                        "merging into rank %d, which already has bits" % rank
+                    )
+                c = counts_by_rank[rank]
+            yield c
+    return PdBits.from_counts(merged(), factory)
 
 
 def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None,
@@ -202,8 +105,10 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None,
 
     # LCP values are needed at the missing ranks and at their LF images;
     # positions additionally at every predecessor rank.
-    lf = _lf_targets(bwt, missing)
-    need_lcp = sorted(set(missing) | set(lf.values()))
+    seeds = factory.from_items(((r, None) for r in missing), "cursors")
+    images = _lf_pass(bwt, seeds, lambda payload, sym: payload, factory)
+    need_lcp = sorted(set(missing) | {lf for lf, _ in images.items()})
+    factory.release(seeds, images)
     need_pos = sorted(set(need_lcp) | {r - 1 for r in need_lcp if r > 0})
     factory.meter.note("hybrid_sparse", len(need_pos))
 
@@ -228,7 +133,8 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None,
             continue
         prev = (p - 1) % n
         counts[r] = lcp[r] - pos_to_lcp[prev] + 1
-        assert counts[r] >= 0
+        if counts[r] < 0:
+            raise CountConflict("negative count %d at rank %d" % (counts[r], r))
     pd = _merge_counts(pd, counts, factory)
     return pd, result
 

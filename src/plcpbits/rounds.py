@@ -6,17 +6,18 @@ until the round in which the rank itself does; each active round adds
 one zero bit in front of the rank's one bit in PD.  The in-memory
 strategy walks a pruned interval queue over a wavelet tree; the
 sort-based strategy re-derives all extension intervals every round with
-nothing but sequential passes and radix sorts.
+nothing but sequential passes and bucket sorts.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
+from operator import add
 
 from . import emlayer
-from .emlayer import (em_sort_symbols, em_stable_sort_by_symbol,
-                      inverse_radix_sort, prepare_inverse_levels)
+from .emlayer import em_stable_sort_by_symbol, inverse_radix_sort, iter_items
 from .errors import NotIncreasing, OutOfRange
-from .succinct import GammaStream, diff_gamma_encode
+from .succinct import GammaStream
 
 
 class IntervalList:
@@ -69,9 +70,6 @@ class IntervalList:
             hi += high.get() + 1
             yield lo, hi
 
-    def pairs(self):
-        return list(self)
-
     def total_bits(self):
         return self._low.total_bits + self._high.total_bits
 
@@ -92,34 +90,33 @@ class PdBits:
         self.n = n
 
     @classmethod
-    def from_counts(cls, counts):
-        bits = []
+    def from_counts(cls, counts, factory=None):
+        """Unary-code per-rank zero counts into a PD stream.
+
+        This is the one PD writer: every rewrite of PD maps the counts of
+        the previous vector and hands them here.
+        """
+        factory = factory or emlayer.StreamFactory()
+        out = factory.stream("pd")
+        buf = []
+        n = 0
         for c in counts:
-            bits.extend([0] * c)
-            bits.append(1)
-        return cls(bits, len(counts))
+            if c:
+                buf.extend(repeat(0, c))
+            buf.append(1)
+            n += 1
+            if len(buf) >= factory.capacity:
+                out.append_chunk(buf)
+                buf = []
+        out.append_chunk(buf)
+        return cls(out.finish(), n)
 
     def iter_bits(self):
-        if hasattr(self._bits, "rewind"):
-            return self._bits.rewind().items()
-        return iter(self._bits)
-
-    def iter_chunks(self):
-        if hasattr(self._bits, "rewind"):
-            return self._bits.rewind().chunks()
-        return iter([list(self._bits)])
+        return iter_items(self._bits)
 
     def counts(self):
         """Zero-bit count in front of each rank's one bit."""
-        out = []
-        c = 0
-        for b in self.iter_bits():
-            if b:
-                out.append(c)
-                c = 0
-            else:
-                c += 1
-        return out
+        return list(self.iter_counts())
 
     def iter_counts(self):
         c = 0
@@ -134,8 +131,6 @@ class PdBits:
         return "".join(str(b) for b in self.iter_bits())
 
     def __len__(self):
-        if hasattr(self._bits, "rewind"):
-            return len(self._bits)
         return len(self._bits)
 
 
@@ -192,139 +187,31 @@ def run_rounds_internal(bwt, max_rounds=None):
                        rounds)
 
 
-def _emit_sorted_runs(sorted_symbols, sink):
-    """Append (sym, count) then (sym, 0) fillers for each run."""
-    prev = None
-    run = 0
-    pending = []
-    for a in sorted_symbols:
-        if a == prev:
-            run += 1
-            pending.append((a, 0))
-        else:
-            if run:
-                sink.append((prev, run))
-                sink.append_chunk(pending[1:])
-            prev, run, pending = a, 1, [(a, 0)]
-    if run:
-        sink.append((prev, run))
-        sink.append_chunk(pending[1:])
-
-
-def _zsequence(bwt, queue, factory, meter, want_tags=False, n_total=None):
+def _zsequence(bwt, queue, factory):
     """Interval-sorted symbol counts: the per-round Z stream.
 
-    For each queue interval the BWT slice is sorted and each symbol run
-    contributes its length at the first occurrence and zero elsewhere.
-    Slices at most one buffer long are sorted in memory; larger ones go
-    through the external radix sort.
+    The queue partitions the ranks.  Each interval's BWT slice is counted
+    by symbol, and in symbol order every symbol contributes its count at
+    its first occurrence and zero at the others.
     """
     z = factory.stream("z")
-    src = bwt.stream()
-    it = src.items()
-    consumed = 0
+    it = bwt.stream().items()
     for lo, hi in queue:
-        if lo > consumed:
-            # gap in front of the interval: pad so stream indices stay ranks
-            gap = lo - consumed
-            if want_tags:
-                _emit_gap(it, gap, z)
-            else:
-                for _ in range(gap):
-                    next(it)
-            consumed = lo
-        width = hi - lo
-        if width == 1:
+        if hi - lo == 1:
             z.append((next(it), 1))
-        elif width <= factory.capacity:
-            buf = list(islice(it, width))
-            if meter is not None:
-                meter.note("slice_buffer", len(buf))
-            buf.sort()
-            _emit_sorted_runs(buf, z)
-        else:
-            part = factory.stream("slice")
-            part.extend(islice(it, width))
-            part.finish()
-            sorted_part = em_sort_symbols(part, bwt.sigma, factory)
-            _emit_sorted_runs(sorted_part.items(), z)
-            factory.release(part, sorted_part)
-        consumed = hi
-    if n_total is not None and consumed < n_total:
-        gap = n_total - consumed
-        if want_tags:
-            _emit_gap(it, gap, z)
-        else:
-            for _ in range(gap):
-                next(it)
+            continue
+        counts = Counter(islice(it, hi - lo))
+        for a in sorted(counts):
+            z.append((a, counts[a]))
+            if counts[a] > 1:
+                z.append_chunk([(a, 0)] * (counts[a] - 1))
     return z.finish()
-
-
-def _emit_gap(it, gap, z):
-    # gap positions are treated as width-1 intervals tagged count -1
-    for _ in range(gap):
-        z.append((next(it), -1))
-
-
-def backstep_all(bwt, intervals, factory=None):
-    """All non-empty single-symbol left extensions of sorted intervals.
-
-    The input need not partition the rank space; gaps are carried through
-    tagged so only extensions of real intervals survive.
-    """
-    factory = factory or emlayer.StreamFactory()
-    n = bwt.n
-    queue = intervals if isinstance(intervals, IntervalList) else \
-        IntervalList.from_pairs(intervals)
-    z = _zsequence(bwt, queue, factory, None, want_tags=True, n_total=n)
-    zs = em_stable_sort_by_symbol(z, bwt.sigma, factory)
-    out = IntervalList()
-    rank = 0
-    for a, c in zs.items():
-        if c > 0:
-            out.append(rank, rank + c)
-        rank += 1
-    factory.release(z, zs)
-    return out
 
 
 def pd_increment(pd, active, factory=None):
     """Insert one zero bit in front of the one bit of each active rank."""
-    factory = factory or emlayer.StreamFactory()
-    out = factory.stream("pd")
-    pd_it = pd.iter_bits()
-    marks = active.rewind().items() if hasattr(active, "rewind") else iter(active)
-    buf = []
-    for m in marks:
-        for b in pd_it:
-            if b:
-                break
-            buf.append(0)
-        if m:
-            buf.append(0)
-        buf.append(1)
-        if len(buf) >= factory.capacity:
-            out.append_chunk(buf)
-            buf = []
-    out.append_chunk(buf)
-    return PdBits(out.finish(), pd.n)
-
-
-def lf_map_marks(bwt, marks, factory=None):
-    """Move rank marks through the LF permutation by a stable symbol sort."""
-    factory = factory or emlayer.StreamFactory()
-    src = bwt.stream()
-    pairs = factory.stream("lfpairs")
-    mit = marks.rewind().items() if hasattr(marks, "rewind") else iter(marks)
-    for chunk in src.chunks():
-        pairs.append_chunk([(c, next(mit)) for c in chunk])
-    pairs.finish()
-    sorted_pairs = em_stable_sort_by_symbol(pairs, bwt.sigma, factory)
-    out = factory.stream("lfmarks")
-    for chunk in sorted_pairs.chunks():
-        out.append_chunk([m for _, m in chunk])
-    factory.release(pairs, sorted_pairs)
-    return out.finish()
+    return PdBits.from_counts(map(add, pd.iter_counts(), iter_items(active)),
+                              factory)
 
 
 def run_rounds_external(bwt, factory=None, max_rounds=None):
@@ -341,10 +228,9 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
     n = bwt.n
     sigma = bwt.sigma
 
-    levels = prepare_inverse_levels(bwt.stream(), sigma, factory)
     s_marks = factory.zeros(n, "s")
     active = factory.zeros(n, "active")
-    pd = PdBits(factory.from_items((1 for _ in range(n)), "pd"), n)
+    pd = PdBits.from_counts(repeat(0, n), factory)
     queue = IntervalList.single(0, n)
     set_count = 0
     rounds = 0
@@ -354,7 +240,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
             break
         meter.note("round_state", 8)
 
-        z = _zsequence(bwt, queue, factory, meter)
+        z = _zsequence(bwt, queue, factory)
         zs = em_stable_sort_by_symbol(z, sigma, factory)
 
         # marks over target ranks: value becomes set in this round
@@ -369,7 +255,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
         znew.finish()
 
         # same marks in source-rank order (inverse LF)
-        zsrc = inverse_radix_sort(None, znew, sigma, factory, levels=levels)
+        zsrc = inverse_radix_sort(bwt.stream(), znew, sigma, factory)
 
         # activate source ranks whose LF image is newly set
         new_active = factory.stream("active")
@@ -419,5 +305,4 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
         queue = next_queue
         rounds += 1
 
-    factory.release(*levels)
     return RoundResult(pd, s_marks, active, rounds)

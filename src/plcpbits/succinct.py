@@ -81,15 +81,6 @@ class GammaReader:
         return [self.get() for _ in range(count)]
 
 
-def gamma_put(stream, v):
-    stream.put(v)
-    return stream
-
-
-def gamma_get(reader):
-    return reader.get()
-
-
 def diff_gamma_encode(values, base=-1):
     """Gamma-code the gaps of a strictly increasing sequence.
 
@@ -261,10 +252,6 @@ def plcp_encode(plcp):
     return PlcpBits(bits, len(values), shift=0)
 
 
-def plcp_decode(k, i):
-    return k.decode(i)
-
-
 class WaveletTree:
     """Level-ordered wavelet tree over a symbol sequence."""
 
@@ -384,22 +371,6 @@ class WaveletTree:
 
         walk(0, 0, self.n, lo, hi, 0)
         return out
-
-
-def wt_build(bwt):
-    return WaveletTree(bwt.to_list(), bwt.sigma)
-
-
-def wt_rank(wt, sym, i):
-    return wt.rank(sym, i)
-
-
-def wt_select(wt, sym, j):
-    return wt.select(sym, j)
-
-
-def wt_interval_symbols(wt, lo, hi):
-    return wt.interval_symbols(lo, hi)
 
 
 def backstep(bwt, sym, interval):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from conftest import abbab, circular_bwt_raw, make_fixture
+from conftest import abbab, banana, circular_bwt_raw, make_fixture
 from plcpbits import (StreamFactory, build_circular_plcp, detect_period,
                       rank_to_position, shrink_bwt)
+from plcpbits.cli import build_plcp
 from plcpbits.errors import CircularPowerInput, NotAPower
 from plcpbits.textcore import Bwt, brute_period, sample_isa
 
@@ -98,6 +99,21 @@ def test_rank_to_position_identity(rng):
         sisa = fx.sisa(rate)
         for p in range(n):
             assert rank_to_position(fx.bwt, sisa, fx.isa[p]) == p
+
+
+def test_external_builds_keep_the_bwt_streamed(monkeypatch):
+    """External and hybrid builds never materialise the BWT in memory."""
+    fixtures = [banana(), abbab()]
+
+    def materialise(self):
+        raise AssertionError("the BWT was materialised")
+    monkeypatch.setattr(Bwt, "wavelet", materialise)
+    monkeypatch.setattr(Bwt, "to_list", materialise)
+    for fx in fixtures:
+        for strategy, cutoff in [("external", None), ("hybrid", 0)]:
+            k = build_plcp(fx.bwt, fx.sisa(2), strategy, cutoff=cutoff,
+                           factory=StreamFactory())
+            assert k.decode_all() == list(fx.plcp.values)
 
 
 def test_circular_random_decode(rng):

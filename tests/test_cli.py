@@ -69,6 +69,38 @@ def test_bad_magic(tmp_path, capsys):
     assert code == 3 and "magic" in err
 
 
+def indexed_banana(tmp_path, capsys):
+    src = tmp_path / "t.txt"
+    src.write_bytes(b"banana")
+    pre = str(tmp_path / "t")
+    assert run(capsys, "index", str(src), "--rate", "3",
+               "--output", pre)[0] == 0
+    return pre
+
+
+@pytest.mark.parametrize("ranks", [(4, 2, 7), (4, 2, 2)])
+def test_build_rejects_bad_sisa_ranks(tmp_path, capsys, ranks):
+    pre = indexed_banana(tmp_path, capsys)
+    write_sisa(pre + ".sisa", SampledIsa(rate=3, n=7, ranks=ranks), 4)
+    code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                       "-o", pre + ".plcp")
+    assert code == 3 and "rank" in err
+
+
+@pytest.mark.parametrize("suffix", [".bwt", ".sisa", ".plcp"])
+def test_trailing_bytes_rejected(tmp_path, capsys, suffix):
+    pre = indexed_banana(tmp_path, capsys)
+    build = ["build", pre + ".bwt", pre + ".sisa", "-o", pre + ".plcp"]
+    assert run(capsys, *build)[0] == 0
+    with open(pre + suffix, "ab") as fh:
+        fh.write(b"\x00")
+    if suffix == ".plcp":
+        code, _, err = run(capsys, "decode", pre + ".plcp", "--all")
+    else:
+        code, _, err = run(capsys, *build)
+    assert code == 3 and "trailing" in err
+
+
 def test_pipeline_linear(tmp_path, capsys):
     src = tmp_path / "t.txt"
     src.write_bytes(b"banana")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import banana
 from plcpbits.emlayer import (StreamFactory, bin_un_bucket_sort, em_lsd_sort,
                               em_stable_sort_by_symbol, inverse_radix_sort)
-from plcpbits.errors import LengthMismatch
+from plcpbits.errors import LengthMismatch, PlcpError
 
 
 def test_stream_basics():
@@ -20,6 +20,17 @@ def test_stream_basics():
     assert list(s.rewind().items()) == list(range(11))
     assert s.rewinds == 1
     assert len(s) == 11
+
+
+def test_unfinished_stream_raises_plcp_error():
+    s = StreamFactory().stream()
+    s.append(1)
+    with pytest.raises(PlcpError):
+        s.rewind()
+    with pytest.raises(PlcpError):
+        s.seek(0)
+    with pytest.raises(PlcpError):
+        list(s.chunks())
 
 
 def test_seek_counts_as_non_sequential():

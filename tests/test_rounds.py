@@ -5,9 +5,8 @@ import pytest
 from conftest import abbab, banana, make_fixture, random_text
 from plcpbits import StreamFactory
 from plcpbits.errors import NotIncreasing, OutOfRange
-from plcpbits.rounds import (IntervalList, PdBits, backstep_all, lf_map_marks,
-                             pd_increment, run_rounds_external,
-                             run_rounds_internal)
+from plcpbits.rounds import (IntervalList, PdBits, pd_increment,
+                             run_rounds_external, run_rounds_internal)
 
 
 def expected_pd_counts(fx):
@@ -89,39 +88,6 @@ def test_value_set_in_lcp_round(rng):
             r = run_rounds_internal(fx.bwt, max_rounds=cutoff)
             for rank in range(n):
                 assert bool(r.set_marks[rank]) == (fx.lcp[rank] < cutoff)
-
-
-def test_backstep_all_examples():
-    fx = banana()
-    assert backstep_all(fx.bwt, [(0, 7)]).pairs() == \
-        [(0, 1), (1, 4), (4, 5), (5, 7)]
-    sigma_intervals = [(0, 1), (1, 4), (4, 5), (5, 7)]
-    assert backstep_all(fx.bwt, sigma_intervals).pairs() == \
-        [(0, 1), (1, 2), (2, 4), (4, 5), (5, 7)]
-    # single-symbol interval extends to one interval of equal width
-    assert backstep_all(fx.bwt, [(5, 7)]).pairs() == [(2, 4)]
-
-
-def test_backstep_all_partition_property(rng):
-    for _ in range(15):
-        n = rng.randrange(2, 64)
-        fx = make_fixture(random_text(rng, n, 4), 4)
-        part = IntervalList.single(0, n)
-        for _ in range(3):
-            part = backstep_all(fx.bwt, part)
-            assert part.is_partition(n)
-
-
-def test_lf_map_marks():
-    fx = banana()
-    f = StreamFactory()
-    marks = [0] * 7
-    marks[4] = 1
-    out = list(lf_map_marks(fx.bwt, f.wrap(marks), f).items())
-    assert out == [1, 0, 0, 0, 0, 0, 0]  # LF(4) = 0
-    all_on = list(lf_map_marks(fx.bwt, f.wrap([1] * 7), f).items())
-    assert all_on == [1] * 7
-    assert sum(lf_map_marks(fx.bwt, f.wrap([0] * 7), f).items()) == 0
 
 
 def test_pd_increment():

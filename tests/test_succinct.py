@@ -9,7 +9,7 @@ from plcpbits.errors import (DiffBoundViolation, NotIncreasing, OutOfRange,
                              TruncatedCode)
 from plcpbits.succinct import (GammaStream, RsBitVector, WaveletTree,
                                backstep, diff_gamma_decode, diff_gamma_encode,
-                               lf_map, plcp_encode, wt_interval_symbols)
+                               lf_map, plcp_encode)
 
 
 def test_gamma_codewords():
@@ -100,7 +100,7 @@ def test_wavelet_banana():
     wt = fx.bwt.wavelet()
     assert wt.rank(1, 5) == 1
     assert wt.select(3, 0) == 1
-    assert wt_interval_symbols(wt, 1, 4) == [(2, 0, 1), (3, 0, 2)]
+    assert wt.interval_symbols(1, 4) == [(2, 0, 1), (3, 0, 2)]
 
 
 def test_wavelet_matches_scans(rng):
