@@ -13,8 +13,8 @@ from .emlayer import EmStream, MemoryMeter, StreamFactory
 from .errors import PlcpError
 from .hybrid import KERNELS, hybrid_pd, run_hybrid
 from .reorder import reconstruct_text, reorder_pd
-from .rounds import (IntervalList, PdBits, RoundResult, pd_increment,
-                     run_rounds_external, run_rounds_internal)
+from .rounds import (IntervalList, PdBits, RoundResult, run_rounds_external,
+                     run_rounds_internal)
 from .succinct import (GammaStream, PlcpBits, RsBitVector, WaveletTree,
                        plcp_encode)
 from .textcore import (Bwt, SampledIsa, Text, build_bwt, build_suffix_array,
@@ -27,7 +27,7 @@ __all__ = [
     "MemoryMeter", "PdBits", "PeriodReport", "PlcpBits", "PlcpError",
     "RoundResult", "RsBitVector", "SampledIsa", "StreamFactory", "Text",
     "WaveletTree", "build_bwt", "build_circular_plcp", "build_suffix_array",
-    "detect_period", "hybrid_pd", "invert_sa", "kasai_lcp", "pd_increment",
+    "detect_period", "hybrid_pd", "invert_sa", "kasai_lcp",
     "permute_lcp", "plcp_encode", "rank_to_position", "reconstruct_text",
     "reorder_pd", "run_hybrid", "run_rounds_external",
     "run_rounds_internal", "sample_isa", "shrink_bwt",

@@ -98,15 +98,18 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None,
     if strategy == "internal":
         pd = run_rounds_internal(bwt).pd
     elif strategy == "external":
-        pd = run_rounds_external(bwt, factory).pd
+        result = run_rounds_external(bwt, factory)
+        factory.release(result.set_marks)
+        pd = result.pd
     elif strategy == "hybrid":
         if cutoff is None:
             cutoff = 3 * max(1, (n - 1).bit_length())
-        pd, _ = hybrid_pd(bwt, sisa, cutoff, factory=factory,
-                          circular=bwt.circular)
+        pd = hybrid_pd(bwt, sisa, cutoff, factory=factory)
     else:
         raise UnknownStrategy("unknown strategy %r" % strategy)
-    return reorder_pd(pd, bwt, sisa, factory=factory, shift=shift)
+    k = reorder_pd(pd, bwt, sisa, factory=factory, shift=shift)
+    factory.release(pd._bits)
+    return k
 
 
 def build_circular_plcp(bwt, sisa, factory=None, strategy="external",

@@ -204,6 +204,9 @@ class StreamFactory:
         self.keep_temp = keep_temp
         self.streams = []
         self._counter = 0
+        # accounting of released streams, so that releasing hides nothing
+        self._released_rewinds = 0
+        self._released_non_sequential = 0
         self._owns_dir = False
 
     @classmethod
@@ -242,15 +245,18 @@ class StreamFactory:
     # -- accounting ------------------------------------------------------
 
     def total_non_sequential(self):
-        return sum(s.non_sequential for s in self.streams)
+        return self._released_non_sequential + sum(
+            s.non_sequential for s in self.streams)
 
     def max_rewinds(self):
-        return max((s.rewinds for s in self.streams), default=0)
+        return max([self._released_rewinds] + [s.rewinds for s in self.streams])
 
     def release(self, *streams):
         for s in streams:
             if s in self.streams:
                 self.streams.remove(s)
+                self._released_rewinds = max(self._released_rewinds, s.rewinds)
+                self._released_non_sequential += s.non_sequential
             s.dispose()
 
     def cleanup(self):

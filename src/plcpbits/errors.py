@@ -37,12 +37,8 @@ class RateMismatch(PlcpError):
     """Sampled ISA length is inconsistent with the text length."""
 
 
-class ReducibleRankNeedsZeros(PlcpError):
-    """A rank classified as reducible would require zero bits."""
-
-
 class CountConflict(PlcpError):
-    """Sparse kernel counts are negative or land on a rank that has bits."""
+    """A sparse kernel count came out negative."""
 
 
 class StreamStateError(PlcpError):

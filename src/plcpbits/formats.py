@@ -111,6 +111,8 @@ def read_plcp(path):
     with open(path, "rb") as fh:
         n, sigma, circular = _read_header(fh, MAGIC_K, path)
         (shift,) = struct.unpack("<Q", _read_exact(fh, 8, path))
+        if shift and shift >= n:
+            raise FormatError("%s: shift %d outside 0..n-1" % (path, shift))
         raw = _read_exact(fh, (2 * n + 7) // 8, path)
         _expect_end(fh, path)
     bits = RsBitVector(

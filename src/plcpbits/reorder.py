@@ -147,13 +147,12 @@ def position_counts(pd, bwt, sisa, factory=None):
     return counts.finish()
 
 
-def emit_k(counts, n, shift=0, factory=None):
+def emit_k(counts, n, shift=0):
     """Unary-code a count stream into the 2n-bit K, rotated by ``shift``.
 
     The bit for text position ``shift`` comes first; a non-zero shift
     costs one extra rewind of the count stream.
     """
-    factory = factory or emlayer.StreamFactory()
     bits = []
     shift %= n
 
@@ -180,7 +179,7 @@ def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
     """Full reorder: PD plus sampled ISA to the position-ordered K."""
     factory = factory or emlayer.StreamFactory()
     counts = position_counts(pd, bwt, sisa, factory)
-    k = emit_k(counts, bwt.n, shift=shift, factory=factory)
+    k = emit_k(counts, bwt.n, shift=shift)
     factory.release(counts)
     return k
 

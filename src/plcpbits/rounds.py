@@ -12,7 +12,6 @@ nothing but sequential passes and bucket sorts.
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import add
 
 from . import emlayer
 from .emlayer import em_stable_sort_by_symbol, inverse_radix_sort, iter_items
@@ -138,7 +137,6 @@ class PdBits:
 class RoundResult:
     pd: PdBits
     set_marks: object      # bit stream/list over ranks: value already set
-    active_marks: object   # bit stream/list over ranks: still collecting
     rounds: int
 
 
@@ -183,8 +181,7 @@ def run_rounds_internal(bwt, max_rounds=None):
         queue = next_queue
         rounds += 1
     pd = PdBits.from_counts(pd_counts)
-    return RoundResult(pd, list(s_set), [1 if r in active else 0 for r in range(n)],
-                       rounds)
+    return RoundResult(pd, list(s_set), rounds)
 
 
 def _zsequence(bwt, queue, factory):
@@ -208,20 +205,36 @@ def _zsequence(bwt, queue, factory):
     return z.finish()
 
 
-def pd_increment(pd, active, factory=None):
-    """Insert one zero bit in front of the one bit of each active rank."""
-    return PdBits.from_counts(map(add, pd.iter_counts(), iter_items(active)),
-                              factory)
+def _grown_counts(pd, s_old, active, znew, zsrc, act_next):
+    """Pass B of a round, over source ranks: the grown PD counts.
+
+    A source whose LF image is newly set turns active unless its own value
+    was set before this round (``s_old``: a source set in this same round
+    still gains its zero bit).  Every active rank gains one zero bit; the
+    next active marks, without the newly set ranks, go to ``act_next``.
+    """
+    rest = zip(s_old.rewind().items(), active.rewind().items(),
+               znew.rewind().items(), pd.iter_counts())
+    for chunk in zsrc.chunks():
+        abuf = []
+        for zb, (sb, ab, nb, c) in zip(chunk, rest):
+            a = 1 if ab or (zb and not sb) else 0
+            abuf.append(0 if nb else a)
+            yield c + a
+        act_next.append_chunk(abuf)
 
 
 def run_rounds_external(bwt, factory=None, max_rounds=None):
     """Sort-based round builder over sequential streams only.
 
-    Per round: slice-sort the BWT along the current interval partition,
+    Per round: slice-sort the BWT along the current interval partition and
     symbol-sort the resulting count sequence so its index equals the
-    target rank, derive the newly-set marks, map them back through
-    inverse LF to find ranks to activate, grow PD, then read the next
-    partition off the nonzero counts.
+    target rank.  Two passes in rank order follow.  The first reads the
+    sorted counts and the set marks once: it marks the newly set ranks,
+    sets them and reads the next partition off the nonzero counts.  Those
+    marks are mapped back through inverse LF to their source ranks; the
+    second pass activates every unset source, grows PD by one zero bit
+    per active rank and deactivates the newly set ranks.
     """
     factory = factory or emlayer.StreamFactory()
     meter = factory.meter
@@ -243,66 +256,44 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
         z = _zsequence(bwt, queue, factory)
         zs = em_stable_sort_by_symbol(z, sigma, factory)
 
-        # marks over target ranks: value becomes set in this round
+        # pass A, over target ranks: mark and set the ranks whose value
+        # becomes set in this round, and read off the next partition
         znew = factory.stream("znew")
+        s_next = factory.stream("s")
+        queue = IntervalList()
         sit = s_marks.rewind().items()
+        rank = 0
         for chunk in zs.chunks():
-            buf = []
-            for _, c in chunk:
-                sb = next(sit)
-                buf.append(1 if c and not sb else 0)
-            znew.append_chunk(buf)
+            nbuf = []
+            sbuf = []
+            for (_, c), sb in zip(chunk, sit):
+                if c:
+                    nbuf.append(0 if sb else 1)
+                    sbuf.append(1)
+                    queue.append(rank, rank + c)
+                else:
+                    nbuf.append(0)
+                    sbuf.append(sb)
+                rank += 1
+            set_count += sum(nbuf)
+            znew.append_chunk(nbuf)
+            s_next.append_chunk(sbuf)
+        factory.release(z, zs)
         znew.finish()
+        s_next.finish()
 
-        # same marks in source-rank order (inverse LF)
+        # the same marks in source-rank order (inverse LF)
         zsrc = inverse_radix_sort(bwt.stream(), znew, sigma, factory)
 
-        # activate source ranks whose LF image is newly set
-        new_active = factory.stream("active")
-        sit = s_marks.rewind().items()
-        ait = active.rewind().items()
-        for chunk in zsrc.chunks():
-            buf = []
-            for zb in chunk:
-                ab = next(ait)
-                sb = next(sit)
-                buf.append(1 if ab or (zb and not sb) else 0)
-            new_active.append_chunk(buf)
-        new_active.finish()
-
-        pd_next = pd_increment(pd, new_active, factory)
-        factory.release(pd._bits)
-        pd = pd_next
-
-        # set new ranks, deactivate them, and read off the next partition
-        next_queue = IntervalList()
-        s_next = factory.stream("s")
+        # pass B, over source ranks: activate, grow PD, retire the set ranks
         act_next = factory.stream("active")
-        sit = s_marks.rewind().items()
-        ait = new_active.rewind().items()
-        rank = 0
-        for chunk in zs.rewind().chunks():
-            sbuf = []
-            abuf = []
-            for _, c in chunk:
-                sb = next(sit)
-                ab = next(ait)
-                if c:
-                    if not sb:
-                        set_count += 1
-                    sbuf.append(1)
-                    abuf.append(0)
-                    next_queue.append(rank, rank + c)
-                else:
-                    sbuf.append(sb)
-                    abuf.append(ab)
-                rank += 1
-            s_next.append_chunk(sbuf)
-            act_next.append_chunk(abuf)
-        factory.release(s_marks, active, new_active, z, zs, znew, zsrc)
-        s_marks = s_next.finish()
+        pd_next = PdBits.from_counts(
+            _grown_counts(pd, s_marks, active, znew, zsrc, act_next), factory)
+        factory.release(pd._bits, s_marks, active, znew, zsrc)
+        pd = pd_next
+        s_marks = s_next
         active = act_next.finish()
-        queue = next_queue
         rounds += 1
 
-    return RoundResult(pd, s_marks, active, rounds)
+    factory.release(active)
+    return RoundResult(pd, s_marks, rounds)

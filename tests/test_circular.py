@@ -116,6 +116,19 @@ def test_external_builds_keep_the_bwt_streamed(monkeypatch):
             assert k.decode_all() == list(fx.plcp.values)
 
 
+def test_builds_release_every_stream():
+    """A build leaves no stream registered with its factory."""
+    for fx in [banana(), abbab()]:
+        for strategy, cutoff in [("internal", None), ("external", None),
+                                 ("hybrid", 1), ("hybrid", None)]:
+            f = StreamFactory()
+            k = build_plcp(fx.bwt, fx.sisa(2), strategy, cutoff=cutoff,
+                           factory=f)
+            assert k.decode_all() == list(fx.plcp.values)
+            assert f.streams == [], (strategy, cutoff,
+                                     [s.name for s in f.streams])
+
+
 def test_circular_random_decode(rng):
     tested = 0
     while tested < 40:

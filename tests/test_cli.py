@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -99,6 +100,18 @@ def test_trailing_bytes_rejected(tmp_path, capsys, suffix):
     else:
         code, _, err = run(capsys, *build)
     assert code == 3 and "trailing" in err
+
+
+@pytest.mark.parametrize("shift", [7, 10**6])
+def test_plcp_shift_out_of_range_rejected(tmp_path, capsys, shift):
+    pre = indexed_banana(tmp_path, capsys)
+    path = pre + ".plcp"
+    assert run(capsys, "build", pre + ".bwt", pre + ".sisa", "-o", path)[0] == 0
+    with open(path, "r+b") as fh:
+        fh.seek(24)  # the shift follows the 24-byte header; n is 7
+        fh.write(struct.pack("<Q", shift))
+    code, _, err = run(capsys, "decode", path, "--all")
+    assert code == 3 and "shift" in err
 
 
 def test_pipeline_linear(tmp_path, capsys):

@@ -39,6 +39,9 @@ def test_seek_counts_as_non_sequential():
     s.seek(3)
     assert list(s.items()) == [3, 4]
     assert f.total_non_sequential() == 1
+    s.rewind()
+    f.release(s)  # a released stream still counts
+    assert f.total_non_sequential() == 1 and f.max_rewinds() == 1
 
 
 def test_file_backend(tmp_path):

@@ -1,11 +1,7 @@
-import pytest
-
 from conftest import banana, make_fixture, random_text
 from plcpbits import StreamFactory, run_hybrid
-from plcpbits.errors import ReducibleRankNeedsZeros
-from plcpbits.hybrid import (KERNELS, annotate_positions, fill_reducible,
-                             hybrid_pd, irreducible_missing,
-                             sparse_lcp_kernel_direct)
+from plcpbits.hybrid import (KERNELS, annotate_positions, hybrid_pd,
+                             irreducible_missing, sparse_lcp_kernel_direct)
 from plcpbits.rounds import run_rounds_internal
 
 
@@ -28,15 +24,6 @@ def test_irreducible_missing_banana():
     assert irreducible_missing(fx.bwt, marks) == [0]
 
 
-def test_fill_reducible_raises_on_gap():
-    fx = banana()
-    marks = [1] * 7
-    marks[3] = 0  # rank 3 is irreducible, so skipping it must be caught
-    with pytest.raises(ReducibleRankNeedsZeros):
-        fill_reducible(fx.bwt, marks, handled=[])
-    fill_reducible(fx.bwt, marks, handled=[3])  # handled: fine
-
-
 def test_kernel_examples():
     fx = banana()
     assert sparse_lcp_kernel_direct(fx.text, 1, 3) == 3
@@ -55,16 +42,26 @@ def test_annotate_positions(rng):
 
 
 def test_all_cutoffs_match_oracle(rng):
+    def check(fx, rate, cutoffs):
+        for cutoff in cutoffs:
+            f = StreamFactory()
+            k = run_hybrid(fx.bwt, fx.sisa(rate), cutoff, factory=f)
+            assert k.bit_string() == fx.k_bits(), (fx.n, rate, cutoff)
+            assert f.total_non_sequential() == 0
+
     for _ in range(20):
         n = rng.randrange(2, 100)
         sigma = rng.choice([2, 4, 16])
         fx = make_fixture(random_text(rng, n, sigma), sigma)
         rate = rng.choice([1, 3, max(1, n.bit_length())])
-        for cutoff in [0, 1, 2, max(1, n.bit_length()), n]:
-            f = StreamFactory()
-            k = run_hybrid(fx.bwt, fx.sisa(rate), cutoff, factory=f)
-            assert k.bit_string() == fx.k_bits(), (n, sigma, rate, cutoff)
-            assert f.total_non_sequential() == 0
+        check(fx, rate, [0, 1, 2, max(1, n.bit_length()), n])
+    # repeated units keep many ranks active at the cutoff
+    for _ in range(8):
+        sigma = rng.choice([2, 4, 16])
+        unit = random_text(rng, rng.randrange(2, 12), sigma)[:-1]
+        fx = make_fixture(unit * rng.randrange(3, 9) + [0], sigma)
+        rate = rng.choice([1, 3, max(1, fx.n.bit_length())])
+        check(fx, rate, range(max(fx.lcp.values) + 2))
 
 
 def test_kernel_budget(rng):

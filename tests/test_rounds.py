@@ -5,8 +5,8 @@ import pytest
 from conftest import abbab, banana, make_fixture, random_text
 from plcpbits import StreamFactory
 from plcpbits.errors import NotIncreasing, OutOfRange
-from plcpbits.rounds import (IntervalList, PdBits, pd_increment,
-                             run_rounds_external, run_rounds_internal)
+from plcpbits.rounds import (IntervalList, PdBits, run_rounds_external,
+                             run_rounds_internal)
 
 
 def expected_pd_counts(fx):
@@ -88,14 +88,6 @@ def test_value_set_in_lcp_round(rng):
             r = run_rounds_internal(fx.bwt, max_rounds=cutoff)
             for rank in range(n):
                 assert bool(r.set_marks[rank]) == (fx.lcp[rank] < cutoff)
-
-
-def test_pd_increment():
-    f = StreamFactory()
-    assert pd_increment(PdBits([1, 1], 2), [1, 0], f).bit_string() == "011"
-    assert pd_increment(PdBits([1, 1], 2), [0, 0], f).bit_string() == "11"
-    assert pd_increment(
-        PdBits([0, 1, 0, 1], 2), [1, 1], f).bit_string() == "001001"
 
 
 def test_external_rewind_budget(rng):
