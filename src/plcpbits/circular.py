@@ -59,7 +59,7 @@ def shrink_bwt(bwt, exponent=None, factory=None):
         raise NotAPower("input is already primitive")
     out = factory.stream("bwt")
     idx = 0
-    for chunk in bwt.stream().chunks():
+    for chunk in bwt.stream(factory).chunks():
         out.append_chunk(chunk[(-idx) % e :: e])
         idx += len(chunk)
     return Bwt(out.finish(), bwt.sigma, circular=True, factory=factory)

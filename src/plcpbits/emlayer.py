@@ -1,10 +1,12 @@
 """Simulated external memory.
 
-Streams are append-once, read-sequentially containers of small records.
-Tests run them over in-memory lists; the CLI runs them over temporary
-files.  Either way the only operations offered are sequential, so a
-compliant algorithm cannot accidentally perform random access: the one
-escape hatch (``seek``) is counted and asserted zero after every run.
+Streams are append-once, read-sequentially containers of small records,
+or of bytes: a stream whose first chunk is ``bytes``-like holds byte
+items, such as one 0/1 byte per rank, and is read back in byte chunks.
+Tests run them in memory; the CLI runs them over temporary files.
+Either way the only operations offered are sequential, so a compliant
+algorithm cannot accidentally perform random access: the one escape
+hatch (``seek``) is counted and asserted zero after every run.
 Rewinds between passes are counted separately.
 """
 
@@ -13,7 +15,7 @@ import pickle
 import shutil
 import tempfile
 from collections import Counter, defaultdict
-from itertools import islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import AlphabetTooLarge, LengthMismatch, StreamStateError
@@ -21,6 +23,10 @@ from .errors import AlphabetTooLarge, LengthMismatch, StreamStateError
 # Default stream buffer capacity, in items.  Buffers up to this size are
 # considered I/O buffers and are excluded from resident-memory accounting.
 STREAM_BUFFER_ITEMS = 65536
+
+
+def _is_bytes(chunk):
+    return isinstance(chunk, (bytes, bytearray))
 
 
 class MemoryMeter:
@@ -38,37 +44,51 @@ class MemoryMeter:
 
 
 class _MemoryBackend:
+    """Items in one in-memory sequence: a ``bytearray`` for byte items."""
+
     def __init__(self, data=None):
-        self.data = [] if data is None else data
+        self.data = data
 
     def append_chunk(self, chunk):
+        if self.data is None:
+            self.data = bytearray() if _is_bytes(chunk) else []
         self.data.extend(chunk)
 
     def finish_write(self):
         pass
 
     def chunks(self, start, capacity):
-        data = self.data
+        data = self.data or ()
         for i in range(start, len(data), capacity):
             yield data[i : i + capacity]
 
     def __len__(self):
-        return len(self.data)
+        return len(self.data or ())
 
     def dispose(self):
         self.data = None
 
 
 class _FileBackend:
-    """Pickled chunk file.  Each chunk is one pickle frame."""
+    """Chunk file: byte chunks are written as they are, others pickled.
+
+    A stream's first chunk decides which; every chunk but the last holds
+    exactly the stream's capacity, so raw bytes read back in the same cuts.
+    """
 
     def __init__(self, path):
         self.path = path
         self._fh = open(path, "wb")
         self._count = 0
+        self._raw = None
 
     def append_chunk(self, chunk):
-        pickle.dump(chunk, self._fh, protocol=pickle.HIGHEST_PROTOCOL)
+        if self._raw is None:
+            self._raw = _is_bytes(chunk)
+        if self._raw:
+            self._fh.write(chunk)
+        else:
+            pickle.dump(chunk, self._fh, protocol=pickle.HIGHEST_PROTOCOL)
         self._count += len(chunk)
 
     def finish_write(self):
@@ -76,8 +96,12 @@ class _FileBackend:
         self._fh = None
 
     def chunks(self, start, capacity):
-        skip = start
         with open(self.path, "rb") as fh:
+            if self._raw:
+                fh.seek(start)
+                yield from iter(lambda: fh.read(capacity), b"")
+                return
+            skip = start
             while True:
                 try:
                     chunk = pickle.load(fh)
@@ -110,28 +134,41 @@ class EmStream:
         self.name = name
         self.capacity = capacity
         self._writable = True
-        self._buffer = []
+        self._buffer = None  # a list, or a bytearray for byte items
         self._pos = 0
         self.rewinds = 0
         self.non_sequential = 0
 
     # -- writing ---------------------------------------------------------
+    #
+    # The backend receives chunks of exactly ``capacity`` items (the last
+    # one may be shorter), so streams of equal length and capacity can be
+    # read side by side chunk by chunk.  The first write decides the item
+    # type: a ``bytes``-like chunk makes a byte stream.
 
     def append(self, item):
         buf = self._buffer
+        if buf is None:
+            buf = self._buffer = []
         buf.append(item)
         if len(buf) >= self.capacity:
             self._backend.append_chunk(buf)
-            self._buffer = []
+            self._buffer = buf[:0]
 
     def append_chunk(self, chunk):
-        if len(self._buffer) + len(chunk) <= self.capacity:
-            self._buffer.extend(chunk)
-        else:
-            if self._buffer:
-                self._backend.append_chunk(self._buffer)
-                self._buffer = []
+        buf = self._buffer
+        if buf is None:
+            buf = self._buffer = bytearray() if _is_bytes(chunk) else []
+        cap = self.capacity
+        if not buf and len(chunk) == cap:
             self._backend.append_chunk(chunk)
+            return
+        buf.extend(chunk)
+        if len(buf) >= cap:
+            full = len(buf) - len(buf) % cap
+            for i in range(0, full, cap):
+                self._backend.append_chunk(buf[i : i + cap])
+            del buf[:full]
 
     def extend(self, items):
         it = iter(items)
@@ -146,7 +183,7 @@ class EmStream:
         if self._writable:
             if self._buffer:
                 self._backend.append_chunk(self._buffer)
-                self._buffer = []
+            self._buffer = None
             self._backend.finish_write()
             self._writable = False
             self._pos = 0
@@ -187,14 +224,19 @@ class EmStream:
         return self.items()
 
     def __len__(self):
-        return len(self._backend) + len(self._buffer)
+        return len(self._backend) + len(self._buffer or ())
 
     def dispose(self):
         self._backend.dispose()
 
 
 class StreamFactory:
-    """Creates streams over one backing store (memory or a temp dir)."""
+    """Creates streams over one backing store (memory or a temp dir).
+
+    Its accounting covers the streams it creates and the in-memory data it
+    wraps, such as a BWT held as a list: wrapped data is borrowed, so it is
+    counted but never part of ``streams``.
+    """
 
     def __init__(self, directory=None, capacity=STREAM_BUFFER_ITEMS,
                  meter=None, keep_temp=False):
@@ -203,6 +245,7 @@ class StreamFactory:
         self.meter = meter if meter is not None else MemoryMeter()
         self.keep_temp = keep_temp
         self.streams = []
+        self._borrowed = []
         self._counter = 0
         # accounting of released streams, so that releasing hides nothing
         self._released_rewinds = 0
@@ -216,14 +259,16 @@ class StreamFactory:
         factory._owns_dir = True
         return factory
 
-    def stream(self, name="tmp"):
+    def stream(self, name="tmp", capacity=None):
+        """A new writable stream, cut into chunks of ``capacity`` items
+        (default: the factory's)."""
         self._counter += 1
         if self.directory is None:
             backend = _MemoryBackend()
         else:
             path = os.path.join(self.directory, "%s-%06d" % (name, self._counter))
             backend = _FileBackend(path)
-        s = EmStream(backend, name=name, capacity=self.capacity)
+        s = EmStream(backend, name=name, capacity=capacity or self.capacity)
         self.streams.append(s)
         return s
 
@@ -231,7 +276,7 @@ class StreamFactory:
         """Expose an existing in-memory sequence as a finished stream."""
         s = EmStream(_MemoryBackend(data), name=name, capacity=self.capacity)
         s._writable = False
-        self.streams.append(s)
+        self._borrowed.append(s)
         return s
 
     def from_items(self, items, name="tmp"):
@@ -239,24 +284,24 @@ class StreamFactory:
         s.extend(items)
         return s.finish()
 
-    def zeros(self, count, name="bits"):
-        return self.from_items(repeat(0, count), name)
-
     # -- accounting ------------------------------------------------------
 
     def total_non_sequential(self):
         return self._released_non_sequential + sum(
-            s.non_sequential for s in self.streams)
+            s.non_sequential for s in self.streams + self._borrowed)
 
     def max_rewinds(self):
-        return max([self._released_rewinds] + [s.rewinds for s in self.streams])
+        return max([self._released_rewinds] +
+                   [s.rewinds for s in self.streams + self._borrowed])
 
     def release(self, *streams):
         for s in streams:
-            if s in self.streams:
-                self.streams.remove(s)
-                self._released_rewinds = max(self._released_rewinds, s.rewinds)
-                self._released_non_sequential += s.non_sequential
+            for owned in (self.streams, self._borrowed):
+                if s in owned:
+                    owned.remove(s)
+                    self._released_rewinds = max(self._released_rewinds,
+                                                 s.rewinds)
+                    self._released_non_sequential += s.non_sequential
             s.dispose()
 
     def cleanup(self):
@@ -358,7 +403,9 @@ def inverse_radix_sort(keys, sorted_data, sigma, factory):
     runs = [None] * sigma
     order = iter(sorted(sizes.items()))
     left = 0
+    kind = list
     for chunk in sorted_data.rewind().chunks():
+        kind = type(chunk)
         start = 0
         while start < len(chunk):
             if not left:
@@ -368,10 +415,12 @@ def inverse_radix_sort(keys, sorted_data, sigma, factory):
             runs[sym].append_chunk(chunk[start : start + take])
             start += take
             left -= take
-    heads = [None if run is None else run.finish().items() for run in runs]
-    out = factory.stream("unsorted")
+    heads = [None if run is None else chain.from_iterable(run.finish().chunks())
+             for run in runs]
+    # cut like the keys, so the result lines up with other rank-order streams
+    out = factory.stream("unsorted", keys.capacity)
     for chunk in keys.rewind().chunks():
-        out.append_chunk([next(heads[k]) for k in chunk])
+        out.append_chunk(kind(map(next, map(heads.__getitem__, chunk))))
     factory.release(*(run for run in runs if run is not None))
     return out.finish()
 

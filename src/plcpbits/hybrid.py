@@ -12,12 +12,14 @@ kernel count or zero, which also drops the partial counts of ranks whose
 rounds were cut short.
 """
 
+from operator import mul
+
 from . import emlayer
 from .emlayer import iter_items
 from .errors import CountConflict
 from .reorder import (_lf_pass, annotate_positions, reconstruct_text,
                       reorder_pd)
-from .rounds import PdBits, run_rounds_external
+from .rounds import run_rounds_external
 from .textcore import Text, naive_lcp_pair
 
 
@@ -90,13 +92,19 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None):
     counts = (_sparse_counts(bwt, sisa, missing, kernel_fn, factory)
               if missing else {})
 
-    def completed():
-        # unset ranks hold 0 or the partial counts of rounds cut short
-        marks = iter_items(result.set_marks)
-        for rank, c in enumerate(result.pd.iter_counts()):
-            yield c if next(marks) else counts.get(rank, 0)
+    todo = sorted(counts.items(), reverse=True)
 
-    pd = PdBits.from_counts(completed(), factory)
+    def completed(rank, piece, runs):
+        # a set rank keeps its run; an unset rank holds 0 or the partial
+        # counts of rounds cut short, and gets its kernel count or none
+        runs = list(map(mul, runs, piece))
+        while todo and todo[-1][0] < rank + len(piece):
+            r, c = todo.pop()
+            runs[r - rank] = bytes(c)
+        return runs
+
+    pd = result.pd.rewrite(result.set_marks.rewind().chunks(), completed,
+                           factory)
     factory.release(result.pd._bits, result.set_marks)
     return pd
 

@@ -58,7 +58,7 @@ def _lf_pass(bwt, cursors, step, factory):
     it = cursors.rewind().items()
     head = next(it, None)
     start = 0
-    for chunk in bwt.stream().chunks():
+    for chunk in bwt.stream(factory).chunks():
         end = start + len(chunk)
         done = 0
         while head is not None and head[0] < end:
@@ -87,22 +87,23 @@ def _lf_pass(bwt, cursors, step, factory):
 def _copy_counts_pass(pd, cursors, rate, factory):
     """Prepend the PD count at each active cursor's rank to its values.
 
-    A cursor retires once it has walked back to the sample position below
+    The counts are read off PD's zero runs at the cursor ranks only.  A
+    cursor retires once it has walked back to the sample position below
     its seed.
     """
     out = factory.stream("cursors")
-    it = cursors.rewind().items()
-    head = next(it, None)
-    for rank, count in enumerate(pd.iter_counts()):
-        if head is None:
-            break
-        while head is not None and head[0] == rank:
-            pos, active, values = head[1]
+    runs = pd.runs()
+    at = 0  # rank of the next run
+    for chunk in cursors.rewind().chunks():
+        moved = []
+        for rank, (pos, active, values) in chunk:
             if active:
-                values = (count,) + values
+                runs.skip(rank - at)
+                values = (len(runs.take(1)[0]),) + values
+                at = rank + 1
                 active = pos % rate != 0
-            out.append((rank, (pos, active, values)))
-            head = next(it, None)
+            moved.append((rank, (pos, active, values)))
+        out.append_chunk(moved)
     return out.finish()
 
 

@@ -4,19 +4,22 @@ Both builders set LCP values in increasing rounds via backward search.
 A rank is *active* from the round in which its LF image receives a value
 until the round in which the rank itself does; each active round adds
 one zero bit in front of the rank's one bit in PD.  The in-memory
-strategy walks a pruned interval queue over a wavelet tree; the
-sort-based strategy re-derives all extension intervals every round with
-nothing but sequential passes and bucket sorts.
+strategy walks a pruned interval queue over a wavelet tree.  The
+sequential strategy keeps the round's state as rank-order bit streams,
+one 0/1 byte per rank, and works each pass a whole chunk at a time with
+byte translation, selection and big-integer bit operations.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 
 from . import emlayer
-from .emlayer import em_stable_sort_by_symbol, inverse_radix_sort, iter_items
-from .errors import NotIncreasing, OutOfRange
+from .emlayer import inverse_radix_sort
+from .errors import AlphabetTooLarge, LengthMismatch, NotIncreasing, OutOfRange
 from .succinct import GammaStream
+
+# PD is split into per-rank zero runs at most this many ranks at a time.
+PIECE = 4096
 
 
 class IntervalList:
@@ -81,50 +84,111 @@ class IntervalList:
         return prev == n
 
 
+class ZeroRuns:
+    """The zero runs of PD in rank order, run r in front of rank r's one.
+
+    PD is split on its one bits one window of at most PIECE bytes at a
+    time, so no more than about 2*PIECE runs are held at once.
+    """
+
+    def __init__(self, bits):
+        self._windows = (bytes(chunk[i : i + PIECE])
+                         for chunk in bits.rewind().chunks()
+                         for i in range(0, len(chunk), PIECE))
+        self._runs = []
+        self._pos = 0
+        self._zeros = 0  # zeros read past the last one bit
+
+    def _fill(self):
+        for window in self._windows:
+            if 1 not in window:
+                self._zeros += len(window)
+                continue
+            runs = window.split(b"\x01")
+            if self._zeros:
+                runs[0] = bytes(self._zeros) + runs[0]
+            self._zeros = len(runs.pop())
+            self._runs = self._runs[self._pos :] + runs
+            self._pos = 0
+            return
+        raise LengthMismatch("PD holds fewer one bits than ranks")
+
+    def take(self, k):
+        """The runs of the next ``k`` ranks, ``k`` at most PIECE."""
+        while len(self._runs) - self._pos < k:
+            self._fill()
+        pos = self._pos
+        self._pos += k
+        return self._runs[pos : pos + k]
+
+    def skip(self, k):
+        """Pass over the runs of the next ``k`` ranks."""
+        while k > len(self._runs) - self._pos:
+            k -= len(self._runs) - self._pos
+            self._runs, self._pos = [], 0
+            self._fill()
+        self._pos += k
+
+
+def _unary(runs):
+    """PD bytes of consecutive ranks from their zero runs."""
+    return b"\x01".join(runs) + b"\x01"
+
+
 class PdBits:
-    """Bit vector with one 1 bit per rank; zeros precede their rank's 1."""
+    """Bit vector with one 1 bit per rank; zeros precede their rank's 1.
+
+    The bits are a byte stream, one 0/1 byte per bit.
+    """
 
     def __init__(self, bits, n):
-        self._bits = bits  # EmStream or list of 0/1
+        self._bits = bits
         self.n = n
 
     @classmethod
     def from_counts(cls, counts, factory=None):
-        """Unary-code per-rank zero counts into a PD stream.
-
-        This is the one PD writer: every rewrite of PD maps the counts of
-        the previous vector and hands them here.
-        """
+        """Unary-code per-rank zero counts into a PD stream."""
         factory = factory or emlayer.StreamFactory()
         out = factory.stream("pd")
-        buf = []
         n = 0
-        for c in counts:
-            if c:
-                buf.extend(repeat(0, c))
-            buf.append(1)
-            n += 1
-            if len(buf) >= factory.capacity:
-                out.append_chunk(buf)
-                buf = []
-        out.append_chunk(buf)
+        it = iter(counts)
+        for batch in iter(lambda: list(islice(it, PIECE)), []):
+            out.append_chunk(_unary(map(bytes, batch)))
+            n += len(batch)
         return cls(out.finish(), n)
 
+    def rewrite(self, marks, change, factory):
+        """One pass over PD and a rank-order byte stream's ``marks`` chunks.
+
+        For each piece of at most PIECE ranks, ``change(rank, piece,
+        runs)`` maps the zero runs of those ranks, the first at ``rank``,
+        to their new runs.  Every rewrite of PD goes through here.
+        """
+        runs = self.runs()
+        out = factory.stream("pd")
+        rank = 0
+        for chunk in marks:
+            for i in range(0, len(chunk), PIECE):
+                piece = chunk[i : i + PIECE]
+                out.append_chunk(_unary(change(rank, piece,
+                                               runs.take(len(piece)))))
+                rank += len(piece)
+        return PdBits(out.finish(), self.n)
+
+    def runs(self):
+        return ZeroRuns(self._bits)
+
     def iter_bits(self):
-        return iter_items(self._bits)
+        return self._bits.rewind().items()
 
     def counts(self):
         """Zero-bit count in front of each rank's one bit."""
         return list(self.iter_counts())
 
     def iter_counts(self):
-        c = 0
-        for b in self.iter_bits():
-            if b:
-                yield c
-                c = 0
-            else:
-                c += 1
+        runs = self.runs()
+        for lo in range(0, self.n, PIECE):
+            yield from map(len, runs.take(min(PIECE, self.n - lo)))
 
     def bit_string(self):
         return "".join(str(b) for b in self.iter_bits())
@@ -136,7 +200,7 @@ class PdBits:
 @dataclass
 class RoundResult:
     pd: PdBits
-    set_marks: object      # bit stream/list over ranks: value already set
+    set_marks: object      # 0/1 byte stream or list over ranks: value set
     rounds: int
 
 
@@ -184,116 +248,164 @@ def run_rounds_internal(bwt, max_rounds=None):
     return RoundResult(pd, list(s_set), rounds)
 
 
-def _zsequence(bwt, queue, factory):
-    """Interval-sorted symbol counts: the per-round Z stream.
+def _marks(factory, name, n, capacity, first=0):
+    """A rank-order byte stream of n zeros, rank 0 set to ``first``."""
+    out = factory.stream(name, capacity)
+    for lo in range(0, n, capacity):
+        chunk = bytearray(min(capacity, n - lo))
+        chunk[0] = first if lo == 0 else 0
+        out.append_chunk(chunk)
+    return out.finish()
 
-    The queue partitions the ranks.  Each interval's BWT slice is counted
-    by symbol, and in symbol order every symbol contributes its count at
-    its first occurrence and zero at the others.
+
+def _next_starts(keys, starts, tables, factory):
+    """The next round's interval starts: LF-forward of the first marks.
+
+    A rank is *first* when its BWT symbol a occurs there for the first
+    time in its interval.  Per chunk and symbol present, on big integers
+    with one byte per rank (A: 0xFF where the BWT holds a, D = ~A, B: 1 at
+    the interval starts), the sum T = D + (B & D) + carry carries a one
+    from each interval start across the non-a ranks into the next a,
+    where it stops: that a is first, and so is an a on a start.  The
+    carry out of the chunk continues into the next chunk.  The marks are
+    then distributed stably by BWT symbol, which is the LF mapping, and
+    the per-symbol runs concatenated in symbol order.
     """
-    z = factory.stream("z")
-    it = bwt.stream().items()
-    for lo, hi in queue:
-        if hi - lo == 1:
-            z.append((next(it), 1))
-            continue
-        counts = Counter(islice(it, hi - lo))
-        for a in sorted(counts):
-            z.append((a, counts[a]))
-            if counts[a] > 1:
-                z.append_chunk([(a, 0)] * (counts[a] - 1))
-    return z.finish()
+    sigma = len(tables)
+    carry = [0] * sigma
+    buckets = {}
+    for chunk, st in zip(keys.chunks(), starts.rewind().chunks()):
+        chunk = bytes(chunk)
+        width = 8 * len(chunk)
+        mask = (1 << width) - 1
+        b = int.from_bytes(st, "little")
+        present = set(chunk)
+        for a in range(sigma):
+            if a not in present:
+                if b:
+                    carry[a] = 1
+                continue
+            sel = chunk.translate(tables[a])
+            at = int.from_bytes(sel, "little")
+            d = mask ^ at
+            t = d + (b & d) + carry[a]
+            carry[a] = t >> width
+            first = (t | b) & at
+            if first:
+                part = bytes(compress(first.to_bytes(len(chunk), "little"),
+                                      sel))
+            else:
+                part = bytes(at.bit_count() >> 3)
+            if a not in buckets:
+                buckets[a] = factory.stream("bucket")
+            buckets[a].append_chunk(part)
+    out = factory.stream("starts", keys.capacity)
+    for a in sorted(buckets):
+        bucket = buckets.pop(a).finish()
+        for part in bucket.chunks():
+            out.append_chunk(part)
+        factory.release(bucket)
+    return out.finish()
 
 
-def _grown_counts(pd, s_old, active, znew, zsrc, act_next):
-    """Pass B of a round, over source ranks: the grown PD counts.
+def _active(zsrc, s_old, active, znew, act_next):
+    """Pass B's marks, chunk by chunk: the ranks active in this round.
 
-    A source whose LF image is newly set turns active unless its own value
-    was set before this round (``s_old``: a source set in this same round
-    still gains its zero bit).  Every active rank gains one zero bit; the
-    next active marks, without the newly set ranks, go to ``act_next``.
+    A source rank turns active unless its own value was set before this
+    round (``s_old``: a source set in this same round still gains its
+    zero bit).  The next active marks, without the newly set ranks, go to
+    ``act_next``.
     """
-    rest = zip(s_old.rewind().items(), active.rewind().items(),
-               znew.rewind().items(), pd.iter_counts())
-    for chunk in zsrc.chunks():
-        abuf = []
-        for zb, (sb, ab, nb, c) in zip(chunk, rest):
-            a = 1 if ab or (zb and not sb) else 0
-            abuf.append(0 if nb else a)
-            yield c + a
-        act_next.append_chunk(abuf)
+    chunks = zip(zsrc.chunks(), s_old.rewind().chunks(),
+                 active.rewind().chunks(), znew.rewind().chunks())
+    for zc, sc, ac, nc in chunks:
+        a = int.from_bytes(ac, "little") | (
+            int.from_bytes(zc, "little") & ~int.from_bytes(sc, "little"))
+        rest = a & ~int.from_bytes(nc, "little")
+        act_next.append_chunk(rest.to_bytes(len(zc), "little"))
+        yield a.to_bytes(len(zc), "little")
+
+
+def _grow(rank, piece, runs):
+    """Every active rank gains one zero bit; the others keep their runs."""
+    for i in compress(range(len(piece)), piece):
+        runs[i] += b"\x00"
+    return runs
 
 
 def run_rounds_external(bwt, factory=None, max_rounds=None):
-    """Sort-based round builder over sequential streams only.
+    """Sequential round builder over rank-order bit streams.
 
-    Per round: slice-sort the BWT along the current interval partition and
-    symbol-sort the resulting count sequence so its index equals the
-    target rank.  Two passes in rank order follow.  The first reads the
-    sorted counts and the set marks once: it marks the newly set ranks,
-    sets them and reads the next partition off the nonzero counts.  Those
-    marks are mapped back through inverse LF to their source ranks; the
-    second pass activates every unset source, grows PD by one zero bit
-    per active rank and deactivates the newly set ranks.
+    The state is four streams: the interval starts (the ranks that begin
+    an interval of equal length-r prefixes; round 0 has rank 0 only), the
+    set marks, the active marks and PD.  Per round, every pass is
+    chunk-wise:
+
+    - the next starts are the LF images of the first marks
+      (``_next_starts``);
+    - pass A: the newly set ranks are the new starts not yet set, and the
+      set marks gain them;
+    - the newly set marks go back through inverse LF to their sources;
+    - pass B: a source turns active unless it was set before this round,
+      every active rank gains a zero bit in PD, and the newly set ranks
+      leave the active set.
+
+    Besides stream buffers and at most 2*PIECE zero runs of PD, a round
+    keeps one carry of the first marks per symbol in memory.  The set
+    marks are returned, released by the caller; every other stream is
+    released here.
     """
     factory = factory or emlayer.StreamFactory()
-    meter = factory.meter
     n = bwt.n
     sigma = bwt.sigma
+    if sigma > emlayer.BUCKETS:
+        raise AlphabetTooLarge(
+            "byte bit streams cap the rounds at %d symbols" % emlayer.BUCKETS)
+    cap = bwt.stream(factory).capacity
+    # per symbol a, the byte table that maps a to 0xFF and all else to 0
+    tables = [bytes(0xFF * (c == a) for c in range(256)) for a in range(sigma)]
 
-    s_marks = factory.zeros(n, "s")
-    active = factory.zeros(n, "active")
+    starts = _marks(factory, "starts", n, cap, first=1)
+    s_marks = _marks(factory, "s", n, cap)
+    active = _marks(factory, "active", n, cap)
     pd = PdBits.from_counts(repeat(0, n), factory)
-    queue = IntervalList.single(0, n)
     set_count = 0
     rounds = 0
 
     while set_count < n and rounds <= n:
         if max_rounds is not None and rounds >= max_rounds:
             break
-        meter.note("round_state", 8)
+        factory.meter.note("round_state", 8)
 
-        z = _zsequence(bwt, queue, factory)
-        zs = em_stable_sort_by_symbol(z, sigma, factory)
+        nxt = _next_starts(bwt.stream(factory), starts, tables, factory)
+        factory.release(starts)
+        starts = nxt
 
-        # pass A, over target ranks: mark and set the ranks whose value
-        # becomes set in this round, and read off the next partition
-        znew = factory.stream("znew")
-        s_next = factory.stream("s")
-        queue = IntervalList()
-        sit = s_marks.rewind().items()
-        rank = 0
-        for chunk in zs.chunks():
-            nbuf = []
-            sbuf = []
-            for (_, c), sb in zip(chunk, sit):
-                if c:
-                    nbuf.append(0 if sb else 1)
-                    sbuf.append(1)
-                    queue.append(rank, rank + c)
-                else:
-                    nbuf.append(0)
-                    sbuf.append(sb)
-                rank += 1
-            set_count += sum(nbuf)
-            znew.append_chunk(nbuf)
-            s_next.append_chunk(sbuf)
-        factory.release(z, zs)
+        # pass A: the newly set ranks, and the next set marks
+        znew = factory.stream("znew", cap)
+        s_next = factory.stream("s", cap)
+        for st, sb in zip(starts.rewind().chunks(), s_marks.rewind().chunks()):
+            new = int.from_bytes(st, "little")
+            old = int.from_bytes(sb, "little")
+            fresh = new & ~old
+            set_count += fresh.bit_count()
+            znew.append_chunk(fresh.to_bytes(len(st), "little"))
+            s_next.append_chunk((new | old).to_bytes(len(st), "little"))
         znew.finish()
         s_next.finish()
 
         # the same marks in source-rank order (inverse LF)
-        zsrc = inverse_radix_sort(bwt.stream(), znew, sigma, factory)
+        zsrc = inverse_radix_sort(bwt.stream(factory), znew, sigma, factory)
 
-        # pass B, over source ranks: activate, grow PD, retire the set ranks
-        act_next = factory.stream("active")
-        pd_next = PdBits.from_counts(
-            _grown_counts(pd, s_marks, active, znew, zsrc, act_next), factory)
+        # pass B: activate, grow PD, retire the newly set ranks
+        act_next = factory.stream("active", cap)
+        pd_next = pd.rewrite(_active(zsrc, s_marks, active, znew, act_next),
+                             _grow, factory)
         factory.release(pd._bits, s_marks, active, znew, zsrc)
         pd = pd_next
         s_marks = s_next
         active = act_next.finish()
         rounds += 1
 
-    factory.release(active)
+    factory.release(starts, active)
     return RoundResult(pd, s_marks, rounds)

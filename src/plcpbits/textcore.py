@@ -121,6 +121,7 @@ class Bwt:
             counts = [0] * sigma
             for c in self._list:
                 counts[c] += 1
+        self._held = self._stream is None  # symbols held in memory
         self.sigma = sigma
         self.circular = circular
         self.c_array = counts
@@ -129,12 +130,17 @@ class Bwt:
             self.d_array[a + 1] = self.d_array[a] + counts[a]
         self._wavelet = None
 
-    def stream(self):
-        """Sequential view of the symbols, rewound to the start."""
-        if self._stream is None:
+    def stream(self, factory=None):
+        """Sequential view of the symbols, rewound to the start.
+
+        Symbols held in memory are viewed through ``factory``, or the
+        factory of the last view: that factory counts the view's rewinds
+        and cuts its chunks, like those of the streams it creates.
+        """
+        if self._held and (self._stream is None or
+                           factory not in (None, self._factory)):
             from .emlayer import StreamFactory
-            if self._factory is None:
-                self._factory = StreamFactory()
+            self._factory = factory or self._factory or StreamFactory()
             self._stream = self._factory.wrap(self._list, name="bwt")
         return self._stream.rewind()
 

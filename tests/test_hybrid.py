@@ -1,5 +1,6 @@
 from conftest import banana, make_fixture, random_text
 from plcpbits import StreamFactory, run_hybrid
+from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.hybrid import (KERNELS, annotate_positions, hybrid_pd,
                              irreducible_missing, sparse_lcp_kernel_direct)
 from plcpbits.rounds import run_rounds_internal
@@ -42,9 +43,9 @@ def test_annotate_positions(rng):
 
 
 def test_all_cutoffs_match_oracle(rng):
-    def check(fx, rate, cutoffs):
+    def check(fx, rate, cutoffs, capacity=STREAM_BUFFER_ITEMS):
         for cutoff in cutoffs:
-            f = StreamFactory()
+            f = StreamFactory(capacity=capacity)
             k = run_hybrid(fx.bwt, fx.sisa(rate), cutoff, factory=f)
             assert k.bit_string() == fx.k_bits(), (fx.n, rate, cutoff)
             assert f.total_non_sequential() == 0
@@ -62,6 +63,8 @@ def test_all_cutoffs_match_oracle(rng):
         fx = make_fixture(unit * rng.randrange(3, 9) + [0], sigma)
         rate = rng.choice([1, 3, max(1, fx.n.bit_length())])
         check(fx, rate, range(max(fx.lcp.values) + 2))
+    # streams cut into chunks of three items
+    check(fx, rate, range(max(fx.lcp.values) + 2), capacity=3)
 
 
 def test_kernel_budget(rng):

@@ -77,6 +77,11 @@ def test_strategies_agree(rng):
         assert a.pd.bit_string() == b.pd.bit_string()
         assert a.rounds == b.rounds == max(fx.lcp.values) + 1
         assert a.pd.counts() == expected_pd_counts(fx)
+        # chunk boundaries: carries, symbols absent from a chunk, PD runs
+        for capacity in (1, 3, 8):
+            c = run_rounds_external(fx.bwt, StreamFactory(capacity=capacity))
+            assert c.pd.bit_string() == a.pd.bit_string(), (n, capacity)
+            assert c.rounds == a.rounds
 
 
 def test_value_set_in_lcp_round(rng):
@@ -99,3 +104,4 @@ def test_external_rewind_budget(rng):
         r = run_rounds_external(fx.bwt, f)
         assert f.total_non_sequential() == 0
         assert f.max_rewinds() <= 8 * r.rounds
+        assert fx.bwt.stream().rewinds <= f.max_rewinds()
