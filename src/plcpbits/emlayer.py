@@ -54,9 +54,6 @@ class _MemoryBackend:
             self.data = bytearray() if _is_bytes(chunk) else []
         self.data.extend(chunk)
 
-    def finish_write(self):
-        pass
-
     def chunks(self, start, capacity):
         data = self.data or ()
         for i in range(start, len(data), capacity):
@@ -74,26 +71,25 @@ class _FileBackend:
 
     A stream's first chunk decides which; every chunk but the last holds
     exactly the stream's capacity, so raw bytes read back in the same cuts.
+    The file is open only while a chunk is written, so the many bucket
+    streams of a sort hold no file buffers while they fill.
     """
 
     def __init__(self, path):
         self.path = path
-        self._fh = open(path, "wb")
+        open(path, "wb").close()
         self._count = 0
         self._raw = None
 
     def append_chunk(self, chunk):
         if self._raw is None:
             self._raw = _is_bytes(chunk)
-        if self._raw:
-            self._fh.write(chunk)
-        else:
-            pickle.dump(chunk, self._fh, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(self.path, "ab") as fh:
+            if self._raw:
+                fh.write(chunk)
+            else:
+                pickle.dump(chunk, fh, protocol=pickle.HIGHEST_PROTOCOL)
         self._count += len(chunk)
-
-    def finish_write(self):
-        self._fh.close()
-        self._fh = None
 
     def chunks(self, start, capacity):
         with open(self.path, "rb") as fh:
@@ -119,9 +115,6 @@ class _FileBackend:
         return self._count
 
     def dispose(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
         if os.path.exists(self.path):
             os.unlink(self.path)
 
@@ -184,7 +177,6 @@ class EmStream:
             if self._buffer:
                 self._backend.append_chunk(self._buffer)
             self._buffer = None
-            self._backend.finish_write()
             self._writable = False
             self._pos = 0
         return self
@@ -342,7 +334,14 @@ def _bucket_pass(src, key, factory):
                 buckets[k] = factory.stream("bucket")
             buckets[k].append_chunk(part)
         del parts
-    out = factory.stream("sorted")
+    return concat_buckets(buckets, factory, "sorted")
+
+
+def concat_buckets(buckets, factory, name, capacity=None):
+    """One finished stream of the bucket streams of a ``{key: stream}``
+    dict, concatenated in key order; each bucket is released once copied.
+    """
+    out = factory.stream(name, capacity)
     for k in sorted(buckets):
         bucket = buckets.pop(k).finish()
         for chunk in bucket.chunks():

@@ -7,6 +7,7 @@ FormatError for malformed files and HeaderMismatch when artifacts that
 should describe the same text disagree.
 """
 
+import os
 import struct
 
 from .errors import AlphabetTooLarge, FormatError, HeaderMismatch
@@ -38,14 +39,17 @@ def _read_header(fh, magic, path):
         )
     if version != VERSION:
         raise FormatError("%s: unsupported version %d" % (path, version))
+    if n == 0:
+        raise FormatError("%s: empty text" % path)
     return n, sigma, bool(flags & FLAG_CIRCULAR)
 
 
 def _read_exact(fh, count, path):
-    raw = fh.read(count)
-    if len(raw) != count:
+    # checked against the file size first, so that a huge claimed length
+    # ends here rather than in the allocation of its buffer
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise FormatError("%s: truncated payload" % path)
-    return raw
+    return fh.read(count)
 
 
 def _expect_end(fh, path):
@@ -65,6 +69,9 @@ def write_bwt(path, bwt):
 def read_bwt(path, factory=None):
     with open(path, "rb") as fh:
         n, sigma, circular = _read_header(fh, MAGIC_BWT, path)
+        if not 1 <= sigma <= 256:
+            raise FormatError("%s: alphabet size %d outside 1..256"
+                              % (path, sigma))
         symbols = list(_read_exact(fh, n, path))
         _expect_end(fh, path)
         if any(c >= sigma for c in symbols):
@@ -100,11 +107,7 @@ def write_plcp(path, plcp, sigma, circular=False):
     with open(path, "wb") as fh:
         _write_header(fh, MAGIC_K, n, sigma, circular)
         fh.write(struct.pack("<Q", plcp.shift))
-        buf = bytearray((2 * n + 7) // 8)
-        for i in range(2 * n):
-            if plcp.k.get(i):
-                buf[i // 8] |= 1 << (i % 8)
-        fh.write(buf)
+        fh.write(plcp.k.packed())
 
 
 def read_plcp(path):
@@ -115,9 +118,7 @@ def read_plcp(path):
             raise FormatError("%s: shift %d outside 0..n-1" % (path, shift))
         raw = _read_exact(fh, (2 * n + 7) // 8, path)
         _expect_end(fh, path)
-    bits = RsBitVector(
-        (raw[i // 8] >> (i % 8)) & 1 for i in range(2 * n)
-    )
+    bits = RsBitVector.from_packed(raw, 2 * n)
     if bits.ones != n:
         raise FormatError(
             "%s: expected %d one bits, found %d" % (path, n, bits.ones)

@@ -6,10 +6,12 @@ computes the missing counts directly: only missing *irreducible* ranks
 (rank 0 or a BWT symbol change) need work, every other missing rank
 provably contributes zero bits.  Positions for the sparse set are
 recovered by a batched LF walk against the ISA samples, longest common
-prefixes by a pluggable kernel over the reconstructed text.  One rewrite
-of PD then keeps the counts of set ranks and gives every unset rank its
-kernel count or zero, which also drops the partial counts of ranks whose
-rounds were cut short.
+prefixes by a pluggable kernel over the reconstructed text.  That kernel
+is semi-external: it holds the whole text in memory, n symbols, noted
+with the meter under ``hybrid_text``.  One rewrite of PD then keeps the
+counts of set ranks and gives every unset rank its kernel count or zero,
+which also drops the partial counts of ranks whose rounds were cut
+short.
 """
 
 from operator import mul
@@ -52,31 +54,29 @@ def irreducible_missing(bwt, set_marks):
 def _sparse_counts(bwt, sisa, missing, kernel_fn, factory):
     """PD counts of the missing irreducible ranks, by rank."""
     n = bwt.n
-    # LCP values are needed at the missing ranks and at their LF images;
-    # positions additionally at every predecessor rank.
-    seeds = factory.from_items(((r, None) for r in missing), "cursors")
-    images = _lf_pass(bwt, seeds, lambda payload, sym: payload, factory)
-    need_lcp = sorted(set(missing) | {lf for lf, _ in images.items()})
+    # the count at rank r is LCP[r] - LCP[LF(r)] + 1, LF(r) being the rank
+    # of the text position before r's; the kernel needs the positions of
+    # those ranks and of every predecessor rank
+    seeds = factory.from_items(((r, r) for r in missing), "cursors")
+    images = _lf_pass(bwt, seeds, lambda rank, payload, sym: payload,
+                      factory)
+    lf = {r: image for image, r in images.items()}
     factory.release(seeds, images)
+    need_lcp = sorted(set(missing) | set(lf.values()))
     need_pos = sorted(set(need_lcp) | {r - 1 for r in need_lcp if r > 0})
     factory.meter.note("hybrid_sparse", len(need_pos))
 
     positions = annotate_positions(bwt, sisa, need_pos, factory)
-    symbols = reconstruct_text(bwt, sisa, factory)
-    text = Text(symbols, bwt.sigma, circular=bwt.circular)
+    # semi-external: the kernel reads the whole text, held in memory
+    factory.meter.note("hybrid_text", n)
+    text = Text(reconstruct_text(bwt, sisa, factory), bwt.sigma,
+                circular=bwt.circular)
 
-    lcp = {}
-    for r in need_lcp:
-        if r == 0:
-            lcp[r] = 0
-        else:
-            lcp[r] = kernel_fn(text, positions[r], positions[r - 1])
-
-    # counts come from neighbouring text positions of the computed values
-    pos_to_lcp = {positions[r]: lcp[r] for r in need_lcp}
+    lcp = {r: kernel_fn(text, positions[r], positions[r - 1]) if r else 0
+           for r in need_lcp}
     counts = {}
     for r in missing:
-        counts[r] = lcp[r] - pos_to_lcp[(positions[r] - 1) % n] + 1
+        counts[r] = lcp[r] - lcp[lf[r]] + 1
         if counts[r] < 0:
             raise CountConflict("negative count %d at rank %d" % (counts[r], r))
     return counts

@@ -2,24 +2,31 @@
 
 PD carries one unary count per suffix-array rank; K needs the same
 counts in text order.  With only a sampled inverse suffix array
-available, batches of cursors are walked backwards through the text via
-the LF mapping, each cursor collecting the counts of the position window
-between two consecutive samples.  Every pass is strictly sequential; the
-per-round LF pass keeps one counter per alphabet symbol in memory and
-nothing else.
+available, one cursor per sample walks backwards through the text via
+the LF mapping and takes the value at its rank on every step, until it
+has covered its window: the positions from its sample down to, but not
+including, the next sample below.  An LF pass moves every cursor one step and is strictly
+sequential: it visits the cursors in rank order alongside the BWT, keeps
+one counter per alphabet symbol in memory and appends each moved cursor
+to the stream of its BWT symbol; those streams, concatenated in symbol
+order, hold the next pass's cursors in rank order again.
 
-The same walk, recording BWT symbols instead of counts, reconstructs the
-text; that path is what the verification command uses.  Counting steps
-up to the first sampled rank instead, it finds the text positions of
-chosen ranks: the hybrid's sparse set and the circular anchor.
+Taking PD counts gives K (``position_counts``).  Taking BWT symbols, the
+text symbol one position back, reconstructs the text
+(``reconstruct_text``); that is what verification uses.  Retiring each
+cursor at the first sampled rank it meets instead finds the text
+positions of chosen ranks (``annotate_positions``): the hybrid's sparse
+set and the circular anchor.
 """
 
+from itertools import islice
 from math import ceil
 
 from . import emlayer
-from .emlayer import em_lsd_sort, em_stable_sort_by_symbol
+from .emlayer import concat_buckets, em_lsd_sort
 from .errors import OutOfRange, RateMismatch, WalkIncomplete
-from .succinct import PlcpBits
+from .rounds import unary_code
+from .succinct import PlcpBits, RsBitVector
 
 
 def _check_rate(bwt, sisa):
@@ -31,30 +38,21 @@ def _check_rate(bwt, sisa):
         )
 
 
-def _seed_cursors(sisa, factory):
-    """Cursors (rank, (pos, active, values)) at the samples, sorted by rank."""
-    n = sisa.n
-    seeds = factory.from_items(
-        ((rank, (pos, True, ())) for rank, pos in sisa.pairs()), "cursors")
-    key_bits = max(1, (n - 1).bit_length())
-    out = em_lsd_sort(seeds, 0, key_bits, factory)
-    factory.release(seeds)
-    return out
-
-
 def _lf_pass(bwt, cursors, step, factory):
-    """Advance every (rank, payload) cursor one LF step.
+    """Move every (rank, payload) cursor of a finished stream one LF step.
 
-    A cursor at rank r moves to rank LF(r) with payload
-    ``step(payload, BWT[r])``.  Cursors arrive and leave in rank order:
-    LF keeps the order of ranks that share a symbol, so a stable symbol
-    sort of the moved cursors restores it.  The BWT is read up to the last
-    cursor; the symbol counter table is the only in-memory state, noted
-    with the meter under ``lf_counters``.
+    Cursors are visited in rank order.  ``step(rank, payload, sym)``,
+    with ``sym`` the BWT symbol at ``rank``, returns the cursor's payload
+    at rank LF(rank), or None to retire the cursor.  A moved cursor is
+    appended to the stream of its symbol: LF keeps the order of ranks
+    that share a symbol, so the symbol streams concatenated in symbol
+    order hold the moved cursors in rank order.  The BWT is read up to
+    the last cursor; the symbol counter table is the only in-memory
+    state, noted with the meter under ``lf_counters``.
     """
     counters = list(bwt.d_array[: bwt.sigma])
     factory.meter.note("lf_counters", bwt.sigma)
-    tagged = factory.stream("tagged")
+    buckets = {}
     it = cursors.rewind().items()
     head = next(it, None)
     start = 0
@@ -62,12 +60,17 @@ def _lf_pass(bwt, cursors, step, factory):
         end = start + len(chunk)
         done = 0
         while head is not None and head[0] < end:
-            off = head[0] - start
+            rank, payload = head
+            off = rank - start
             for sym in chunk[done:off]:
                 counters[sym] += 1
             done = off
             sym = chunk[off]
-            tagged.append((sym, (counters[sym], step(head[1], sym))))
+            payload = step(rank, payload, sym)
+            if payload is not None:
+                if sym not in buckets:
+                    buckets[sym] = factory.stream("bucket")
+                buckets[sym].append((counters[sym], payload))
             head = next(it, None)
         if head is None:
             break
@@ -76,35 +79,76 @@ def _lf_pass(bwt, cursors, step, factory):
         start = end
     if head is not None:
         raise OutOfRange("cursor rank %d is not below %d" % (head[0], bwt.n))
-    by_rank = em_stable_sort_by_symbol(tagged.finish(), bwt.sigma, factory)
-    out = factory.stream("cursors")
-    for chunk in by_rank.chunks():
-        out.append_chunk([cursor for _, cursor in chunk])
-    factory.release(tagged, by_rank)
-    return out.finish()
+    return concat_buckets(buckets, factory, "cursors")
 
 
-def _copy_counts_pass(pd, cursors, rate, factory):
-    """Prepend the PD count at each active cursor's rank to its values.
+def _walk(bwt, sisa, reader, factory):
+    """One window of values per sample, as a stream sorted by sample.
 
-    The counts are read off PD's zero runs at the cursor ranks only.  A
-    cursor retires once it has walked back to the sample position below
-    its seed.
+    One cursor starts at each sample.  Each pass calls ``reader()`` for a
+    function ``value(rank, sym)``, called at the cursors' ranks in rising
+    order; every cursor takes its value and moves one position back, and
+    retires once it has its window: ``rate`` positions, or, for the
+    sample at position 0, position 0 and the positions after the last
+    sample.  So every cursor retires within min(rate, n) passes.
     """
-    out = factory.stream("cursors")
+    _check_rate(bwt, sisa)
+    n, rate = bwt.n, sisa.rate
+    tail = n - (len(sisa.ranks) - 1) * rate  # window of the sample at 0
+    windows = factory.stream("windows")
+
+    def step(rank, payload, sym):
+        sample, values = payload
+        values.append(value(rank, sym))
+        if len(values) < (rate if sample else tail):
+            return payload
+        windows.append(payload)
+        return None
+
+    cursors = factory.from_items(
+        ((rank, (pos // rate, [])) for rank, pos in sisa.pairs_by_rank()),
+        "cursors")
+    while len(cursors):
+        value = reader()
+        moved = _lf_pass(bwt, cursors, step, factory)
+        factory.release(cursors)
+        cursors = moved
+    factory.release(cursors)
+    key_bits = max(1, (len(sisa.ranks) - 1).bit_length())
+    by_sample = em_lsd_sort(windows.finish(), 0, key_bits, factory)
+    factory.release(windows)
+    return by_sample
+
+
+def _in_position_order(windows):
+    """The values of ``_walk``'s windows, from position 0 to n - 1.
+
+    A window holds its positions from the highest down; the first one
+    runs 0, n-1, n-2, ... and so is split around all the others.
+    """
+    items = windows.items()
+    _, first = next(items)
+    yield first[0]
+    for _, values in items:
+        yield from reversed(values)
+    yield from reversed(first[1:])
+
+
+def _pd_counts(pd):
+    """``value(rank, sym)``: the PD count at each rank, ranks rising."""
     runs = pd.runs()
     at = 0  # rank of the next run
-    for chunk in cursors.rewind().chunks():
-        moved = []
-        for rank, (pos, active, values) in chunk:
-            if active:
-                runs.skip(rank - at)
-                values = (len(runs.take(1)[0]),) + values
-                at = rank + 1
-                active = pos % rate != 0
-            moved.append((rank, (pos, active, values)))
-        out.append_chunk(moved)
-    return out.finish()
+
+    def count(rank, sym):
+        nonlocal at
+        runs.skip(rank - at)
+        at = rank + 1
+        return len(runs.take(1)[0])
+    return count
+
+
+def _bwt_symbol(rank, sym):
+    return sym
 
 
 def position_counts(pd, bwt, sisa, factory=None):
@@ -114,37 +158,10 @@ def position_counts(pd, bwt, sisa, factory=None):
     position i.
     """
     factory = factory or emlayer.StreamFactory()
-    _check_rate(bwt, sisa)
-    n = bwt.n
-    rate = sisa.rate
-
-    def step(payload, sym):
-        pos, active, values = payload
-        return (pos - 1) % n if active else pos, active, values
-
-    cursors = _seed_cursors(sisa, factory)
-    for _ in range(rate):
-        stepped = _lf_pass(bwt, cursors, step, factory)
-        factory.release(cursors)
-        cursors = _copy_counts_pass(pd, stepped, rate, factory)
-        factory.release(stepped)
-    windows = factory.stream("windows")
-    for chunk in cursors.rewind().chunks():
-        window = []
-        for _, (pos, active, values) in chunk:
-            if active:
-                raise WalkIncomplete("cursor still collecting after full walk")
-            window.append((pos, values))
-        windows.append_chunk(window)
-    factory.release(cursors)
-    key_bits = max(1, (n - 1).bit_length())
-    by_pos = em_lsd_sort(windows.finish(), 0, key_bits, factory)
-    factory.release(windows)
+    windows = _walk(bwt, sisa, lambda: _pd_counts(pd), factory)
     counts = factory.stream("counts")
-    for chunk in by_pos.chunks():
-        for _, values in chunk:
-            counts.append_chunk(list(values))
-    factory.release(by_pos)
+    counts.extend(_in_position_order(windows))
+    factory.release(windows)
     return counts.finish()
 
 
@@ -152,27 +169,16 @@ def emit_k(counts, n, shift=0):
     """Unary-code a count stream into the 2n-bit K, rotated by ``shift``.
 
     The bit for text position ``shift`` comes first; a non-zero shift
-    costs one extra rewind of the count stream.
+    costs one extra rewind of the count stream.  K is coded like PD.
     """
-    bits = []
     shift %= n
 
-    def emit_range(skip, take):
-        it = counts.items()
-        for _ in range(skip):
-            next(it)
-        for _ in range(take):
-            c = next(it)
-            bits.extend([0] * c)
-            bits.append(1)
+    def rotated():
+        yield from islice(counts.rewind().items(), shift, None)
+        if shift:
+            yield from islice(counts.rewind().items(), shift)
 
-    counts.rewind()
-    if shift == 0:
-        emit_range(0, n)
-    else:
-        emit_range(shift, n - shift)
-        counts.rewind()
-        emit_range(0, shift)
+    bits = RsBitVector(b"".join(unary_code(rotated())))
     return PlcpBits(bits, n, shift=shift)
 
 
@@ -186,76 +192,47 @@ def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
 
 
 def reconstruct_text(bwt, sisa, factory=None):
-    """Recover the text symbols from the BWT with the same batched walk."""
+    """Recover the text symbols from the BWT with the same windowed walk.
+
+    The BWT symbol at the rank of position i is the text symbol at i - 1,
+    so the text is the walk's output rotated by one.
+    """
     factory = factory or emlayer.StreamFactory()
-    _check_rate(bwt, sisa)
-    n = bwt.n
-    rate = sisa.rate
-    pairs = factory.stream("textpairs")
-
-    def step(payload, sym):
-        pos, active, values = payload
-        if not active:
-            return payload
-        pos = (pos - 1) % n
-        pairs.append((pos, sym))
-        return pos, pos % rate != 0, values
-
-    cursors = _seed_cursors(sisa, factory)
-    for _ in range(rate):
-        stepped = _lf_pass(bwt, cursors, step, factory)
-        factory.release(cursors)
-        cursors = stepped
-    factory.release(cursors)
-    key_bits = max(1, (n - 1).bit_length())
-    by_pos = em_lsd_sort(pairs.finish(), 0, key_bits, factory)
-    factory.release(pairs)
-    out = []
-    for chunk in by_pos.chunks():
-        out.extend(sym for _, sym in chunk)
-    factory.release(by_pos)
-    return out
-
-
-def _count_step(payload, sym):
-    orig, steps = payload
-    return orig, steps + 1
+    windows = _walk(bwt, sisa, lambda: _bwt_symbol, factory)
+    values = _in_position_order(windows)
+    last = next(values)
+    text = list(values)
+    text.append(last)
+    factory.release(windows)
+    return text
 
 
 def annotate_positions(bwt, sisa, ranks, factory=None):
     """Text position of each rank in a sorted list, as a dict.
 
     Walks all cursors backwards together; each retires at the first
-    sampled rank it meets, at most ``rate`` LF rounds in total.
+    sampled rank it meets, within min(rate, n) LF passes.
     """
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
-    samples = sisa.pairs_by_rank()
+    samples = dict(sisa.pairs())
     factory.meter.note("isa_samples", len(samples))
     out = {}
+
+    def step(rank, payload, sym):
+        orig, steps = payload
+        if rank not in samples:
+            return orig, steps + 1
+        out[orig] = (samples[rank] + steps) % n
+        return None
+
     cursors = factory.from_items(((r, (r, 0)) for r in ranks), "cursors")
-    for _ in range(sisa.rate + 1):
-        # retire cursors sitting on a sampled rank
-        survivors = factory.stream("cursors")
-        si = 0
-        for chunk in cursors.rewind().chunks():
-            keep = []
-            for cursor in chunk:
-                rank, (orig, steps) = cursor
-                while si < len(samples) and samples[si][0] < rank:
-                    si += 1
-                if si < len(samples) and samples[si][0] == rank:
-                    out[orig] = (samples[si][1] + steps) % n
-                else:
-                    keep.append(cursor)
-            survivors.append_chunk(keep)
-        factory.release(cursors)
-        cursors = survivors.finish()
+    for _ in range(min(sisa.rate, n)):
         if not len(cursors):
             break
-        stepped = _lf_pass(bwt, cursors, _count_step, factory)
+        moved = _lf_pass(bwt, cursors, step, factory)
         factory.release(cursors)
-        cursors = stepped
+        cursors = moved
     if len(cursors):
         raise WalkIncomplete("cursor failed to reach a sample")
     factory.release(cursors)

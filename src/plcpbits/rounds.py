@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import compress, islice, repeat
 
 from . import emlayer
-from .emlayer import inverse_radix_sort
+from .emlayer import concat_buckets, inverse_radix_sort
 from .errors import AlphabetTooLarge, LengthMismatch, NotIncreasing, OutOfRange
 from .succinct import GammaStream
 
@@ -135,6 +135,13 @@ def _unary(runs):
     return b"\x01".join(runs) + b"\x01"
 
 
+def unary_code(counts):
+    """PD's coder: the 0/1 bytes of a count sequence, PIECE counts a piece."""
+    it = iter(counts)
+    for batch in iter(lambda: list(islice(it, PIECE)), []):
+        yield _unary(map(bytes, batch))
+
+
 class PdBits:
     """Bit vector with one 1 bit per rank; zeros precede their rank's 1.
 
@@ -151,10 +158,9 @@ class PdBits:
         factory = factory or emlayer.StreamFactory()
         out = factory.stream("pd")
         n = 0
-        it = iter(counts)
-        for batch in iter(lambda: list(islice(it, PIECE)), []):
-            out.append_chunk(_unary(map(bytes, batch)))
-            n += len(batch)
+        for piece in unary_code(counts):
+            out.append_chunk(piece)
+            n += piece.count(1)
         return cls(out.finish(), n)
 
     def rewrite(self, marks, change, factory):
@@ -299,13 +305,7 @@ def _next_starts(keys, starts, tables, factory):
             if a not in buckets:
                 buckets[a] = factory.stream("bucket")
             buckets[a].append_chunk(part)
-    out = factory.stream("starts", keys.capacity)
-    for a in sorted(buckets):
-        bucket = buckets.pop(a).finish()
-        for part in bucket.chunks():
-            out.append_chunk(part)
-        factory.release(bucket)
-    return out.finish()
+    return concat_buckets(buckets, factory, "starts", keys.capacity)
 
 
 def _active(zsrc, s_old, active, znew, act_next):

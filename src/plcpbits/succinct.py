@@ -5,13 +5,16 @@ vector, the 2n-bit PLCP codec and a level-ordered wavelet tree used by
 the in-memory round builder.
 """
 
+import struct
 from bisect import bisect_right
+from itertools import accumulate
 
 from .errors import (DiffBoundViolation, NotIncreasing, OutOfRange,
                      TruncatedCode)
 
 _WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
+# maps a 0/1 byte (any non-zero byte) to its binary digit
+_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 
 
 class GammaStream:
@@ -112,33 +115,38 @@ def diff_gamma_decode(stream, base=-1, count=None):
 class RsBitVector:
     """Plain bit vector with rank and select support.
 
+    The bits are packed least-significant-bit first into 64-bit words.
     Rank uses per-word cumulative one counts; select binary-searches the
     cumulative table and scans one word.
     """
 
     def __init__(self, bits):
-        words = []
-        acc = 0
-        fill = 0
-        n = 0
-        for b in bits:
-            if b:
-                acc |= 1 << fill
-            fill += 1
-            n += 1
-            if fill == _WORD:
-                words.append(acc)
-                acc = 0
-                fill = 0
-        if fill:
-            words.append(acc)
+        raw = bytes(bits)  # one 0/1 byte per bit
+        value = int(raw[::-1].translate(_DIGITS), 2) if raw else 0
+        self._load(value.to_bytes((len(raw) + 7) // 8, "little"), len(raw))
+
+    @classmethod
+    def from_packed(cls, packed, n):
+        """The first n bits of LSB-first packed bytes."""
+        bv = cls.__new__(cls)
+        bv._load(packed, n)
+        return bv
+
+    def _load(self, packed, n):
+        count = -(-n // _WORD)
+        words = list(struct.unpack(
+            "<%dQ" % count, packed[: 8 * count].ljust(8 * count, b"\0")))
+        if n % _WORD:
+            words[-1] &= (1 << n % _WORD) - 1
         self._words = words
         self.n = n
-        ranks = [0] * (len(words) + 1)
-        for i, w in enumerate(words):
-            ranks[i + 1] = ranks[i] + w.bit_count()
-        self._ranks = ranks
-        self.ones = ranks[-1]
+        self._ranks = list(accumulate(map(int.bit_count, words), initial=0))
+        self.ones = self._ranks[-1]
+
+    def packed(self):
+        """The bits packed LSB-first, (n + 7) // 8 bytes."""
+        return struct.pack("<%dQ" % len(self._words),
+                           *self._words)[: (self.n + 7) // 8]
 
     def __len__(self):
         return self.n

@@ -1,9 +1,11 @@
 import json
 import struct
+import sys
+from collections import Counter
 
 import pytest
 
-from plcpbits import PlcpBits, StreamFactory
+from plcpbits import PlcpBits, StreamFactory, hybrid, reorder
 from plcpbits.cli import ingest, main
 from plcpbits.errors import EmptyInput
 from plcpbits.formats import (read_bwt, read_plcp, read_sisa, write_bwt,
@@ -79,6 +81,60 @@ def indexed_banana(tmp_path, capsys):
     return pre
 
 
+def test_banana_plcp_bytes(tmp_path, capsys):
+    pre = indexed_banana(tmp_path, capsys)
+    assert run(capsys, "build", pre + ".bwt", pre + ".sisa",
+               "-o", pre + ".plcp")[0] == 0
+    # header (magic, version 1, flags 0, n 7, sigma 4), shift 0, then
+    # K = 01000011110101 packed least-significant bit first
+    assert open(pre + ".plcp", "rb").read() == (
+        b"PLCPK__1" b"\x01\x00" b"\x00\x00" b"\x07\x00\x00\x00\x00\x00\x00\x00"
+        b"\x04\x00\x00\x00" b"\x00\x00\x00\x00\x00\x00\x00\x00" b"\xc2\x2b")
+
+
+def header(magic, n, sigma, flags=0):
+    return struct.pack("<8sHHQI", magic, 1, flags, n, sigma)
+
+
+@pytest.mark.parametrize("flags", [0, 1])
+def test_empty_artifacts_rejected(tmp_path, capsys, flags):
+    pre = str(tmp_path / "e")
+    with open(pre + ".bwt", "wb") as fh:
+        fh.write(header(b"PLCPBWT1", 0, 4, flags))
+    with open(pre + ".sisa", "wb") as fh:
+        fh.write(header(b"PLCPISA1", 0, 4, flags) + struct.pack("<I", 1))
+    for strategy in ("internal", "external", "hybrid"):
+        code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                           "-o", pre + ".plcp", "--strategy", strategy)
+        assert code == 3 and "empty" in err
+    code, _, err = run(capsys, "period", pre + ".bwt")
+    assert code == 3 and "empty" in err
+
+
+@pytest.mark.parametrize("n, sigma, what", [
+    (7, 257, "alphabet"), (7, 0, "alphabet"), (1 << 62, 4, "truncated"),
+], ids=["sigma257", "sigma0", "n2^62"])
+def test_malformed_bwt_header(tmp_path, capsys, n, sigma, what):
+    pre = indexed_banana(tmp_path, capsys)
+    with open(pre + ".bwt", "wb") as fh:
+        fh.write(header(b"PLCPBWT1", n, sigma) + bytes(7))
+    for strategy in ("internal", "external", "hybrid"):
+        code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                           "-o", pre + ".plcp", "--strategy", strategy)
+        assert code == 3 and what in err
+    code, _, err = run(capsys, "period", pre + ".bwt")
+    assert code == 3 and what in err
+
+
+def test_sisa_payload_beyond_file_rejected(tmp_path, capsys):
+    pre = indexed_banana(tmp_path, capsys)
+    with open(pre + ".sisa", "wb") as fh:
+        fh.write(header(b"PLCPISA1", 1 << 62, 4) + struct.pack("<I", 1))
+    code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                       "-o", pre + ".plcp")
+    assert code == 3 and "truncated" in err
+
+
 @pytest.mark.parametrize("ranks", [(4, 2, 7), (4, 2, 2)])
 def test_build_rejects_bad_sisa_ranks(tmp_path, capsys, ranks):
     pre = indexed_banana(tmp_path, capsys)
@@ -112,6 +168,34 @@ def test_plcp_shift_out_of_range_rejected(tmp_path, capsys, shift):
         fh.write(struct.pack("<Q", shift))
     code, _, err = run(capsys, "decode", path, "--all")
     assert code == 3 and "shift" in err
+
+
+@pytest.mark.parametrize("text, flags", [(b"banana", ()),
+                                         (b"abbab", ("--circular",))])
+def test_walks_end_within_n_passes(tmp_path, capsys, monkeypatch, text,
+                                   flags):
+    src = tmp_path / "t.txt"
+    src.write_bytes(text)
+    pre = str(tmp_path / "t")
+    assert run(capsys, "index", str(src), "--rate", "1000", "--output", pre,
+               *flags)[0] == 0
+    n = read_bwt(pre + ".bwt").n
+    calls = Counter()  # _lf_pass calls per calling frame, one frame a walk
+
+    def counted(*args):
+        calls[sys._getframe(1)] += 1
+        return lf_pass(*args)
+    lf_pass = reorder._lf_pass
+    monkeypatch.setattr(reorder, "_lf_pass", counted)
+    monkeypatch.setattr(hybrid, "_lf_pass", counted)
+    for options in (["--strategy", "internal"], ["--strategy", "external"],
+                    ["--strategy", "hybrid"],
+                    ["--strategy", "hybrid", "--cutoff", "1"]):
+        code, out, _ = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                           "-o", pre + ".plcp", "--verify-after-build",
+                           *options)
+        assert code == 0 and "verified" in out
+    assert calls and max(calls.values()) <= n + 1
 
 
 def test_pipeline_linear(tmp_path, capsys):

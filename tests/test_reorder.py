@@ -2,8 +2,9 @@ import pytest
 
 from conftest import abbab, banana, make_fixture, random_text
 from plcpbits import StreamFactory, reconstruct_text, reorder_pd
+from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import RateMismatch
-from plcpbits.reorder import emit_k, position_counts
+from plcpbits.reorder import annotate_positions, emit_k, position_counts
 from plcpbits.rounds import run_rounds_external, run_rounds_internal
 from plcpbits.textcore import SampledIsa
 
@@ -74,3 +75,32 @@ def test_reconstruct_random(rng):
         for rate in {1, 3, max(1, n.bit_length()), n}:
             got = reconstruct_text(fx.bwt, fx.sisa(rate))
             assert got == list(fx.text.symbols), (n, sigma, rate)
+
+
+def test_walks_match_oracle_at_every_rate(tmp_path, rng):
+    texts = [banana(), abbab(),
+             make_fixture([1, 2, 1, 2, 1, 2, 1, 0], 3),
+             make_fixture([0, 1, 1, 0, 2, 1, 1, 0, 2], 3, circular=True)]
+    texts += [make_fixture(random_text(rng, n, 4), 4) for n in (2, 5, 11)]
+    for i, fx in enumerate(texts):
+        n = fx.n
+        pd = run_rounds_internal(fx.bwt).pd
+        # a circular K starts right after a position of PLCP zero
+        shift = (fx.sa[0] + 1) % n if fx.text.circular else 0
+        for capacity in (1, 3, STREAM_BUFFER_ITEMS):
+            # one temp directory per file-backed factory
+            for directory in (None, tmp_path / ("%d-%d" % (i, capacity))):
+                if directory:
+                    directory.mkdir()
+                    directory = str(directory)
+                f = StreamFactory(directory, capacity=capacity)
+                for rate in range(1, n + 3):
+                    sisa = fx.sisa(rate)
+                    case = (list(fx.text.symbols), capacity, directory, rate)
+                    k = reorder_pd(pd, fx.bwt, sisa, factory=f, shift=shift)
+                    assert k.decode_all() == list(fx.plcp.values), case
+                    assert reconstruct_text(fx.bwt, sisa, f) == \
+                        list(fx.text.symbols), case
+                    got = annotate_positions(fx.bwt, sisa, range(n), f)
+                    assert got == dict(enumerate(fx.sa)), case
+                assert f.streams == [] and f.total_non_sequential() == 0
