@@ -72,11 +72,19 @@ class _FileBackend:
     A stream's first chunk decides which; every chunk but the last holds
     exactly the stream's capacity, so raw bytes read back in the same cuts.
     The file is open only while a chunk is written, so the many bucket
-    streams of a sort hold no file buffers while they fill.
+    streams of a sort hold no file buffers while they fill.  A disposed
+    file is emptied and put on ``spares``, the factory's list, and the
+    next new stream renames it rather than creating a file: on an ext4
+    virtual disk, creating one took 0.2-0.8 ms and renaming it 0.03 ms.
+    Opening it empty once more keeps ext4 from writing the new stream's
+    data to disk at its next close, as it does after a truncation.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, spares):
         self.path = path
+        self._spares = spares
+        if spares:
+            os.replace(spares.pop(), path)
         open(path, "wb").close()
         self._count = 0
         self._raw = None
@@ -115,8 +123,10 @@ class _FileBackend:
         return self._count
 
     def dispose(self):
-        if os.path.exists(self.path):
-            os.unlink(self.path)
+        if self.path:
+            os.truncate(self.path, 0)
+            self._spares.append(self.path)
+            self.path = None
 
 
 class EmStream:
@@ -243,6 +253,7 @@ class StreamFactory:
         self._released_rewinds = 0
         self._released_non_sequential = 0
         self._owns_dir = False
+        self._spares = []   # emptied files of released streams
 
     @classmethod
     def tempdir(cls, capacity=STREAM_BUFFER_ITEMS, meter=None, keep_temp=False,
@@ -259,7 +270,7 @@ class StreamFactory:
             backend = _MemoryBackend()
         else:
             path = os.path.join(self.directory, "%s-%06d" % (name, self._counter))
-            backend = _FileBackend(path)
+            backend = _FileBackend(path, self._spares)
         s = EmStream(backend, name=name, capacity=capacity or self.capacity)
         self.streams.append(s)
         return s
@@ -297,6 +308,8 @@ class StreamFactory:
             s.dispose()
 
     def cleanup(self):
+        while self._spares:
+            os.unlink(self._spares.pop())
         if self._owns_dir and not self.keep_temp and self.directory:
             shutil.rmtree(self.directory, ignore_errors=True)
 
@@ -354,9 +367,16 @@ def em_lsd_sort(stream, key_index, key_bits, factory):
     """Stable LSD radix sort of tuple records by an integer component.
 
     One bucket pass per 8-bit digit of the key, least significant first.
+    A stream of one chunk is read into memory by any pass, so it is
+    sorted there in one step, without a bucket stream per digit value.
     """
     key = itemgetter(key_index)
     stream.rewind()
+    if len(stream) <= stream.capacity:
+        out = factory.stream("sorted", stream.capacity)
+        for chunk in stream.chunks():
+            out.append_chunk(sorted(chunk, key=key))
+        return out.finish()
     cur = stream
     for shift in range(0, max(1, key_bits), DIGIT_BITS):
         if key_bits <= DIGIT_BITS:
@@ -380,27 +400,31 @@ def em_stable_sort_by_symbol(pairs, sigma, factory):
     return em_lsd_sort(pairs, 0, _key_bits(sigma), factory)
 
 
-def inverse_radix_sort(keys, sorted_data, sigma, factory):
+def inverse_radix_sort(keys, sorted_data, sigma, factory, sizes=None):
     """Inverse of em_stable_sort_by_symbol on the payload sequence.
 
     ``keys`` are the symbols in original order; ``sorted_data`` is any data
     stream ordered as if it had been carried through the forward sort.
-    The sorted data is cut into one run per symbol, sized by counting the
-    keys, and the runs are merged back by re-reading the keys.
+    The sorted data is cut into one run per symbol and the runs are merged
+    back by re-reading the keys.  The run sizes are ``sizes``, the key
+    count per symbol (a BWT's C array), or else counted from the keys.
     """
     if sigma > BUCKETS:
         raise AlphabetTooLarge(
             "one run per symbol caps the inverse sort at %d symbols" % BUCKETS
         )
-    if len(keys) != len(sorted_data):
+    if sizes is None:
+        counts = Counter()
+        for chunk in keys.rewind().chunks():
+            counts.update(chunk)
+        sizes = [counts[a] for a in range(sigma)]
+    if not len(keys) == sum(sizes) == len(sorted_data):
         raise LengthMismatch(
-            "keys has %d items, data has %d" % (len(keys), len(sorted_data))
+            "keys has %d items, data has %d, sizes sum to %d"
+            % (len(keys), len(sorted_data), sum(sizes))
         )
-    sizes = Counter()
-    for chunk in keys.rewind().chunks():
-        sizes.update(chunk)
     runs = [None] * sigma
-    order = iter(sorted(sizes.items()))
+    order = ((sym, size) for sym, size in enumerate(sizes) if size)
     left = 0
     kind = list
     for chunk in sorted_data.rewind().chunks():

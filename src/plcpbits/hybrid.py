@@ -58,7 +58,7 @@ def _sparse_counts(bwt, sisa, missing, kernel_fn, factory):
     # of the text position before r's; the kernel needs the positions of
     # those ranks and of every predecessor rank
     seeds = factory.from_items(((r, r) for r in missing), "cursors")
-    images = _lf_pass(bwt, seeds, lambda rank, payload, sym: payload,
+    images = _lf_pass(bwt, seeds, lambda rank, payload, sym, lf: payload,
                       factory)
     lf = {r: image for image, r in images.items()}
     factory.release(seeds, images)

@@ -24,7 +24,7 @@ from math import ceil
 
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
-from .errors import OutOfRange, RateMismatch, WalkIncomplete
+from .errors import FormatError, OutOfRange, RateMismatch, WalkIncomplete
 from .rounds import unary_code
 from .succinct import PlcpBits, RsBitVector
 
@@ -41,14 +41,14 @@ def _check_rate(bwt, sisa):
 def _lf_pass(bwt, cursors, step, factory):
     """Move every (rank, payload) cursor of a finished stream one LF step.
 
-    Cursors are visited in rank order.  ``step(rank, payload, sym)``,
-    with ``sym`` the BWT symbol at ``rank``, returns the cursor's payload
-    at rank LF(rank), or None to retire the cursor.  A moved cursor is
-    appended to the stream of its symbol: LF keeps the order of ranks
-    that share a symbol, so the symbol streams concatenated in symbol
-    order hold the moved cursors in rank order.  The BWT is read up to
-    the last cursor; the symbol counter table is the only in-memory
-    state, noted with the meter under ``lf_counters``.
+    Cursors are visited in rank order.  ``step(rank, payload, sym, lf)``,
+    with ``sym`` the BWT symbol at ``rank`` and ``lf`` = LF(rank), returns
+    the cursor's payload at rank ``lf``, or None to retire the cursor.  A
+    moved cursor is appended to the stream of its symbol: LF keeps the
+    order of ranks that share a symbol, so the symbol streams
+    concatenated in symbol order hold the moved cursors in rank order.
+    The BWT is read up to the last cursor; the symbol counter table is the
+    only in-memory state, noted with the meter under ``lf_counters``.
     """
     counters = list(bwt.d_array[: bwt.sigma])
     factory.meter.note("lf_counters", bwt.sigma)
@@ -66,7 +66,7 @@ def _lf_pass(bwt, cursors, step, factory):
                 counters[sym] += 1
             done = off
             sym = chunk[off]
-            payload = step(rank, payload, sym)
+            payload = step(rank, payload, sym, counters[sym])
             if payload is not None:
                 if sym not in buckets:
                     buckets[sym] = factory.stream("bucket")
@@ -90,18 +90,25 @@ def _walk(bwt, sisa, reader, factory):
     order; every cursor takes its value and moves one position back, and
     retires once it has its window: ``rate`` positions, or, for the
     sample at position 0, position 0 and the positions after the last
-    sample.  So every cursor retires within min(rate, n) passes.
+    sample.  So every cursor retires within min(rate, n) passes.  Its
+    last LF step must reach the rank of the next sample below; if it
+    does not, the samples are not the BWT's and FormatError is raised.
     """
     _check_rate(bwt, sisa)
     n, rate = bwt.n, sisa.rate
-    tail = n - (len(sisa.ranks) - 1) * rate  # window of the sample at 0
+    ranks = sisa.ranks
+    tail = n - (len(ranks) - 1) * rate  # window of the sample at 0
     windows = factory.stream("windows")
 
-    def step(rank, payload, sym):
+    def step(rank, payload, sym, lf):
         sample, values = payload
         values.append(value(rank, sym))
         if len(values) < (rate if sample else tail):
             return payload
+        if lf != ranks[sample - 1]:
+            raise FormatError("ISA samples do not match the BWT: the walk "
+                              "from sample %d ends at rank %d, not %d"
+                              % (sample, lf, ranks[sample - 1]))
         windows.append(payload)
         return None
 
@@ -219,7 +226,7 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
     factory.meter.note("isa_samples", len(samples))
     out = {}
 
-    def step(rank, payload, sym):
+    def step(rank, payload, sym, lf):
         orig, steps = payload
         if rank not in samples:
             return orig, steps + 1

@@ -264,7 +264,11 @@ def _marks(factory, name, n, capacity, first=0):
     return out.finish()
 
 
-def _next_starts(keys, starts, tables, factory):
+# maps a bare a (0xFE) to 0 and an a with a mark (0xFF) to 1
+KEEP_MARK = bytes(c == 0xFF for c in range(256))
+
+
+def _next_starts(keys, starts, sigma, factory):
     """The next round's interval starts: LF-forward of the first marks.
 
     A rank is *first* when its BWT symbol a occurs there for the first
@@ -273,35 +277,35 @@ def _next_starts(keys, starts, tables, factory):
     the interval starts), the sum T = D + (B & D) + carry carries a one
     from each interval start across the non-a ranks into the next a,
     where it stops: that a is first, and so is an a on a start.  The
-    carry out of the chunk continues into the next chunk.  The marks are
-    then distributed stably by BWT symbol, which is the LF mapping, and
-    the per-symbol runs concatenated in symbol order.
+    carry out of the chunk continues into the next chunk.  The marks of a
+    are then compacted in rank order by one byte translation: a bare a is
+    0xFE, a first a 0xFF and every other symbol 0x00, which
+    ``translate(KEEP_MARK, b"\\x00")`` deletes.  Appending each symbol's
+    marks to its own stream is the LF mapping; the streams are then
+    concatenated in symbol order.
     """
-    sigma = len(tables)
+    # per symbol a, the byte table that maps a to 0xFF and all else to 0
+    tables = [bytes(a) + b"\xff" + bytes(255 - a) for a in range(sigma)]
     carry = [0] * sigma
     buckets = {}
     for chunk, st in zip(keys.chunks(), starts.rewind().chunks()):
         chunk = bytes(chunk)
         width = 8 * len(chunk)
         mask = (1 << width) - 1
+        high = int.from_bytes(b"\xfe" * len(chunk), "little")
         b = int.from_bytes(st, "little")
-        present = set(chunk)
         for a in range(sigma):
-            if a not in present:
+            if a not in chunk:
                 if b:
                     carry[a] = 1
                 continue
-            sel = chunk.translate(tables[a])
-            at = int.from_bytes(sel, "little")
+            at = int.from_bytes(chunk.translate(tables[a]), "little")
             d = mask ^ at
             t = d + (b & d) + carry[a]
             carry[a] = t >> width
-            first = (t | b) & at
-            if first:
-                part = bytes(compress(first.to_bytes(len(chunk), "little"),
-                                      sel))
-            else:
-                part = bytes(at.bit_count() >> 3)
+            marked = at & (high | t | b)
+            part = marked.to_bytes(len(chunk), "little").translate(
+                KEEP_MARK, b"\x00")
             if a not in buckets:
                 buckets[a] = factory.stream("bucket")
             buckets[a].append_chunk(part)
@@ -362,8 +366,6 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
         raise AlphabetTooLarge(
             "byte bit streams cap the rounds at %d symbols" % emlayer.BUCKETS)
     cap = bwt.stream(factory).capacity
-    # per symbol a, the byte table that maps a to 0xFF and all else to 0
-    tables = [bytes(0xFF * (c == a) for c in range(256)) for a in range(sigma)]
 
     starts = _marks(factory, "starts", n, cap, first=1)
     s_marks = _marks(factory, "s", n, cap)
@@ -377,7 +379,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
             break
         factory.meter.note("round_state", 8)
 
-        nxt = _next_starts(bwt.stream(factory), starts, tables, factory)
+        nxt = _next_starts(bwt.stream(factory), starts, sigma, factory)
         factory.release(starts)
         starts = nxt
 
@@ -395,7 +397,8 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
         s_next.finish()
 
         # the same marks in source-rank order (inverse LF)
-        zsrc = inverse_radix_sort(bwt.stream(factory), znew, sigma, factory)
+        zsrc = inverse_radix_sort(bwt.stream(factory), znew, sigma, factory,
+                                  sizes=bwt.c_array)
 
         # pass B: activate, grow PD, retire the newly set ranks
         act_next = factory.stream("active", cap)

@@ -1,8 +1,9 @@
 """Acceptance gate: ten end-to-end criteria, one printed verdict each.
 
-The shared corpus (500 random texts plus adversarial shapes) is built
-once; the strategy-equivalence run caches its outputs so the size and
-round-count criteria re-check the same artifacts.
+The shared corpus (500 random texts plus adversarial shapes) and every
+strategy's build of it are module-scoped fixtures, so the
+strategy-equivalence, size and round-count criteria check the same
+artifacts, each of them also when run on its own.
 """
 
 import math
@@ -42,28 +43,19 @@ def corpus():
     return texts
 
 
-_CACHE = {}  # text index -> (fixture, k strings, round counts)
+@pytest.fixture(scope="module")
+def builds(corpus):
+    """Every strategy's K on every corpus text, for criteria 2 to 4.
 
-
-def test_criterion_01_paper_example():
-    start = time.monotonic()
-    fx = abbab()
-    ok = list(fx.plcp.values) == [2, 1, 0, 0, 3]
-    ok &= plcp_encode([2, 1, 0, 0, 3]).bit_string() == "0001110100001"
-    k = build_circular_plcp(fx.bwt, fx.sisa(1))
-    ok &= k.bit_string() == "0000111101"
-    ok &= len(k.bit_string()) == 10
-    ok &= k.decode_all() == [2, 1, 0, 0, 3]
-    elapsed = time.monotonic() - start
-    ok &= elapsed < 1.0
-    verdict(1, ok, "circular abbab reproduced in %.3fs" % elapsed)
-
-
-def test_criterion_02_oracle_equivalence(corpus):
+    Returns the text index -> (fixture, k strings, round counts) cache,
+    the texts whose K differs from the oracle, the build count and the
+    seconds taken.
+    """
     rng = random.Random(99)
     start = time.monotonic()
+    cache = {}
+    bad = []
     checked = 0
-    ok = True
     for idx, (symbols, sigma) in enumerate(corpus):
         fx = make_fixture(symbols, sigma)
         n = fx.n
@@ -80,22 +72,41 @@ def test_criterion_02_oracle_equivalence(corpus):
         for cutoff in {0, 1, 2, max(1, math.ceil(math.log2(n))), n}:
             ks["hybrid/%d" % cutoff] = run_hybrid(
                 fx.bwt, sisa, cutoff).bit_string()
-        bad = [name for name, bits in ks.items() if bits != oracle]
-        if bad:
-            ok = False
-            print("  mismatch on text %d (n=%d sigma=%d): %s"
-                  % (idx, n, sigma, bad))
+        wrong = [name for name, bits in ks.items() if bits != oracle]
+        if wrong:
+            bad.append("text %d (n=%d sigma=%d): %s" % (idx, n, sigma, wrong))
         checked += len(ks)
-        _CACHE[idx] = (fx, ks, (internal.rounds, external.rounds))
+        cache[idx] = (fx, ks, (internal.rounds, external.rounds))
+    return cache, bad, checked, time.monotonic() - start
+
+
+def test_criterion_01_paper_example():
+    start = time.monotonic()
+    fx = abbab()
+    ok = list(fx.plcp.values) == [2, 1, 0, 0, 3]
+    ok &= plcp_encode([2, 1, 0, 0, 3]).bit_string() == "0001110100001"
+    k = build_circular_plcp(fx.bwt, fx.sisa(1))
+    ok &= k.bit_string() == "0000111101"
+    ok &= len(k.bit_string()) == 10
+    ok &= k.decode_all() == [2, 1, 0, 0, 3]
     elapsed = time.monotonic() - start
-    ok &= elapsed < 60.0 and len(corpus) >= 503
+    ok &= elapsed < 1.0
+    verdict(1, ok, "circular abbab reproduced in %.3fs" % elapsed)
+
+
+def test_criterion_02_oracle_equivalence(corpus, builds):
+    _, bad, checked, elapsed = builds
+    for line in bad:
+        print("  mismatch on " + line)
+    ok = not bad and elapsed < 60.0 and len(corpus) >= 503
     verdict(2, ok, "%d builds on %d texts bit-identical to the Kasai oracle "
             "in %.1fs" % (checked, len(corpus), elapsed))
 
 
-def test_criterion_03_size_bound(corpus):
-    ok = len(_CACHE) == len(corpus)
-    for fx, ks, _ in _CACHE.values():
+def test_criterion_03_size_bound(corpus, builds):
+    cache = builds[0]
+    ok = len(cache) == len(corpus)
+    for fx, ks, _ in cache.values():
         for bits in ks.values():
             ok &= len(bits) == 2 * fx.n and bits.count("1") == fx.n
     rng = random.Random(5)
@@ -110,12 +121,13 @@ def test_criterion_03_size_bound(corpus):
         ok &= len(bits) == 2 * n and bits.count("1") == n
         circ += 1
     verdict(3, ok, "every K holds exactly 2n bits with n ones "
-            "(%d linear + %d circular)" % (len(_CACHE), circ))
+            "(%d linear + %d circular)" % (len(cache), circ))
 
 
-def test_criterion_04_round_counts(corpus):
-    ok = len(_CACHE) == len(corpus)
-    for fx, _, (internal_rounds, external_rounds) in _CACHE.values():
+def test_criterion_04_round_counts(corpus, builds):
+    cache = builds[0]
+    ok = len(cache) == len(corpus)
+    for fx, _, (internal_rounds, external_rounds) in cache.values():
         want = max(fx.lcp.values) + 1
         ok &= internal_rounds == external_rounds == want
     worst = make_fixture([1] * 63 + [0], 2)

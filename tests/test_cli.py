@@ -1,13 +1,14 @@
 import json
 import struct
 import sys
+import tempfile
 from collections import Counter
 
 import pytest
 
-from plcpbits import PlcpBits, StreamFactory, hybrid, reorder
+from plcpbits import PlcpBits, StreamFactory, hybrid, reorder, rounds
 from plcpbits.cli import ingest, main
-from plcpbits.errors import EmptyInput
+from plcpbits.errors import EmptyInput, PlcpError
 from plcpbits.formats import (read_bwt, read_plcp, read_sisa, write_bwt,
                               write_plcp, write_sisa)
 from plcpbits.textcore import Bwt, SampledIsa
@@ -142,6 +143,46 @@ def test_build_rejects_bad_sisa_ranks(tmp_path, capsys, ranks):
     code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
                        "-o", pre + ".plcp")
     assert code == 3 and "rank" in err
+
+
+@pytest.mark.parametrize("options", [
+    ["--strategy", "internal"], ["--strategy", "external"],
+    ["--strategy", "hybrid"], ["--strategy", "hybrid", "--cutoff", "1"],
+], ids=["internal", "external", "hybrid", "hybrid-cutoff1"])
+def test_build_rejects_swapped_sisa_samples(tmp_path, capsys, options):
+    """Distinct in-range ranks that are not the text's ISA samples."""
+    pre = indexed_banana(tmp_path, capsys)
+    assert read_sisa(pre + ".sisa")[0].ranks == (4, 2, 0)
+    write_sisa(pre + ".sisa", SampledIsa(rate=3, n=7, ranks=(2, 4, 0)), 4)
+    code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                       "-o", pre + ".plcp", *options)
+    assert code == 3 and "samples do not match" in err
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["cleanup", "keep-temp"])
+def test_failed_build_removes_temp_dir(tmp_path, capsys, monkeypatch, keep):
+    pre = indexed_banana(tmp_path, capsys)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    next_starts = rounds._next_starts
+    calls = []
+
+    def fail_in_second_round(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise PlcpError("injected failure")
+        return next_starts(*args)
+    monkeypatch.setattr(rounds, "_next_starts", fail_in_second_round)
+    code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                       "-o", pre + ".plcp", *(["--keep-temp"] if keep else []))
+    assert code == 1 and "injected failure" in err
+    left = list(temp.glob("plcp-run-*"))
+    if keep:
+        # the kept directory holds the streams of the failed round
+        assert len(left) == 1 and any(left[0].iterdir())
+    else:
+        assert left == []
 
 
 @pytest.mark.parametrize("suffix", [".bwt", ".sisa", ".plcp"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import banana
+from conftest import banana, make_fixture, random_text
 from plcpbits.emlayer import (StreamFactory, bin_un_bucket_sort, em_lsd_sort,
                               em_stable_sort_by_symbol, inverse_radix_sort)
 from plcpbits.errors import LengthMismatch, PlcpError
@@ -100,11 +100,71 @@ def test_inverse_radix_identity(seed, n, sigma):
     assert f.total_non_sequential() == 0
 
 
+@pytest.mark.parametrize("sigma", [2, 5, 64])
+def test_inverse_sort_sized_by_c_array(rng, sigma):
+    """Run sizes from the BWT's C array give the counted path's output
+    with one read of the keys fewer."""
+    for capacity in (1, 3, 64):
+        n = rng.randrange(2, 200)
+        fx = make_fixture(random_text(rng, n, sigma), sigma)
+        f = StreamFactory(capacity=capacity)
+        for data in ([rng.randrange(1000) for _ in range(n)],
+                     bytes(rng.randrange(2) for _ in range(n))):
+            payload = f.stream("data")
+            payload.append_chunk(data)
+            payload.finish()
+            keys = fx.bwt.stream(f)
+            before = keys.rewinds
+            counted = inverse_radix_sort(keys, payload, sigma, f)
+            counted_rewinds = keys.rewinds - before
+            keys = fx.bwt.stream(f)
+            before = keys.rewinds
+            sized = inverse_radix_sort(keys, payload, sigma, f,
+                                       sizes=fx.bwt.c_array)
+            assert list(sized.items()) == list(counted.items())
+            assert keys.rewinds - before == counted_rewinds - 1
+        with pytest.raises(LengthMismatch):
+            inverse_radix_sort(fx.bwt.stream(f), payload, sigma, f,
+                               sizes=[0] * sigma)
+
+
 def test_lsd_sort_is_stable(rng):
     f = StreamFactory(capacity=16)
     items = [(rng.randrange(200), i) for i in range(300)]
     out = list(em_lsd_sort(f.wrap(list(items)), 0, 8, f).items())
     assert out == sorted(items, key=lambda t: t[0])
+
+
+@pytest.mark.parametrize("capacity", [7, 4096])
+def test_lsd_sort_one_chunk_matches_bucket_passes(rng, capacity):
+    # 12-bit keys take two bucket passes over several chunks, or one
+    # in-memory sort when the stream is a single chunk
+    items = [(rng.randrange(1 << 12), i) for i in range(500)]
+    f = StreamFactory(capacity=capacity)
+    opened = []
+    stream = f.stream
+    f.stream = lambda *args: opened.append(args) or stream(*args)
+    out = em_lsd_sort(f.from_items(items), 0, 12, f)
+    assert list(out.items()) == sorted(items, key=lambda t: t[0])
+    # the input and the output, or also one bucket per digit value
+    assert (len(opened) == 2) == (capacity > len(items))
+
+
+def test_file_backend_reuses_released_files(tmp_path):
+    f = StreamFactory(directory=str(tmp_path), capacity=3)
+    old = f.from_items(range(10), "old")
+    (path,) = tmp_path.iterdir()
+    inode = path.stat().st_ino
+    f.release(old)
+    f.release(old)  # a second release hands nothing over
+    new = f.from_items([b"\x01"], "new")
+    (path,) = tmp_path.iterdir()
+    assert path.name.startswith("new") and path.stat().st_ino == inode
+    assert list(new.items()) == [b"\x01"]
+    f.release(new)
+    assert path.stat().st_size == 0
+    f.cleanup()  # also drops the emptied files of a directory it does not own
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_meter_tracks_peaks():

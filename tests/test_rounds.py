@@ -1,12 +1,14 @@
 import random
+from itertools import compress
 
 import pytest
 
 from conftest import abbab, banana, make_fixture, random_text
 from plcpbits import StreamFactory
+from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import NotIncreasing, OutOfRange
-from plcpbits.rounds import (IntervalList, PdBits, run_rounds_external,
-                             run_rounds_internal)
+from plcpbits.rounds import (IntervalList, PdBits, _next_starts,
+                             run_rounds_external, run_rounds_internal)
 
 
 def expected_pd_counts(fx):
@@ -105,3 +107,35 @@ def test_external_rewind_budget(rng):
         assert f.total_non_sequential() == 0
         assert f.max_rewinds() <= 8 * r.rounds
         assert fx.bwt.stream().rewinds <= f.max_rewinds()
+
+
+def reference_next_starts(keys, starts, sigma):
+    """Per rank: a rank is first when its symbol is new in its interval;
+    the first marks move to their LF images by one ``compress`` per symbol.
+    """
+    first = []
+    for sym, start in zip(keys, starts):
+        if start:
+            seen = set()
+        first.append(sym not in seen)
+        seen.add(sym)
+    return b"".join(bytes(compress(first, [s == a for s in keys]))
+                    for a in range(sigma))
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 5, 64, 255, 256])
+def test_next_starts_match_per_rank_reference(rng, sigma):
+    for capacity in (1, 3, 8, STREAM_BUFFER_ITEMS):
+        for density in (0.0, 0.05, 0.5, 1.0):
+            n = rng.randrange(1, 400)
+            keys = [rng.randrange(sigma) for _ in range(n)]
+            starts = bytes([1] + [rng.random() < density
+                                  for _ in range(n - 1)])
+            f = StreamFactory(capacity=capacity)
+            marks = f.stream("starts")
+            marks.append_chunk(starts)
+            out = _next_starts(f.wrap(keys), marks.finish(), sigma, f)
+            want = reference_next_starts(keys, starts, sigma)
+            assert bytes(out.rewind().items()) == want, (n, capacity, density)
+            assert [len(c) for c in out.rewind().chunks()] == \
+                [len(c) for c in marks.rewind().chunks()]
