@@ -78,11 +78,14 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None,
 
     ``internal`` runs the wavelet-tree rounds, ``external`` the sort-based
     rounds, ``hybrid`` the sort-based rounds cut after ``cutoff`` rounds
-    (default 3*ceil(log2 n)) plus the sparse kernel.  A circular input
+    plus the sparse kernel.  Without a cutoff the hybrid's rounds stop by
+    ``hybrid.stop_rule``, capped at 3*ceil(log2 n).  A circular input
     must be primitive; its vector starts at the text position right after
     the anchor rank's, recorded as the shift.  The anchor must have LCP
     zero; rank 0, the default, always qualifies.
     """
+    if cutoff is not None and cutoff < 0:
+        raise OutOfRange("cutoff %d is negative" % cutoff)
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
     shift = 0
@@ -102,9 +105,9 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None,
         factory.release(result.set_marks)
         pd = result.pd
     elif strategy == "hybrid":
-        if cutoff is None:
-            cutoff = 3 * max(1, (n - 1).bit_length())
-        pd = hybrid_pd(bwt, sisa, cutoff, factory=factory)
+        cap = 3 * max(1, (n - 1).bit_length())
+        pd = hybrid_pd(bwt, sisa, cap if cutoff is None else cutoff,
+                       factory=factory, adaptive=cutoff is None)
     else:
         raise UnknownStrategy("unknown strategy %r" % strategy)
     k = reorder_pd(pd, bwt, sisa, factory=factory, shift=shift)

@@ -179,7 +179,8 @@ def make_parser():
     p.add_argument("--strategy", default="external",
                    choices=["internal", "external", "hybrid"])
     p.add_argument("--cutoff", type=int, default=None,
-                   help="hybrid round cutoff (default 3*ceil(log2 n))")
+                   help="hybrid round cutoff (default: stop once the rounds"
+                   " set too few ranks, at most 3*ceil(log2 n) rounds)")
     p.add_argument("--keep-temp", action="store_true")
     p.add_argument("--verify-after-build", action="store_true")
     p.set_defaults(func=cmd_build)

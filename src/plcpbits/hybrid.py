@@ -1,7 +1,8 @@
 """Hybrid builder: truncated rounds plus a sparse LCP kernel.
 
 The round machinery is cheap while many ranks receive values per round
-and wasteful afterwards.  The hybrid strategy stops it after a cutoff and
+and wasteful afterwards.  The hybrid strategy stops it after a cutoff, or
+once ``stop_rule`` prices the kernel below the rounds still to come, and
 computes the missing counts directly: only missing *irreducible* ranks
 (rank 0 or a BWT symbol change) need work, every other missing rank
 provably contributes zero bits.  Positions for the sparse set are
@@ -82,12 +83,30 @@ def _sparse_counts(bwt, sisa, missing, kernel_fn, factory):
     return counts
 
 
-def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None):
-    """Complete rank-order PD from truncated rounds plus kernel."""
+def stop_rule(n, price):
+    """Stop after a round, the second or later, that sets fewer ranks
+    than the one before and under 1/``price`` of the ranks still unset.
+
+    At that rate the rounds, one O(n) pass each, need more than ``price``
+    = min(rate, n) passes, the length of the kernel's walks; its
+    comparisons are bounded by the irreducible LCP sum."""
+    def stop(stats):
+        last = stats[-1].newly_set
+        unset = n - sum(s.newly_set for s in stats)
+        return (len(stats) > 1 and last < stats[-2].newly_set
+                and unset > price * last)
+    return stop
+
+
+def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None,
+              adaptive=False):
+    """Complete rank-order PD from truncated rounds plus kernel; with
+    ``adaptive``, ``stop_rule`` may end the rounds before the cutoff."""
     factory = factory or emlayer.StreamFactory()
     kernel_fn = KERNELS[kernel] if isinstance(kernel, str) else kernel
+    stop = stop_rule(bwt.n, min(sisa.rate, bwt.n)) if adaptive else None
 
-    result = run_rounds_external(bwt, factory, max_rounds=cutoff_rounds)
+    result = run_rounds_external(bwt, factory, cutoff_rounds, stop)
     missing = irreducible_missing(bwt, result.set_marks)
     counts = (_sparse_counts(bwt, sisa, missing, kernel_fn, factory)
               if missing else {})

@@ -10,8 +10,10 @@ one 0/1 byte per rank, and works each pass a whole chunk at a time with
 byte translation, selection and big-integer bit operations.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
+from time import perf_counter
 
 from . import emlayer
 from .emlayer import concat_buckets, inverse_radix_sort
@@ -203,11 +205,17 @@ class PdBits:
         return len(self._bits)
 
 
+# one external round: interval starts, ranks newly set, active ranks, PD
+# bits after the round and wall time
+RoundStats = namedtuple("RoundStats", "starts newly_set active pd_bits seconds")
+
+
 @dataclass
 class RoundResult:
     pd: PdBits
     set_marks: object      # 0/1 byte stream or list over ranks: value set
     rounds: int
+    stats: list = field(default_factory=list)  # RoundStats per round
 
 
 def run_rounds_internal(bwt, max_rounds=None):
@@ -312,19 +320,20 @@ def _next_starts(keys, starts, sigma, factory):
     return concat_buckets(buckets, factory, "starts", keys.capacity)
 
 
-def _active(zsrc, s_old, active, znew, act_next):
+def _active(zsrc, s_old, active, znew, act_next, tally):
     """Pass B's marks, chunk by chunk: the ranks active in this round.
 
     A source rank turns active unless its own value was set before this
     round (``s_old``: a source set in this same round still gains its
     zero bit).  The next active marks, without the newly set ranks, go to
-    ``act_next``.
+    ``act_next``; ``tally[0]`` counts the active ranks.
     """
     chunks = zip(zsrc.chunks(), s_old.rewind().chunks(),
                  active.rewind().chunks(), znew.rewind().chunks())
     for zc, sc, ac, nc in chunks:
         a = int.from_bytes(ac, "little") | (
             int.from_bytes(zc, "little") & ~int.from_bytes(sc, "little"))
+        tally[0] += a.bit_count()
         rest = a & ~int.from_bytes(nc, "little")
         act_next.append_chunk(rest.to_bytes(len(zc), "little"))
         yield a.to_bytes(len(zc), "little")
@@ -337,7 +346,7 @@ def _grow(rank, piece, runs):
     return runs
 
 
-def run_rounds_external(bwt, factory=None, max_rounds=None):
+def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     """Sequential round builder over rank-order bit streams.
 
     The state is four streams: the interval starts (the ranks that begin
@@ -355,9 +364,10 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
       leave the active set.
 
     Besides stream buffers and at most 2*PIECE zero runs of PD, a round
-    keeps one carry of the first marks per symbol in memory.  The set
-    marks are returned, released by the caller; every other stream is
-    released here.
+    keeps one carry of the first marks per symbol in memory.  Each round
+    appends its ``RoundStats`` to ``stats``, then ``stop(stats)`` may end
+    the rounds.  The set marks are returned, released by the caller;
+    every other stream is released here.
     """
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
@@ -372,12 +382,13 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
     active = _marks(factory, "active", n, cap)
     pd = PdBits.from_counts(repeat(0, n), factory)
     set_count = 0
-    rounds = 0
+    stats = []
 
-    while set_count < n and rounds <= n:
-        if max_rounds is not None and rounds >= max_rounds:
+    while set_count < n and len(stats) <= n:
+        if max_rounds is not None and len(stats) >= max_rounds:
             break
         factory.meter.note("round_state", 8)
+        began, set_before, n_starts = perf_counter(), set_count, 0
 
         nxt = _next_starts(bwt.stream(factory), starts, sigma, factory)
         factory.release(starts)
@@ -390,6 +401,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
             new = int.from_bytes(st, "little")
             old = int.from_bytes(sb, "little")
             fresh = new & ~old
+            n_starts += new.bit_count()
             set_count += fresh.bit_count()
             znew.append_chunk(fresh.to_bytes(len(st), "little"))
             s_next.append_chunk((new | old).to_bytes(len(st), "little"))
@@ -402,13 +414,18 @@ def run_rounds_external(bwt, factory=None, max_rounds=None):
 
         # pass B: activate, grow PD, retire the newly set ranks
         act_next = factory.stream("active", cap)
-        pd_next = pd.rewrite(_active(zsrc, s_marks, active, znew, act_next),
-                             _grow, factory)
+        tally = [0]
+        pd_next = pd.rewrite(
+            _active(zsrc, s_marks, active, znew, act_next, tally),
+            _grow, factory)
         factory.release(pd._bits, s_marks, active, znew, zsrc)
         pd = pd_next
         s_marks = s_next
         active = act_next.finish()
-        rounds += 1
+        stats.append(RoundStats(n_starts, set_count - set_before, tally[0],
+                                len(pd), perf_counter() - began))
+        if stop is not None and stop(stats):
+            break
 
     factory.release(starts, active)
-    return RoundResult(pd, s_marks, rounds)
+    return RoundResult(pd, s_marks, len(stats), stats)

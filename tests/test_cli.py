@@ -159,6 +159,14 @@ def test_build_rejects_swapped_sisa_samples(tmp_path, capsys, options):
     assert code == 3 and "samples do not match" in err
 
 
+def test_build_rejects_negative_cutoff(tmp_path, capsys):
+    pre = indexed_banana(tmp_path, capsys)
+    code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                       "-o", pre + ".plcp", "--strategy", "hybrid",
+                       "--cutoff", "-3")
+    assert code == 1 and "cutoff -3 is negative" in err
+
+
 @pytest.mark.parametrize("keep", [False, True], ids=["cleanup", "keep-temp"])
 def test_failed_build_removes_temp_dir(tmp_path, capsys, monkeypatch, keep):
     pre = indexed_banana(tmp_path, capsys)

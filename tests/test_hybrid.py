@@ -1,9 +1,14 @@
+import random
+
+import pytest
+
 from conftest import banana, make_fixture, random_text
-from plcpbits import StreamFactory, run_hybrid
+from plcpbits import StreamFactory, hybrid, run_hybrid
+from plcpbits.circular import build_plcp
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.hybrid import (KERNELS, annotate_positions, hybrid_pd,
                              irreducible_missing, sparse_lcp_kernel_direct)
-from plcpbits.rounds import run_rounds_internal
+from plcpbits.rounds import run_rounds_external, run_rounds_internal
 
 
 def test_banana_cutoff_two():
@@ -109,3 +114,73 @@ def test_irreducible_sum_sanity(rng):
         irr = [fx.lcp[r] for r in range(n)
                if r == 0 or fx.bwt.to_list()[r - 1] != fx.bwt.to_list()[r]]
         assert sum(irr) <= 2 * n * math.log2(n)
+
+
+@pytest.fixture
+def hybrid_rounds(monkeypatch):
+    """Rounds run by a ``build_plcp`` hybrid build, its bits and, without a
+    cutoff, its cap of 3*ceil(log2 n) rounds checked."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(run_rounds_external(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(hybrid, "run_rounds_external", recording)
+
+    def rounds(fx, rate=16, cutoff=None):
+        seen.clear()
+        k = build_plcp(fx.bwt, fx.sisa(rate), "hybrid", cutoff=cutoff,
+                       factory=StreamFactory())
+        assert k.bit_string() == fx.k_bits(), (fx.n, rate, cutoff)
+        if cutoff is None:
+            assert seen[0].rounds <= 3 * (fx.n - 1).bit_length()
+        return seen[0].rounds
+    return rounds
+
+
+def near_copies(rng, unit_length, copies=8, mutations=3):
+    unit = [rng.randrange(1, 5) for _ in range(unit_length)]
+    body = []
+    for _ in range(copies):
+        copy = list(unit)
+        for pos in rng.sample(range(unit_length), mutations):
+            copy[pos] = copy[pos] % 4 + 1
+        body += copy
+    return body + [0]
+
+
+def full_rounds(fx):
+    return run_rounds_external(fx.bwt, StreamFactory()).rounds
+
+
+def test_default_stops_at_two_rounds_on_one_run(hybrid_rounds):
+    for k in (500, 1200):
+        assert hybrid_rounds(make_fixture([1] * k + [0], 2)) <= 2
+
+
+def test_default_stops_early_on_near_copies(hybrid_rounds):
+    for seed in range(3):
+        fx = make_fixture(near_copies(random.Random(seed), 250), 5)
+        rounds = hybrid_rounds(fx)
+        assert rounds < 3 * (fx.n - 1).bit_length()
+        assert 10 * rounds < max(fx.lcp.values)
+
+
+def test_default_runs_every_round_on_random_text(hybrid_rounds):
+    rng = random.Random(7)
+    for n in (300, 3000):
+        fx = make_fixture(random_text(rng, n, 4), 4)
+        for rate in (4, 16):
+            assert hybrid_rounds(fx, rate) == full_rounds(fx)
+
+
+def test_explicit_cutoff_is_exact(hybrid_rounds):
+    """An explicit cutoff overrides both the stop rule and its cap."""
+    fx = make_fixture(near_copies(random.Random(1), 120), 5)
+    needed = full_rounds(fx)
+    default = hybrid_rounds(fx)
+    cap = 3 * (fx.n - 1).bit_length()
+    assert default < cap < needed
+    for cutoff in (0, 1, default, default + 3, cap + 5, needed - 1,
+                   needed + 5):
+        assert hybrid_rounds(fx, cutoff=cutoff) == min(cutoff, needed)

@@ -109,6 +109,43 @@ def test_external_rewind_budget(rng):
         assert fx.bwt.stream().rewinds <= f.max_rewinds()
 
 
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_round_stats_account_for_every_rank(rng, tmp_path, backend):
+    """Per-round stats: the newly set counts of a full build sum to n."""
+    for sigma, n in [(4, 300), (2, 90), (16, 200)]:
+        fx = make_fixture(random_text(rng, n, sigma), sigma)
+        directory = str(tmp_path) if backend == "file" else None
+        with StreamFactory(directory=directory, capacity=64) as f:
+            r = run_rounds_external(fx.bwt, f)
+            assert len(r.stats) == r.rounds == max(fx.lcp.values) + 1
+            assert sum(s.newly_set for s in r.stats) == n
+            # round k sets the ranks of LCP k, among its interval starts
+            for k, s in enumerate(r.stats):
+                assert s.newly_set == fx.lcp.values.count(k)
+                assert s.newly_set <= s.starts <= n
+                assert s.seconds >= 0
+            # every active rank gains one zero bit of PD
+            pd_bits = [n] + [s.pd_bits for s in r.stats]
+            assert [s.active for s in r.stats] == [
+                b - a for a, b in zip(pd_bits, pd_bits[1:])]
+            assert pd_bits[-1] == len(r.pd)
+            f.release(r.pd._bits, r.set_marks)
+
+
+def test_stop_predicate_ends_rounds(rng):
+    fx = make_fixture(random_text(rng, 200, 4), 4)
+    seen = []
+
+    def stop(stats):
+        seen.append(len(stats))
+        return len(stats) == 3
+
+    r = run_rounds_external(fx.bwt, StreamFactory(), stop=stop)
+    assert r.rounds == len(r.stats) == 3 and seen == [1, 2, 3]
+    assert r.pd.bit_string() == run_rounds_external(
+        fx.bwt, StreamFactory(), max_rounds=3).pd.bit_string()
+
+
 def reference_next_starts(keys, starts, sigma):
     """Per rank: a rank is first when its symbol is new in its interval;
     the first marks move to their LF images by one ``compress`` per symbol.
