@@ -236,7 +236,7 @@ class StreamFactory:
     """Creates streams over one backing store (memory or a temp dir).
 
     Its accounting covers the streams it creates and the in-memory data it
-    wraps, such as a BWT held as a list: wrapped data is borrowed, so it is
+    wraps, such as a BWT held as bytes: wrapped data is borrowed, so it is
     counted but never part of ``streams``.
     """
 

@@ -10,7 +10,7 @@ should describe the same text disagree.
 import os
 import struct
 
-from .errors import AlphabetTooLarge, FormatError, HeaderMismatch
+from .errors import FormatError, HeaderMismatch
 from .succinct import PlcpBits, RsBitVector
 from .textcore import Bwt, SampledIsa
 
@@ -58,12 +58,10 @@ def _expect_end(fh, path):
 
 
 def write_bwt(path, bwt):
-    if bwt.sigma > 256:
-        raise AlphabetTooLarge("one byte per symbol caps sigma at 256")
     with open(path, "wb") as fh:
         _write_header(fh, MAGIC_BWT, bwt.n, bwt.sigma, bwt.circular)
         for chunk in bwt.stream().chunks():
-            fh.write(bytes(chunk))
+            fh.write(chunk)
 
 
 def read_bwt(path, factory=None):
@@ -72,9 +70,9 @@ def read_bwt(path, factory=None):
         if not 1 <= sigma <= 256:
             raise FormatError("%s: alphabet size %d outside 1..256"
                               % (path, sigma))
-        symbols = list(_read_exact(fh, n, path))
+        symbols = _read_exact(fh, n, path)
         _expect_end(fh, path)
-        if any(c >= sigma for c in symbols):
+        if max(symbols) >= sigma:
             raise FormatError("%s: symbol outside alphabet" % path)
     return Bwt(symbols, sigma, circular=circular, factory=factory)
 

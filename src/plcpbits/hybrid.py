@@ -20,8 +20,8 @@ from operator import mul
 from . import emlayer
 from .emlayer import iter_items
 from .errors import CountConflict
-from .reorder import (_lf_pass, annotate_positions, reconstruct_text,
-                      reorder_pd)
+from .reorder import (_lf_directory, _lf_pass, annotate_positions,
+                      reconstruct_text, reorder_pd)
 from .rounds import run_rounds_external
 from .textcore import Text, naive_lcp_pair
 
@@ -59,10 +59,11 @@ def _sparse_counts(bwt, sisa, missing, kernel_fn, factory):
     # of the text position before r's; the kernel needs the positions of
     # those ranks and of every predecessor rank
     seeds = factory.from_items(((r, r) for r in missing), "cursors")
-    images = _lf_pass(bwt, seeds, lambda rank, payload, sym, lf: payload,
-                      factory)
+    directory = _lf_directory(bwt, factory)
+    images = _lf_pass(bwt, directory, seeds,
+                      lambda rank, payload, sym, lf: payload, factory)
     lf = {r: image for image, r in images.items()}
-    factory.release(seeds, images)
+    factory.release(seeds, images, directory)
     need_lcp = sorted(set(missing) | set(lf.values()))
     need_pos = sorted(set(need_lcp) | {r - 1 for r in need_lcp if r > 0})
     factory.meter.note("hybrid_sparse", len(need_pos))

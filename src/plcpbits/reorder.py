@@ -5,11 +5,14 @@ counts in text order.  With only a sampled inverse suffix array
 available, one cursor per sample walks backwards through the text via
 the LF mapping and takes the value at its rank on every step, until it
 has covered its window: the positions from its sample down to, but not
-including, the next sample below.  An LF pass moves every cursor one step and is strictly
-sequential: it visits the cursors in rank order alongside the BWT, keeps
-one counter per alphabet symbol in memory and appends each moved cursor
-to the stream of its BWT symbol; those streams, concatenated in symbol
-order, hold the next pass's cursors in rank order again.
+including, the next sample below.  An LF pass moves every cursor one
+step and is strictly sequential: it visits the cursors in rank order
+alongside the BWT and its occurrence directory, sampled symbol counts
+(Ferragina and Manzini's FM-index) built once per walk, so a cursor's LF
+value costs one lookup and one count within a block, not a count of
+every symbol before it.  Each moved cursor goes to the stream of its BWT
+symbol; those streams, concatenated in symbol order, hold the next
+pass's cursors in rank order again.
 
 Taking PD counts gives K (``position_counts``).  Taking BWT symbols, the
 text symbol one position back, reconstructs the text
@@ -19,8 +22,10 @@ positions of chosen ranks (``annotate_positions``): the hybrid's sparse
 set and the circular anchor.
 """
 
-from itertools import islice
+from array import array
+from itertools import islice, repeat
 from math import ceil
+from operator import add
 
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
@@ -38,7 +43,41 @@ def _check_rate(bwt, sisa):
         )
 
 
-def _lf_pass(bwt, cursors, step, factory):
+def _block(sigma):
+    return max(64, 4 * sigma)
+
+
+def _lf_directory(bwt, factory):
+    """The BWT's sampled occurrence counts, one record per BWT chunk.
+
+    A record ``(base, rows)`` holds ``base[a]``, D[a] plus the a's before
+    the chunk, and for every block of ``_block(sigma)`` positions the
+    sigma counts of the chunk's symbols before the block, stored as
+    narrow as the chunk capacity allows: about a byte per symbol at most.
+    One record at a time is in memory, metered as ``lf_counters``.
+    """
+    sigma = bwt.sigma
+    syms = range(sigma)
+    view = bwt.stream(factory)
+    width = next(t for t in "BHIQ"
+                 if view.capacity <= 1 << 8 * array(t).itemsize)
+    block = _block(sigma)
+    out = factory.stream("directory", capacity=1)
+    base = bwt.d_array[:sigma]
+    for chunk in view.chunks():
+        rows = array(width)
+        row = [0] * sigma
+        for lo in range(0, len(chunk), block):
+            rows.extend(row)
+            row = list(map(add, row, map(chunk.count, syms, repeat(lo),
+                                         repeat(lo + block))))
+        out.append((array("Q", base), rows))
+        factory.meter.note("lf_counters", sigma + len(rows))
+        base = list(map(add, base, row))
+    return out.finish()
+
+
+def _lf_pass(bwt, directory, cursors, step, factory):
     """Move every (rank, payload) cursor of a finished stream one LF step.
 
     Cursors are visited in rank order.  ``step(rank, payload, sym, lf)``,
@@ -47,35 +86,35 @@ def _lf_pass(bwt, cursors, step, factory):
     moved cursor is appended to the stream of its symbol: LF keeps the
     order of ranks that share a symbol, so the symbol streams
     concatenated in symbol order hold the moved cursors in rank order.
-    The BWT is read up to the last cursor; the symbol counter table is the
-    only in-memory state, noted with the meter under ``lf_counters``.
+    The BWT and its ``_lf_directory`` are read side by side up to the
+    last cursor, and LF(rank) is the record's counts plus the symbol's
+    count within the rank's block; chunks without cursors are skipped.
     """
-    counters = list(bwt.d_array[: bwt.sigma])
-    factory.meter.note("lf_counters", bwt.sigma)
+    sigma = bwt.sigma
+    block = _block(sigma)
     buckets = {}
     it = cursors.rewind().items()
     head = next(it, None)
     start = 0
-    for chunk in bwt.stream(factory).chunks():
+    for [(base, rows)], chunk in zip(directory.rewind().chunks(),
+                                     bwt.stream(factory).chunks()):
+        if head is None:
+            break
         end = start + len(chunk)
-        done = 0
+        base = base.tolist()
         while head is not None and head[0] < end:
             rank, payload = head
             off = rank - start
-            for sym in chunk[done:off]:
-                counters[sym] += 1
-            done = off
             sym = chunk[off]
-            payload = step(rank, payload, sym, counters[sym])
+            blk = off // block
+            lf = (base[sym] + rows[blk * sigma + sym]
+                  + chunk.count(sym, blk * block, off))
+            payload = step(rank, payload, sym, lf)
             if payload is not None:
                 if sym not in buckets:
                     buckets[sym] = factory.stream("bucket")
-                buckets[sym].append((counters[sym], payload))
+                buckets[sym].append((lf, payload))
             head = next(it, None)
-        if head is None:
-            break
-        for sym in chunk[done:]:
-            counters[sym] += 1
         start = end
     if head is not None:
         raise OutOfRange("cursor rank %d is not below %d" % (head[0], bwt.n))
@@ -115,12 +154,13 @@ def _walk(bwt, sisa, reader, factory):
     cursors = factory.from_items(
         ((rank, (pos // rate, [])) for rank, pos in sisa.pairs_by_rank()),
         "cursors")
+    directory = _lf_directory(bwt, factory)
     while len(cursors):
         value = reader()
-        moved = _lf_pass(bwt, cursors, step, factory)
+        moved = _lf_pass(bwt, directory, cursors, step, factory)
         factory.release(cursors)
         cursors = moved
-    factory.release(cursors)
+    factory.release(cursors, directory)
     key_bits = max(1, (len(sisa.ranks) - 1).bit_length())
     by_sample = em_lsd_sort(windows.finish(), 0, key_bits, factory)
     factory.release(windows)
@@ -234,12 +274,14 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
         return None
 
     cursors = factory.from_items(((r, (r, 0)) for r in ranks), "cursors")
+    directory = _lf_directory(bwt, factory)
     for _ in range(min(sisa.rate, n)):
         if not len(cursors):
             break
-        moved = _lf_pass(bwt, cursors, step, factory)
+        moved = _lf_pass(bwt, directory, cursors, step, factory)
         factory.release(cursors)
         cursors = moved
+    factory.release(directory)
     if len(cursors):
         raise WalkIncomplete("cursor failed to reach a sample")
     factory.release(cursors)

@@ -17,7 +17,7 @@ from time import perf_counter
 
 from . import emlayer
 from .emlayer import concat_buckets, inverse_radix_sort
-from .errors import AlphabetTooLarge, LengthMismatch, NotIncreasing, OutOfRange
+from .errors import LengthMismatch, NotIncreasing, OutOfRange
 from .succinct import GammaStream
 
 # PD is split into per-rank zero runs at most this many ranks at a time.
@@ -297,7 +297,6 @@ def _next_starts(keys, starts, sigma, factory):
     carry = [0] * sigma
     buckets = {}
     for chunk, st in zip(keys.chunks(), starts.rewind().chunks()):
-        chunk = bytes(chunk)
         width = 8 * len(chunk)
         mask = (1 << width) - 1
         high = int.from_bytes(b"\xfe" * len(chunk), "little")
@@ -372,9 +371,6 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
     sigma = bwt.sigma
-    if sigma > emlayer.BUCKETS:
-        raise AlphabetTooLarge(
-            "byte bit streams cap the rounds at %d symbols" % emlayer.BUCKETS)
     cap = bwt.stream(factory).capacity
 
     starts = _marks(factory, "starts", n, cap, first=1)

@@ -7,8 +7,10 @@ minimal terminator (rank 0).
 """
 
 from dataclasses import dataclass, field
+from operator import add
 
-from .errors import CircularPowerInput, LengthMismatch, OutOfRange
+from .errors import (AlphabetTooLarge, CircularPowerInput, LengthMismatch,
+                     OutOfRange)
 
 
 @dataclass(frozen=True)
@@ -99,29 +101,27 @@ class PlcpArray:
 class Bwt:
     """Burrows-Wheeler transform plus occurrence counts C and prefix sums D.
 
-    Symbols may live in a plain sequence or in a sequential stream from
-    the emlayer; ``stream()`` exposes a uniform sequential view.
+    The symbols are bytes, one per symbol, so sigma is at most 256.  They
+    are held in memory or live in a sequential byte stream from the
+    emlayer; ``stream()`` exposes a uniform sequential view whose chunks
+    are bytes.
     """
 
     def __init__(self, symbols, sigma, circular=False, factory=None):
+        if sigma > 256:
+            raise AlphabetTooLarge("one byte per symbol caps sigma at 256")
         self._factory = factory
-        if hasattr(symbols, "chunks"):
-            self._stream = symbols
-            self._list = None
-            self.n = len(symbols)
-            counts = [0] * sigma
-            symbols.rewind()
-            for chunk in symbols.chunks():
-                for c in chunk:
-                    counts[c] += 1
-        else:
-            self._list = list(symbols)
-            self._stream = None
-            self.n = len(self._list)
-            counts = [0] * sigma
-            for c in self._list:
-                counts[c] += 1
-        self._held = self._stream is None  # symbols held in memory
+        self._held = not hasattr(symbols, "chunks")  # symbols held in memory
+        self._symbols = bytes(symbols) if self._held else None
+        self._stream = None if self._held else symbols
+        chunks = [self._symbols] if self._held else symbols.rewind().chunks()
+        counts = [0] * sigma
+        self.n = 0
+        for chunk in chunks:
+            self.n += len(chunk)
+            counts = list(map(add, counts, map(chunk.count, range(sigma))))
+        if sum(counts) != self.n:
+            raise OutOfRange("symbol outside alphabet 0..%d" % (sigma - 1))
         self.sigma = sigma
         self.circular = circular
         self.c_array = counts
@@ -141,13 +141,14 @@ class Bwt:
                            factory not in (None, self._factory)):
             from .emlayer import StreamFactory
             self._factory = factory or self._factory or StreamFactory()
-            self._stream = self._factory.wrap(self._list, name="bwt")
+            self._stream = self._factory.wrap(self._symbols, name="bwt")
         return self._stream.rewind()
 
     def to_list(self):
-        if self._list is None:
-            self._list = list(self.stream().items())
-        return self._list
+        """The symbols as a fresh list of ints."""
+        if self._held:
+            return list(self._symbols)
+        return list(self.stream().items())
 
     def wavelet(self):
         if self._wavelet is None:

@@ -1,10 +1,13 @@
+from math import ceil
+
 import pytest
 
 from conftest import abbab, banana, make_fixture, random_text
-from plcpbits import StreamFactory, reconstruct_text, reorder_pd
+from plcpbits import Bwt, StreamFactory, reconstruct_text, reorder_pd
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
-from plcpbits.errors import RateMismatch
-from plcpbits.reorder import annotate_positions, emit_k, position_counts
+from plcpbits.errors import AlphabetTooLarge, OutOfRange, RateMismatch
+from plcpbits.reorder import (_lf_directory, _lf_pass, annotate_positions,
+                              emit_k, position_counts)
 from plcpbits.rounds import run_rounds_external, run_rounds_internal
 from plcpbits.textcore import SampledIsa
 
@@ -104,3 +107,85 @@ def test_walks_match_oracle_at_every_rate(tmp_path, rng):
                     got = annotate_positions(fx.bwt, sisa, range(n), f)
                     assert got == dict(enumerate(fx.sa)), case
                 assert f.streams == [] and f.total_non_sequential() == 0
+
+
+def _random_bwt(rng, n, sigma):
+    """Any byte sequence over 0..sigma-1 has an LF mapping to check."""
+    return Bwt(rng.randbytes(n).translate(bytes(c % sigma for c in range(256))),
+               sigma)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 5, 64, 255, 256])
+def test_lf_pass_matches_per_rank_lf(tmp_path, rng, sigma):
+    block = max(64, 4 * sigma)
+    n = 2 * block + 37  # two full blocks and part of a third
+    bwt = _random_bwt(rng, n, sigma)
+    symbols = bwt.to_list()
+    # LF(r) = D[bwt[r]] + occ(bwt[r], r)
+    lf, seen = [], [0] * sigma
+    for sym in symbols:
+        lf.append(bwt.d_array[sym] + seen[sym])
+        seen[sym] += 1
+    for capacity in (1, 3, 8, 1000, STREAM_BUFFER_ITEMS):
+        edges = {n - 1}
+        for lo in range(0, n, capacity):
+            hi = min(lo + capacity, n)
+            edges.add(hi - 1)           # the last rank of a chunk
+            for b in range(lo, hi, block):
+                edges |= {b, min(b + block, hi) - 1}
+        cursor_sets = [sorted(edges), sorted(rng.sample(range(n), 5)),
+                       [r for r in range(n) if rng.random() < 0.6]]
+        for directory in (None, tmp_path / str(capacity)):
+            if directory:
+                directory.mkdir()
+                directory = str(directory)
+            f = StreamFactory(directory, capacity=capacity)
+            table = _lf_directory(bwt, f)
+            for ranks in cursor_sets:
+                calls = []
+
+                def step(rank, payload, sym, image):
+                    calls.append((rank, payload, sym, image))
+                    return payload if rank % 2 else None
+                cursors = f.from_items(((r, r) for r in ranks), "cursors")
+                moved = _lf_pass(bwt, table, cursors, step, f)
+                case = (capacity, directory, ranks)
+                assert calls == [(r, r, symbols[r], lf[r]) for r in ranks], case
+                assert list(moved.rewind().items()) == \
+                    sorted((lf[r], r) for r in ranks if r % 2), case
+                f.release(cursors, moved)
+            f.release(table)
+            assert f.streams == [] and f.total_non_sequential() == 0
+
+
+@pytest.mark.parametrize("sigma", [4, 64, 256])
+def test_lf_directory_takes_about_a_byte_per_symbol(rng, sigma):
+    n = STREAM_BUFFER_ITEMS + 4321
+    f = StreamFactory()
+    records = list(_lf_directory(_random_bwt(rng, n, sigma), f).items())
+    assert len(records) == ceil(n / STREAM_BUFFER_ITEMS)
+    size = sum(len(counts) * counts.itemsize
+               for record in records for counts in record)
+    assert size <= n + 8 * sigma * len(records)
+
+
+def test_lf_counters_do_not_grow_with_n(rng):
+    peaks = []
+    for n in (10 ** 3, 10 ** 4):
+        fx = make_fixture(random_text(rng, n, 4), 4)
+        f = StreamFactory(capacity=512)
+        pd = run_rounds_external(fx.bwt, f).pd
+        k = reorder_pd(pd, fx.bwt, fx.sisa(n.bit_length()), factory=f)
+        assert k.decode_all() == list(fx.plcp.values)
+        peaks.append(f.meter.peak("lf_counters"))
+    assert peaks[0] == peaks[1] > 0
+
+
+def test_bwt_symbols_are_bytes():
+    bwt = Bwt([1, 3, 3, 2, 0, 1, 1], 4)
+    assert all(isinstance(c, bytes) for c in bwt.stream().chunks())
+    assert bwt.to_list() is not bwt.to_list()
+    with pytest.raises(AlphabetTooLarge):
+        Bwt([0, 1], 257)
+    with pytest.raises(OutOfRange):
+        Bwt([0, 4], 4)

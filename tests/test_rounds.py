@@ -171,7 +171,7 @@ def test_next_starts_match_per_rank_reference(rng, sigma):
             f = StreamFactory(capacity=capacity)
             marks = f.stream("starts")
             marks.append_chunk(starts)
-            out = _next_starts(f.wrap(keys), marks.finish(), sigma, f)
+            out = _next_starts(f.wrap(bytes(keys)), marks.finish(), sigma, f)
             want = reference_next_starts(keys, starts, sigma)
             assert bytes(out.rewind().items()) == want, (n, capacity, density)
             assert [len(c) for c in out.rewind().chunks()] == \
