@@ -14,11 +14,11 @@ import os
 import pickle
 import shutil
 import tempfile
-from collections import Counter, defaultdict
-from itertools import chain, islice
+from collections import defaultdict
+from itertools import islice
 from operator import itemgetter
 
-from .errors import AlphabetTooLarge, LengthMismatch, StreamStateError
+from .errors import StreamStateError
 
 # Default stream buffer capacity, in items.  Buffers up to this size are
 # considered I/O buffers and are excluded from resident-memory accounting.
@@ -326,10 +326,6 @@ DIGIT_BITS = 8
 BUCKETS = 1 << DIGIT_BITS
 
 
-def _key_bits(sigma):
-    return max(1, (sigma - 1).bit_length())
-
-
 def _bucket_pass(src, key, factory):
     """One stable bucket pass: the items of ``src`` grouped by ``key(item)``.
 
@@ -389,72 +385,6 @@ def em_lsd_sort(stream, key_index, key_bits, factory):
             factory.release(cur)
         cur = nxt
     return cur
-
-
-def em_stable_sort_by_symbol(pairs, sigma, factory):
-    """Stable sort of a stream of (sym, payload) records by symbol.
-
-    Up to BUCKETS symbols this is a single bucket pass: one sequential
-    read of ``pairs`` plus one write and one read of every record.
-    """
-    return em_lsd_sort(pairs, 0, _key_bits(sigma), factory)
-
-
-def inverse_radix_sort(keys, sorted_data, sigma, factory, sizes=None):
-    """Inverse of em_stable_sort_by_symbol on the payload sequence.
-
-    ``keys`` are the symbols in original order; ``sorted_data`` is any data
-    stream ordered as if it had been carried through the forward sort.
-    The sorted data is cut into one run per symbol and the runs are merged
-    back by re-reading the keys.  The run sizes are ``sizes``, the key
-    count per symbol (a BWT's C array), or else counted from the keys.
-    """
-    if sigma > BUCKETS:
-        raise AlphabetTooLarge(
-            "one run per symbol caps the inverse sort at %d symbols" % BUCKETS
-        )
-    if sizes is None:
-        counts = Counter()
-        for chunk in keys.rewind().chunks():
-            counts.update(chunk)
-        sizes = [counts[a] for a in range(sigma)]
-    if not len(keys) == sum(sizes) == len(sorted_data):
-        raise LengthMismatch(
-            "keys has %d items, data has %d, sizes sum to %d"
-            % (len(keys), len(sorted_data), sum(sizes))
-        )
-    runs = [None] * sigma
-    order = ((sym, size) for sym, size in enumerate(sizes) if size)
-    left = 0
-    kind = list
-    for chunk in sorted_data.rewind().chunks():
-        kind = type(chunk)
-        start = 0
-        while start < len(chunk):
-            if not left:
-                sym, left = next(order)
-                runs[sym] = factory.stream("run")
-            take = min(left, len(chunk) - start)
-            runs[sym].append_chunk(chunk[start : start + take])
-            start += take
-            left -= take
-    heads = [None if run is None else chain.from_iterable(run.finish().chunks())
-             for run in runs]
-    # cut like the keys, so the result lines up with other rank-order streams
-    out = factory.stream("unsorted", keys.capacity)
-    for chunk in keys.rewind().chunks():
-        out.append_chunk(kind(map(next, map(heads.__getitem__, chunk))))
-    factory.release(*(run for run in runs if run is not None))
-    return out.finish()
-
-
-def bin_un_bucket_sort(keys, sorted_data, factory):
-    """Restore the pre-sort order of ``sorted_data`` from its binary keys.
-
-    ``sorted_data`` must be the stable binary bucket sort of some original
-    sequence, ``keys`` the key bits in original order.
-    """
-    return inverse_radix_sort(keys, sorted_data, 2, factory)
 
 
 def iter_items(seq):

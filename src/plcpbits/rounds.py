@@ -6,8 +6,9 @@ until the round in which the rank itself does; each active round adds
 one zero bit in front of the rank's one bit in PD.  The in-memory
 strategy walks a pruned interval queue over a wavelet tree.  The
 sequential strategy keeps the round's state as rank-order bit streams,
-one 0/1 byte per rank, and works each pass a whole chunk at a time with
-byte translation, selection and big-integer bit operations.
+one 0/1 byte per rank, moves marks only forward through LF, and works
+each pass a whole chunk at a time with byte translation, selection and
+big-integer bit operations.
 """
 
 from collections import namedtuple
@@ -16,7 +17,7 @@ from itertools import compress, islice, repeat
 from time import perf_counter
 
 from . import emlayer
-from .emlayer import concat_buckets, inverse_radix_sort
+from .emlayer import concat_buckets
 from .errors import LengthMismatch, NotIncreasing, OutOfRange
 from .succinct import GammaStream
 
@@ -262,13 +263,11 @@ def run_rounds_internal(bwt, max_rounds=None):
     return RoundResult(pd, list(s_set), rounds)
 
 
-def _marks(factory, name, n, capacity, first=0):
-    """A rank-order byte stream of n zeros, rank 0 set to ``first``."""
+def _marks(factory, name, n, capacity):
+    """A rank-order byte stream of n zeros."""
     out = factory.stream(name, capacity)
     for lo in range(0, n, capacity):
-        chunk = bytearray(min(capacity, n - lo))
-        chunk[0] = first if lo == 0 else 0
-        out.append_chunk(chunk)
+        out.append_chunk(bytes(min(capacity, n - lo)))
     return out.finish()
 
 
@@ -277,7 +276,7 @@ KEEP_MARK = bytes(c == 0xFF for c in range(256))
 
 
 def _next_starts(keys, starts, sigma, factory):
-    """The next round's interval starts: LF-forward of the first marks.
+    """The next round's interval starts, and this round's first marks.
 
     A rank is *first* when its BWT symbol a occurs there for the first
     time in its interval.  Per chunk and symbol present, on big integers
@@ -285,22 +284,27 @@ def _next_starts(keys, starts, sigma, factory):
     the interval starts), the sum T = D + (B & D) + carry carries a one
     from each interval start across the non-a ranks into the next a,
     where it stops: that a is first, and so is an a on a start.  The
-    carry out of the chunk continues into the next chunk.  The marks of a
-    are then compacted in rank order by one byte translation: a bare a is
-    0xFE, a first a 0xFF and every other symbol 0x00, which
-    ``translate(KEEP_MARK, b"\\x00")`` deletes.  Appending each symbol's
-    marks to its own stream is the LF mapping; the streams are then
-    concatenated in symbol order.
+    carry out of the chunk continues into the next chunk; it begins at
+    one, because rank 0 begins an interval in every round, marked in
+    ``starts`` or not.  The marks of a are then compacted in rank order
+    by one byte translation: a bare a is 0xFE, a first a 0xFF and every
+    other symbol 0x00, which ``translate(KEEP_MARK, b"\\x00")`` deletes.
+    Appending each symbol's marks to its own stream is the LF mapping; the
+    streams are then concatenated in symbol order.  The OR of all
+    symbols' marks, translated without deleting, is the first marks in
+    rank order: first[r] = next_starts[LF(r)].
     """
     # per symbol a, the byte table that maps a to 0xFF and all else to 0
     tables = [bytes(a) + b"\xff" + bytes(255 - a) for a in range(sigma)]
-    carry = [0] * sigma
+    carry = [1] * sigma
     buckets = {}
+    first = factory.stream("first", keys.capacity)
     for chunk, st in zip(keys.chunks(), starts.rewind().chunks()):
         width = 8 * len(chunk)
         mask = (1 << width) - 1
         high = int.from_bytes(b"\xfe" * len(chunk), "little")
         b = int.from_bytes(st, "little")
+        marks = 0
         for a in range(sigma):
             if a not in chunk:
                 if b:
@@ -311,31 +315,42 @@ def _next_starts(keys, starts, sigma, factory):
             t = d + (b & d) + carry[a]
             carry[a] = t >> width
             marked = at & (high | t | b)
+            marks |= marked
             part = marked.to_bytes(len(chunk), "little").translate(
                 KEEP_MARK, b"\x00")
             if a not in buckets:
                 buckets[a] = factory.stream("bucket")
             buckets[a].append_chunk(part)
-    return concat_buckets(buckets, factory, "starts", keys.capacity)
+        first.append_chunk(marks.to_bytes(len(chunk), "little").translate(
+            KEEP_MARK))
+    return (concat_buckets(buckets, factory, "starts", keys.capacity),
+            first.finish())
 
 
-def _active(zsrc, s_old, active, znew, act_next, tally):
-    """Pass B's marks, chunk by chunk: the ranks active in this round.
+def _active(new, old, first, first_prev, active, act_next, tally):
+    """The round's marks, chunk by chunk: the ranks active in this round.
 
-    A source rank turns active unless its own value was set before this
-    round (``s_old``: a source set in this same round still gains its
-    zero bit).  The next active marks, without the newly set ranks, go to
-    ``act_next``; ``tally[0]`` counts the active ranks.
+    The newly set ranks are the new starts that are not old starts.  A
+    rank r turns active when its LF image is newly set, which is
+    first[r] and not first_prev[r], unless r itself was set before this
+    round (``old``: a rank set in this same round still gains its zero
+    bit).  The next active marks, without the set ranks, go to
+    ``act_next``; ``tally`` counts the starts, the newly set and the
+    active ranks.
     """
-    chunks = zip(zsrc.chunks(), s_old.rewind().chunks(),
-                 active.rewind().chunks(), znew.rewind().chunks())
-    for zc, sc, ac, nc in chunks:
+    chunks = zip(new.rewind().chunks(), old.rewind().chunks(),
+                 first.rewind().chunks(), first_prev.rewind().chunks(),
+                 active.rewind().chunks())
+    for nc, oc, fc, pc, ac in chunks:
+        now, was = int.from_bytes(nc, "little"), int.from_bytes(oc, "little")
         a = int.from_bytes(ac, "little") | (
-            int.from_bytes(zc, "little") & ~int.from_bytes(sc, "little"))
-        tally[0] += a.bit_count()
-        rest = a & ~int.from_bytes(nc, "little")
-        act_next.append_chunk(rest.to_bytes(len(zc), "little"))
-        yield a.to_bytes(len(zc), "little")
+            int.from_bytes(fc, "little") & ~int.from_bytes(pc, "little")
+            & ~was)
+        tally[0] += now.bit_count()
+        tally[1] += (now & ~was).bit_count()
+        tally[2] += a.bit_count()
+        act_next.append_chunk((a & ~now).to_bytes(len(nc), "little"))
+        yield a.to_bytes(len(nc), "little")
 
 
 def _grow(rank, piece, runs):
@@ -348,19 +363,22 @@ def _grow(rank, piece, runs):
 def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     """Sequential round builder over rank-order bit streams.
 
-    The state is four streams: the interval starts (the ranks that begin
-    an interval of equal length-r prefixes; round 0 has rank 0 only), the
-    set marks, the active marks and PD.  Per round, every pass is
-    chunk-wise:
+    The state is four streams: the interval starts, the previous round's
+    first marks, the active marks and PD.  After k rounds the starts are
+    the ranks that begin an interval of equal length-k prefixes, which are
+    the ranks of LCP below k: the set marks (none before round 0).  Per
+    round, two passes, both chunk-wise:
 
-    - the next starts are the LF images of the first marks
+    - the first marks, and the next starts as their LF images
       (``_next_starts``);
-    - pass A: the newly set ranks are the new starts not yet set, and the
-      set marks gain them;
-    - the newly set marks go back through inverse LF to their sources;
-    - pass B: a source turns active unless it was set before this round,
-      every active rank gains a zero bit in PD, and the newly set ranks
-      leave the active set.
+    - one PD rewrite (``_active``): the newly set ranks are the new starts
+      not old; a rank turns active when its LF image is newly set, unless
+      it was set before this round; every active rank gains a zero bit in
+      PD, and the set ranks leave the active set.
+
+    Marks move only forward through LF: the LF image of rank r is a new
+    start exactly when r is first, and was an old start exactly when r
+    was first in the round before.
 
     Besides stream buffers and at most 2*PIECE zero runs of PD, a round
     keeps one carry of the first marks per symbol in memory.  Each round
@@ -373,8 +391,8 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     sigma = bwt.sigma
     cap = bwt.stream(factory).capacity
 
-    starts = _marks(factory, "starts", n, cap, first=1)
-    s_marks = _marks(factory, "s", n, cap)
+    starts = _marks(factory, "starts", n, cap)
+    first = _marks(factory, "first", n, cap)
     active = _marks(factory, "active", n, cap)
     pd = PdBits.from_counts(repeat(0, n), factory)
     set_count = 0
@@ -384,44 +402,22 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
         if max_rounds is not None and len(stats) >= max_rounds:
             break
         factory.meter.note("round_state", 8)
-        began, set_before, n_starts = perf_counter(), set_count, 0
+        began = perf_counter()
 
-        nxt = _next_starts(bwt.stream(factory), starts, sigma, factory)
-        factory.release(starts)
-        starts = nxt
-
-        # pass A: the newly set ranks, and the next set marks
-        znew = factory.stream("znew", cap)
-        s_next = factory.stream("s", cap)
-        for st, sb in zip(starts.rewind().chunks(), s_marks.rewind().chunks()):
-            new = int.from_bytes(st, "little")
-            old = int.from_bytes(sb, "little")
-            fresh = new & ~old
-            n_starts += new.bit_count()
-            set_count += fresh.bit_count()
-            znew.append_chunk(fresh.to_bytes(len(st), "little"))
-            s_next.append_chunk((new | old).to_bytes(len(st), "little"))
-        znew.finish()
-        s_next.finish()
-
-        # the same marks in source-rank order (inverse LF)
-        zsrc = inverse_radix_sort(bwt.stream(factory), znew, sigma, factory,
-                                  sizes=bwt.c_array)
-
-        # pass B: activate, grow PD, retire the newly set ranks
+        nxt, first_next = _next_starts(bwt.stream(factory), starts, sigma,
+                                       factory)
         act_next = factory.stream("active", cap)
-        tally = [0]
+        tally = [0, 0, 0]
         pd_next = pd.rewrite(
-            _active(zsrc, s_marks, active, znew, act_next, tally),
+            _active(nxt, starts, first_next, first, active, act_next, tally),
             _grow, factory)
-        factory.release(pd._bits, s_marks, active, znew, zsrc)
-        pd = pd_next
-        s_marks = s_next
+        factory.release(pd._bits, starts, first, active)
+        pd, starts, first = pd_next, nxt, first_next
         active = act_next.finish()
-        stats.append(RoundStats(n_starts, set_count - set_before, tally[0],
-                                len(pd), perf_counter() - began))
+        set_count += tally[1]
+        stats.append(RoundStats(*tally, len(pd), perf_counter() - began))
         if stop is not None and stop(stats):
             break
 
-    factory.release(starts, active)
-    return RoundResult(pd, s_marks, len(stats), stats)
+    factory.release(first, active)
+    return RoundResult(pd, starts, len(stats), stats)

@@ -9,8 +9,7 @@ import struct
 from bisect import bisect_right
 from itertools import accumulate
 
-from .errors import (DiffBoundViolation, NotIncreasing, OutOfRange,
-                     TruncatedCode)
+from .errors import DiffBoundViolation, OutOfRange, TruncatedCode
 
 _WORD = 64
 # maps a 0/1 byte (any non-zero byte) to its binary digit
@@ -79,37 +78,6 @@ class GammaReader:
             pos += 1
         self._pos = pos
         return x - 1
-
-    def get_many(self, count):
-        return [self.get() for _ in range(count)]
-
-
-def diff_gamma_encode(values, base=-1):
-    """Gamma-code the gaps of a strictly increasing sequence.
-
-    Gap i is values[i] - previous - 1 with the given base standing in for
-    the element before the first.
-    """
-    stream = GammaStream()
-    prev = base
-    for v in values:
-        if v <= prev:
-            raise NotIncreasing("expected value above %d, got %d" % (prev, v))
-        stream.put(v - prev - 1)
-        prev = v
-    return stream
-
-
-def diff_gamma_decode(stream, base=-1, count=None):
-    reader = stream.reader()
-    if count is None:
-        count = stream.count
-    out = []
-    prev = base
-    for _ in range(count):
-        prev = prev + reader.get() + 1
-        out.append(prev)
-    return out
 
 
 class RsBitVector:
@@ -379,19 +347,3 @@ class WaveletTree:
 
         walk(0, 0, self.n, lo, hi, 0)
         return out
-
-
-def backstep(bwt, sym, interval):
-    """Backward-search step: rank interval of sym.w from that of w."""
-    lo, hi = interval
-    if not 0 <= lo <= hi <= bwt.n:
-        raise OutOfRange("interval (%d, %d) out of range" % (lo, hi))
-    wt = bwt.wavelet()
-    d = bwt.d_array[sym]
-    return (d + wt.rank(sym, lo), d + wt.rank(sym, hi))
-
-
-def lf_map(bwt, r):
-    """LF mapping of a single rank: backstep restricted to BWT[r]."""
-    sym = bwt.wavelet().access(r)
-    return backstep(bwt, sym, (r, r + 1))[0]

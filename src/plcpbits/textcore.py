@@ -124,7 +124,6 @@ class Bwt:
             raise OutOfRange("symbol outside alphabet 0..%d" % (sigma - 1))
         self.sigma = sigma
         self.circular = circular
-        self.c_array = counts
         self.d_array = [0] * (sigma + 1)
         for a in range(sigma):
             self.d_array[a + 1] = self.d_array[a] + counts[a]

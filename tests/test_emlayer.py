@@ -1,13 +1,8 @@
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import banana, make_fixture, random_text
-from plcpbits.emlayer import (StreamFactory, bin_un_bucket_sort, em_lsd_sort,
-                              em_stable_sort_by_symbol, inverse_radix_sort)
-from plcpbits.errors import LengthMismatch, PlcpError
+from conftest import banana
+from plcpbits.emlayer import StreamFactory, em_lsd_sort
+from plcpbits.errors import PlcpError
 
 
 def test_stream_basics():
@@ -48,7 +43,7 @@ def test_file_backend(tmp_path):
     f = StreamFactory(directory=str(tmp_path), capacity=3)
     s = f.from_items([(1, "a"), (0, "b"), (1, "c"), (0, "d")])
     assert list(s.items()) == [(1, "a"), (0, "b"), (1, "c"), (0, "d")]
-    out = em_stable_sort_by_symbol(s.rewind(), 2, f)
+    out = em_lsd_sort(s.rewind(), 0, 1, f)
     assert list(out.items()) == [(0, "b"), (0, "d"), (1, "a"), (1, "c")]
     f.cleanup()
 
@@ -56,76 +51,22 @@ def test_file_backend(tmp_path):
 def test_stable_sort_examples():
     f = StreamFactory()
     pairs = [(2, "x"), (1, "y"), (2, "z"), (0, "w")]
-    out = em_stable_sort_by_symbol(f.wrap(pairs), 3, f)
+    out = em_lsd_sort(f.wrap(pairs), 0, 2, f)
     assert list(out.items()) == [(0, "w"), (1, "y"), (2, "x"), (2, "z")]
     done = [(0, "a"), (1, "b"), (2, "c")]
-    assert list(em_stable_sort_by_symbol(f.wrap(done), 3, f).items()) == done
+    assert list(em_lsd_sort(f.wrap(done), 0, 2, f).items()) == done
 
 
 def test_stable_sort_banana_ranks():
     fx = banana()
     f = StreamFactory()
     pairs = list(zip(fx.bwt.to_list(), range(7)))
-    out = list(em_stable_sort_by_symbol(f.wrap(pairs), 4, f).items())
+    out = list(em_lsd_sort(f.wrap(pairs), 0, 2, f).items())
     assert [sym for sym, _ in out] == sorted(fx.bwt.to_list())
     # payloads within a symbol keep rank order
     for sym in range(4):
         payloads = [r for s, r in out if s == sym]
         assert payloads == sorted(payloads)
-
-
-def test_bin_un_bucket_sort_example():
-    f = StreamFactory()
-    keys = f.wrap([1, 0, 1, 0])
-    data = f.wrap(["q", "s", "p", "r"])
-    assert list(bin_un_bucket_sort(keys, data, f).items()) == \
-        ["p", "q", "r", "s"]
-    assert list(bin_un_bucket_sort(
-        f.wrap([0, 0, 0]), f.wrap([5, 6, 7]), f).items()) == [5, 6, 7]
-    with pytest.raises(LengthMismatch):
-        bin_un_bucket_sort(f.wrap([1]), f.wrap([1, 2]), f)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 10 ** 9), st.integers(0, 60), st.sampled_from([2, 3, 7, 16]))
-def test_inverse_radix_identity(seed, n, sigma):
-    rng = random.Random(seed)
-    keys = [rng.randrange(sigma) for _ in range(n)]
-    data = list(range(n))
-    f = StreamFactory(capacity=8)
-    forward = em_stable_sort_by_symbol(f.wrap(list(zip(keys, data))), sigma, f)
-    payloads = f.from_items(p for _, p in forward.rewind().items())
-    back = inverse_radix_sort(f.wrap(keys), payloads, sigma, f)
-    assert list(back.items()) == data
-    assert f.total_non_sequential() == 0
-
-
-@pytest.mark.parametrize("sigma", [2, 5, 64])
-def test_inverse_sort_sized_by_c_array(rng, sigma):
-    """Run sizes from the BWT's C array give the counted path's output
-    with one read of the keys fewer."""
-    for capacity in (1, 3, 64):
-        n = rng.randrange(2, 200)
-        fx = make_fixture(random_text(rng, n, sigma), sigma)
-        f = StreamFactory(capacity=capacity)
-        for data in ([rng.randrange(1000) for _ in range(n)],
-                     bytes(rng.randrange(2) for _ in range(n))):
-            payload = f.stream("data")
-            payload.append_chunk(data)
-            payload.finish()
-            keys = fx.bwt.stream(f)
-            before = keys.rewinds
-            counted = inverse_radix_sort(keys, payload, sigma, f)
-            counted_rewinds = keys.rewinds - before
-            keys = fx.bwt.stream(f)
-            before = keys.rewinds
-            sized = inverse_radix_sort(keys, payload, sigma, f,
-                                       sizes=fx.bwt.c_array)
-            assert list(sized.items()) == list(counted.items())
-            assert keys.rewinds - before == counted_rewinds - 1
-        with pytest.raises(LengthMismatch):
-            inverse_radix_sort(fx.bwt.stream(f), payload, sigma, f,
-                               sizes=[0] * sigma)
 
 
 def test_lsd_sort_is_stable(rng):

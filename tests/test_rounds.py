@@ -86,8 +86,9 @@ def test_strategies_agree(rng):
             assert c.rounds == a.rounds
 
 
-def test_value_set_in_lcp_round(rng):
-    """A rank becomes set exactly in the round equal to its LCP value."""
+def test_value_set_in_lcp_round(rng, tmp_path):
+    """A rank becomes set exactly in the round equal to its LCP value; the
+    external rounds' set marks are their interval starts."""
     for _ in range(10):
         n = rng.randrange(2, 64)
         fx = make_fixture(random_text(rng, n, 4), 4)
@@ -95,6 +96,13 @@ def test_value_set_in_lcp_round(rng):
             r = run_rounds_internal(fx.bwt, max_rounds=cutoff)
             for rank in range(n):
                 assert bool(r.set_marks[rank]) == (fx.lcp[rank] < cutoff)
+            want = [int(fx.lcp[rank] < cutoff) for rank in range(n)]
+            for directory in (None, str(tmp_path)):
+                for capacity in (3, STREAM_BUFFER_ITEMS):
+                    with StreamFactory(directory, capacity=capacity) as f:
+                        e = run_rounds_external(fx.bwt, f, max_rounds=cutoff)
+                        assert list(e.set_marks.rewind().items()) == want
+                        f.release(e.pd._bits, e.set_marks)
 
 
 def test_external_rewind_budget(rng):
@@ -149,6 +157,7 @@ def test_stop_predicate_ends_rounds(rng):
 def reference_next_starts(keys, starts, sigma):
     """Per rank: a rank is first when its symbol is new in its interval;
     the first marks move to their LF images by one ``compress`` per symbol.
+    Returns the moved marks and the first marks.
     """
     first = []
     for sym, start in zip(keys, starts):
@@ -156,8 +165,8 @@ def reference_next_starts(keys, starts, sigma):
             seen = set()
         first.append(sym not in seen)
         seen.add(sym)
-    return b"".join(bytes(compress(first, [s == a for s in keys]))
-                    for a in range(sigma))
+    return (b"".join(bytes(compress(first, [s == a for s in keys]))
+                     for a in range(sigma)), bytes(first))
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 5, 64, 255, 256])
@@ -166,13 +175,19 @@ def test_next_starts_match_per_rank_reference(rng, sigma):
         for density in (0.0, 0.05, 0.5, 1.0):
             n = rng.randrange(1, 400)
             keys = [rng.randrange(sigma) for _ in range(n)]
-            starts = bytes([1] + [rng.random() < density
-                                  for _ in range(n - 1)])
-            f = StreamFactory(capacity=capacity)
-            marks = f.stream("starts")
-            marks.append_chunk(starts)
-            out = _next_starts(f.wrap(bytes(keys)), marks.finish(), sigma, f)
-            want = reference_next_starts(keys, starts, sigma)
-            assert bytes(out.rewind().items()) == want, (n, capacity, density)
-            assert [len(c) for c in out.rewind().chunks()] == \
-                [len(c) for c in marks.rewind().chunks()]
+            rest = [rng.random() < density for _ in range(n - 1)]
+            want = reference_next_starts(keys, bytes([1] + rest), sigma)
+            # rank 0 begins an interval, marked in the starts or not
+            for head in (1, 0):
+                starts = bytes([head] + rest)
+                f = StreamFactory(capacity=capacity)
+                marks = f.stream("starts")
+                marks.append_chunk(starts)
+                out, first = _next_starts(f.wrap(bytes(keys)), marks.finish(),
+                                          sigma, f)
+                got = (bytes(out.rewind().items()),
+                       bytes(first.rewind().items()))
+                assert got == want, (n, capacity, density, head)
+                for stream in (out, first):
+                    assert [len(c) for c in stream.rewind().chunks()] == \
+                        [len(c) for c in marks.rewind().chunks()]
