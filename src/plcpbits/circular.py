@@ -72,8 +72,7 @@ def rank_to_position(bwt, sisa, rank):
     return annotate_positions(bwt, sisa, [rank])[rank]
 
 
-def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None,
-               anchor_rank=None):
+def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None):
     """2n-bit PLCP vector of ``bwt`` by one of three strategies.
 
     ``internal`` runs the wavelet-tree rounds, ``external`` the sort-based
@@ -81,8 +80,8 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None,
     plus the sparse kernel.  Without a cutoff the hybrid's rounds stop by
     ``hybrid.stop_rule``, capped at 3*ceil(log2 n).  A circular input
     must be primitive; its vector starts at the text position right after
-    the anchor rank's, recorded as the shift.  The anchor must have LCP
-    zero; rank 0, the default, always qualifies.
+    rank 0's, whose LCP is zero, and that rotation is recorded as the
+    shift.
     """
     if cutoff is not None and cutoff < 0:
         raise OutOfRange("cutoff %d is negative" % cutoff)
@@ -96,7 +95,7 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None,
             raise CircularPowerInput(
                 "circular input is a proper power; shrink it first"
             )
-        shift = (rank_to_position(bwt, sisa, anchor_rank or 0) + 1) % n
+        shift = (rank_to_position(bwt, sisa, 0) + 1) % n
 
     if strategy == "internal":
         pd = run_rounds_internal(bwt).pd
@@ -116,7 +115,6 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None,
 
 
 def build_circular_plcp(bwt, sisa, factory=None, strategy="external",
-                        cutoff=None, anchor_rank=None):
+                        cutoff=None):
     """Rotated 2n-bit PLCP vector of a primitive circular string."""
-    return build_plcp(bwt, sisa, strategy, cutoff=cutoff, factory=factory,
-                      anchor_rank=anchor_rank)
+    return build_plcp(bwt, sisa, strategy, cutoff=cutoff, factory=factory)

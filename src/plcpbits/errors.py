@@ -45,10 +45,6 @@ class StreamStateError(PlcpError):
     """A stream was read, rewound or sought while still being written."""
 
 
-class WalkIncomplete(PlcpError):
-    """A batched LF walk ended with cursors that had not retired."""
-
-
 class UnknownStrategy(OutOfRange, ValueError):
     """Build strategy name outside internal, external and hybrid."""
 

@@ -5,14 +5,13 @@ and wasteful afterwards.  The hybrid strategy stops it after a cutoff, or
 once ``stop_rule`` prices the kernel below the rounds still to come, and
 computes the missing counts directly: only missing *irreducible* ranks
 (rank 0 or a BWT symbol change) need work, every other missing rank
-provably contributes zero bits.  Positions for the sparse set are
-recovered by a batched LF walk against the ISA samples, longest common
-prefixes by a pluggable kernel over the reconstructed text.  That kernel
-is semi-external: it holds the whole text in memory, n symbols, noted
-with the meter under ``hybrid_text``.  One rewrite of PD then keeps the
-counts of set ranks and gives every unset rank its kernel count or zero,
-which also drops the partial counts of ranks whose rounds were cut
-short.
+provably contributes zero bits.  One LF walk from the ISA samples
+reconstructs the text and finds the positions whose suffixes a pluggable
+kernel compares for their counts.  That kernel is semi-external: it holds
+the whole text in memory, n symbols, noted with the meter under
+``hybrid_text``.  One rewrite of PD then keeps the counts of set ranks
+and gives every unset rank its kernel count or zero, which also drops
+the partial counts of ranks whose rounds were cut short.
 """
 
 from operator import mul
@@ -20,8 +19,7 @@ from operator import mul
 from . import emlayer
 from .emlayer import iter_items
 from .errors import CountConflict
-from .reorder import (_lf_directory, _lf_pass, annotate_positions,
-                      reconstruct_text, reorder_pd)
+from .reorder import reconstruct_text, reorder_pd
 from .rounds import run_rounds_external
 from .textcore import Text, naive_lcp_pair
 
@@ -38,47 +36,40 @@ def irreducible_missing(bwt, set_marks):
     """Ranks without a value whose count cannot be deduced as zero.
 
     Those are the unset ranks where the BWT changes symbol (or rank 0).
-    Returns them as a sorted list.
+    Returns them in rank order as pairs ``(r, q)``, q being the last rank
+    before r with r's BWT symbol, or None.
     """
     out = []
-    prev_sym = None
-    rank = 0
+    last = [None] * bwt.sigma
     sit = iter_items(set_marks)
-    for sym in bwt.stream().items():
-        if not next(sit) and (rank == 0 or sym != prev_sym):
-            out.append(rank)
-        prev_sym = sym
-        rank += 1
+    for rank, sym in enumerate(bwt.stream().items()):
+        if not next(sit) and last[sym] != rank - 1:
+            out.append((rank, last[sym]))
+        last[sym] = rank
     return out
 
 
 def _sparse_counts(bwt, sisa, missing, kernel_fn, factory):
-    """PD counts of the missing irreducible ranks, by rank."""
+    """PD counts of the missing irreducible ``(r, q)`` pairs, by rank.
+
+    The count at r is LCP[r] - LCP[LF(r)] + 1.  LF keeps the order of
+    ranks of one symbol and moves each a text position back, so with
+    LF(q) = LF(r) - 1, LCP[LF(r)] compares the suffixes one position
+    before r's and q's; without a q it starts a bucket and is 0.
+    """
     n = bwt.n
-    # the count at rank r is LCP[r] - LCP[LF(r)] + 1, LF(r) being the rank
-    # of the text position before r's; the kernel needs the positions of
-    # those ranks and of every predecessor rank
-    seeds = factory.from_items(((r, r) for r in missing), "cursors")
-    directory = _lf_directory(bwt, factory)
-    images = _lf_pass(bwt, directory, seeds,
-                      lambda rank, payload, sym, lf: payload, factory)
-    lf = {r: image for image, r in images.items()}
-    factory.release(seeds, images, directory)
-    need_lcp = sorted(set(missing) | set(lf.values()))
-    need_pos = sorted(set(need_lcp) | {r - 1 for r in need_lcp if r > 0})
-    factory.meter.note("hybrid_sparse", len(need_pos))
-
-    positions = annotate_positions(bwt, sisa, need_pos, factory)
-    # semi-external: the kernel reads the whole text, held in memory
+    find = {x for r, q in missing for x in (r - 1, r, q)} - {None, -1}
+    factory.meter.note("hybrid_sparse", len(find))
     factory.meter.note("hybrid_text", n)
-    text = Text(reconstruct_text(bwt, sisa, factory), bwt.sigma,
-                circular=bwt.circular)
+    symbols, pos = reconstruct_text(bwt, sisa, factory, find=find)
+    text = Text(symbols, bwt.sigma, circular=bwt.circular)
 
-    lcp = {r: kernel_fn(text, positions[r], positions[r - 1]) if r else 0
-           for r in need_lcp}
     counts = {}
-    for r in missing:
-        counts[r] = lcp[r] - lcp[lf[r]] + 1
+    for r, q in missing:
+        lcp = kernel_fn(text, pos[r], pos[r - 1]) if r else 0
+        if q is not None:
+            lcp -= kernel_fn(text, (pos[r] - 1) % n, (pos[q] - 1) % n)
+        counts[r] = lcp + 1
         if counts[r] < 0:
             raise CountConflict("negative count %d at rank %d" % (counts[r], r))
     return counts

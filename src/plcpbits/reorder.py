@@ -16,10 +16,10 @@ pass's cursors in rank order again.
 
 Taking PD counts gives K (``position_counts``).  Taking BWT symbols, the
 text symbol one position back, reconstructs the text
-(``reconstruct_text``); that is what verification uses.  Retiring each
-cursor at the first sampled rank it meets instead finds the text
-positions of chosen ranks (``annotate_positions``): the hybrid's sparse
-set and the circular anchor.
+(``reconstruct_text``) for verification and, with the text positions
+of the ranks it is asked to find, for the hybrid's kernel.  Retiring
+each cursor at the first sampled rank it meets instead finds the text
+position of the circular anchor (``annotate_positions``).
 """
 
 from array import array
@@ -29,7 +29,7 @@ from operator import add
 
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
-from .errors import FormatError, OutOfRange, RateMismatch, WalkIncomplete
+from .errors import FormatError, OutOfRange, RateMismatch
 from .rounds import unary_code
 from .succinct import PlcpBits, RsBitVector
 
@@ -121,8 +121,9 @@ def _lf_pass(bwt, directory, cursors, step, factory):
     return concat_buckets(buckets, factory, "cursors")
 
 
-def _walk(bwt, sisa, reader, factory):
-    """One window of values per sample, as a stream sorted by sample.
+def _walk(bwt, sisa, reader, factory, find=()):
+    """One window of values per sample, as a stream sorted by sample, and
+    the text positions of the ranks in ``find``, as a dict.
 
     One cursor starts at each sample.  Each pass calls ``reader()`` for a
     function ``value(rank, sym)``, called at the cursors' ranks in rising
@@ -130,17 +131,25 @@ def _walk(bwt, sisa, reader, factory):
     retires once it has its window: ``rate`` positions, or, for the
     sample at position 0, position 0 and the positions after the last
     sample.  So every cursor retires within min(rate, n) passes.  Its
-    last LF step must reach the rank of the next sample below; if it
-    does not, the samples are not the BWT's and FormatError is raised.
+    last LF step must reach the rank of the next sample below, and the
+    last sample's rank, always found, must be met once, else the samples
+    are not the BWT's or LF is not one cycle: FormatError.
     """
     _check_rate(bwt, sisa)
     n, rate = bwt.n, sisa.rate
     ranks = sisa.ranks
     tail = n - (len(ranks) - 1) * rate  # window of the sample at 0
     windows = factory.stream("windows")
+    find = {*find, ranks[-1]}
+    found = {}
 
     def step(rank, payload, sym, lf):
         sample, values = payload
+        if rank in find:
+            if rank in found:
+                raise FormatError("the BWT's LF mapping is not one cycle: "
+                                  "the walk visits rank %d twice" % rank)
+            found[rank] = (sample * rate - len(values)) % n
         values.append(value(rank, sym))
         if len(values) < (rate if sample else tail):
             return payload
@@ -161,10 +170,12 @@ def _walk(bwt, sisa, reader, factory):
         factory.release(cursors)
         cursors = moved
     factory.release(cursors, directory)
+    if len(found) < len(find):
+        raise FormatError("the walk misses rank %d" % min(find - found.keys()))
     key_bits = max(1, (len(sisa.ranks) - 1).bit_length())
     by_sample = em_lsd_sort(windows.finish(), 0, key_bits, factory)
     factory.release(windows)
-    return by_sample
+    return by_sample, found
 
 
 def _in_position_order(windows):
@@ -205,7 +216,7 @@ def position_counts(pd, bwt, sisa, factory=None):
     position i.
     """
     factory = factory or emlayer.StreamFactory()
-    windows = _walk(bwt, sisa, lambda: _pd_counts(pd), factory)
+    windows, _ = _walk(bwt, sisa, lambda: _pd_counts(pd), factory)
     counts = factory.stream("counts")
     counts.extend(_in_position_order(windows))
     factory.release(windows)
@@ -238,20 +249,20 @@ def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
     return k
 
 
-def reconstruct_text(bwt, sisa, factory=None):
+def reconstruct_text(bwt, sisa, factory=None, find=()):
     """Recover the text symbols from the BWT with the same windowed walk.
 
     The BWT symbol at the rank of position i is the text symbol at i - 1,
-    so the text is the walk's output rotated by one.
+    so the text is the walk's output rotated by one.  With ranks to
+    ``find``, returns the text and a dict of their text positions.
     """
     factory = factory or emlayer.StreamFactory()
-    windows = _walk(bwt, sisa, lambda: _bwt_symbol, factory)
+    windows, found = _walk(bwt, sisa, lambda: _bwt_symbol, factory, find)
     values = _in_position_order(windows)
     last = next(values)
-    text = list(values)
-    text.append(last)
+    text = [*values, last]
     factory.release(windows)
-    return text
+    return (text, found) if find else text
 
 
 def annotate_positions(bwt, sisa, ranks, factory=None):
@@ -283,6 +294,7 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
         cursors = moved
     factory.release(directory)
     if len(cursors):
-        raise WalkIncomplete("cursor failed to reach a sample")
+        raise FormatError("ISA samples do not match the BWT: a cursor "
+                          "meets no sample")
     factory.release(cursors)
     return out

@@ -66,14 +66,6 @@ def test_build_circular_all_strategies():
         assert k.decode_all() == [2, 1, 0, 0, 3]
 
 
-def test_alternative_anchor_decodes_identically():
-    fx = abbab()
-    k = build_circular_plcp(fx.bwt, fx.sisa(1), anchor_rank=2)
-    assert k.shift == 3
-    assert len(k.bit_string()) == 10
-    assert k.decode_all() == [2, 1, 0, 0, 3]
-
-
 def test_two_symbol_circular():
     fx = make_fixture([0, 1], 2, circular=True)
     k = build_circular_plcp(fx.bwt, fx.sisa(1))

@@ -3,10 +3,11 @@ import struct
 import sys
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from plcpbits import PlcpBits, StreamFactory, hybrid, reorder, rounds
+from plcpbits import PlcpBits, StreamFactory, reorder, rounds
 from plcpbits.cli import ingest, main
 from plcpbits.errors import EmptyInput, PlcpError
 from plcpbits.formats import (read_bwt, read_plcp, read_sisa, write_bwt,
@@ -88,7 +89,7 @@ def test_banana_plcp_bytes(tmp_path, capsys):
                "-o", pre + ".plcp")[0] == 0
     # header (magic, version 1, flags 0, n 7, sigma 4), shift 0, then
     # K = 01000011110101 packed least-significant bit first
-    assert open(pre + ".plcp", "rb").read() == (
+    assert Path(pre + ".plcp").read_bytes() == (
         b"PLCPK__1" b"\x01\x00" b"\x00\x00" b"\x07\x00\x00\x00\x00\x00\x00\x00"
         b"\x04\x00\x00\x00" b"\x00\x00\x00\x00\x00\x00\x00\x00" b"\xc2\x2b")
 
@@ -157,6 +158,27 @@ def test_build_rejects_swapped_sisa_samples(tmp_path, capsys, options):
     code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
                        "-o", pre + ".plcp", *options)
     assert code == 3 and "samples do not match" in err
+
+
+@pytest.mark.parametrize("circular", [False, True],
+                         ids=["linear", "circular"])
+@pytest.mark.parametrize("options", [
+    ["--strategy", "internal"], ["--strategy", "external"],
+    ["--strategy", "hybrid"], ["--strategy", "hybrid", "--cutoff", "1"],
+], ids=["internal", "external", "hybrid", "hybrid-cutoff1"])
+def test_build_rejects_lf_of_several_cycles(tmp_path, capsys, options,
+                                            circular):
+    """LF has the cycles (0), (1) and (2 3); the samples at ranks 3 and 2
+    pass the walk's check on them, but the walk misses ranks 0 and 1."""
+    pre = str(tmp_path / "c")
+    write_bwt(pre + ".bwt", Bwt([0, 1, 2, 1], 3, circular=circular))
+    write_sisa(pre + ".sisa", SampledIsa(rate=3, n=4, ranks=(3, 2)), 3,
+               circular=circular)
+    code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                       "-o", pre + ".plcp", *options)
+    # the circular anchor walk from rank 0 stops the build first
+    assert code == 3
+    assert ("meets no sample" if circular else "not one cycle") in err
 
 
 def test_build_rejects_negative_cutoff(tmp_path, capsys):
@@ -236,7 +258,6 @@ def test_walks_end_within_n_passes(tmp_path, capsys, monkeypatch, text,
         return lf_pass(*args)
     lf_pass = reorder._lf_pass
     monkeypatch.setattr(reorder, "_lf_pass", counted)
-    monkeypatch.setattr(hybrid, "_lf_pass", counted)
     for options in (["--strategy", "internal"], ["--strategy", "external"],
                     ["--strategy", "hybrid"],
                     ["--strategy", "hybrid", "--cutoff", "1"]):
@@ -300,7 +321,7 @@ def test_strategy_outputs_byte_identical(tmp_path, capsys):
         out = pre + ".%s.plcp" % strategy
         assert run(capsys, "build", pre + ".bwt", pre + ".sisa", "-o", out,
                    "--strategy", strategy)[0] == 0
-        blobs.add(open(out, "rb").read())
+        blobs.add(Path(out).read_bytes())
     assert len(blobs) == 1
 
 
@@ -310,9 +331,9 @@ def test_tampered_bits_fail_verification(tmp_path, capsys):
     pre = str(tmp_path / "t")
     run(capsys, "index", str(src), "--output", pre)
     run(capsys, "build", pre + ".bwt", pre + ".sisa", "-o", pre + ".plcp")
-    blob = bytearray(open(pre + ".plcp", "rb").read())
+    blob = bytearray(Path(pre + ".plcp").read_bytes())
     blob[-1] ^= 0x03  # swap the final bit pair
-    open(pre + ".plcp", "wb").write(blob)
+    Path(pre + ".plcp").write_bytes(blob)
     code, _, err = run(capsys, "verify", str(src), pre + ".plcp")
     assert code in (2, 3)  # mismatch, or rejected for a broken one-count
 

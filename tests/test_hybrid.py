@@ -6,9 +6,11 @@ from conftest import banana, make_fixture, random_text
 from plcpbits import StreamFactory, hybrid, run_hybrid
 from plcpbits.circular import build_plcp
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
-from plcpbits.hybrid import (KERNELS, annotate_positions, hybrid_pd,
-                             irreducible_missing, sparse_lcp_kernel_direct)
+from plcpbits.hybrid import (KERNELS, hybrid_pd, irreducible_missing,
+                             sparse_lcp_kernel_direct)
+from plcpbits.reorder import annotate_positions
 from plcpbits.rounds import run_rounds_external, run_rounds_internal
+from plcpbits.textcore import brute_period
 
 
 def test_banana_cutoff_two():
@@ -23,11 +25,15 @@ def test_irreducible_missing_banana():
     r = run_rounds_internal(fx.bwt, max_rounds=2)
     unset = [rank for rank in range(7) if not r.set_marks[rank]]
     assert unset == [3, 6]
-    assert irreducible_missing(fx.bwt, r.set_marks) == [3]
+    # BWT a n n b $ a a: no b before rank 3
+    assert irreducible_missing(fx.bwt, r.set_marks) == [(3, None)]
     assert irreducible_missing(fx.bwt, [1] * 7) == []
     marks = [1] * 7
     marks[0] = 0
-    assert irreducible_missing(fx.bwt, marks) == [0]
+    assert irreducible_missing(fx.bwt, marks) == [(0, None)]
+    # rank 5 starts a run of a's after the a at rank 0
+    marks[0], marks[5] = 1, 0
+    assert irreducible_missing(fx.bwt, marks) == [(5, 0)]
 
 
 def test_kernel_examples():
@@ -70,6 +76,29 @@ def test_all_cutoffs_match_oracle(rng):
         check(fx, rate, range(max(fx.lcp.values) + 2))
     # streams cut into chunks of three items
     check(fx, rate, range(max(fx.lcp.values) + 2), capacity=3)
+
+
+def test_circular_every_cutoff_matches_oracle(rng):
+    """LCP[LF(r)] from the positions before r's and its predecessor q's,
+    which wrap round a circular text."""
+    for sigma in (2, 3, 4, 16):
+        built = 0
+        while built < 5:
+            n = rng.randrange(2, 30)
+            symbols = [rng.randrange(sigma) for _ in range(n)]
+            if brute_period(symbols) < n:
+                continue
+            built += 1
+            fx = make_fixture(symbols, sigma, circular=True)
+            for rate in {1, 3, max(1, (n - 1).bit_length()), n + 2}:
+                for capacity in (3, STREAM_BUFFER_ITEMS):
+                    f = StreamFactory(capacity=capacity)
+                    for cutoff in range(max(fx.lcp.values) + 2):
+                        k = build_plcp(fx.bwt, fx.sisa(rate), "hybrid",
+                                       cutoff=cutoff, factory=f)
+                        assert k.decode_all() == list(fx.plcp.values), \
+                            (symbols, rate, capacity, cutoff)
+                    assert f.total_non_sequential() == 0
 
 
 def test_kernel_budget(rng):

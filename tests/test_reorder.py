@@ -5,7 +5,8 @@ import pytest
 from conftest import abbab, banana, make_fixture, random_text
 from plcpbits import Bwt, StreamFactory, reconstruct_text, reorder_pd
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
-from plcpbits.errors import AlphabetTooLarge, OutOfRange, RateMismatch
+from plcpbits.errors import (AlphabetTooLarge, FormatError, OutOfRange,
+                             RateMismatch)
 from plcpbits.reorder import (_lf_directory, _lf_pass, annotate_positions,
                               emit_k, position_counts)
 from plcpbits.rounds import run_rounds_external, run_rounds_internal
@@ -107,6 +108,30 @@ def test_walks_match_oracle_at_every_rate(tmp_path, rng):
                     got = annotate_positions(fx.bwt, sisa, range(n), f)
                     assert got == dict(enumerate(fx.sa)), case
                 assert f.streams == [] and f.total_non_sequential() == 0
+
+
+def test_text_walk_finds_positions(tmp_path, rng):
+    texts = [banana(), abbab(),
+             make_fixture([0, 1, 1, 0, 2, 1, 1, 0, 2], 3, circular=True)]
+    texts += [make_fixture(random_text(rng, n, 4), 4) for n in (2, 5, 11)]
+    for i, fx in enumerate(texts):
+        n = fx.n
+        for capacity in (1, 3, STREAM_BUFFER_ITEMS):
+            for directory in (None, tmp_path / ("%d-%d" % (i, capacity))):
+                if directory:
+                    directory.mkdir()
+                    directory = str(directory)
+                f = StreamFactory(directory, capacity=capacity)
+                for rate in {1, 3, max(1, (n - 1).bit_length()), n + 2}:
+                    case = (list(fx.text.symbols), capacity, directory, rate)
+                    text, positions = reconstruct_text(
+                        fx.bwt, fx.sisa(rate), f, find=range(n))
+                    assert text == list(fx.text.symbols), case
+                    assert positions == dict(enumerate(fx.sa)), case
+                assert f.streams == [] and f.total_non_sequential() == 0
+    fx = banana()
+    with pytest.raises(FormatError, match="misses rank 7"):
+        reconstruct_text(fx.bwt, fx.sisa(3), find=[1, 7])
 
 
 def _random_bwt(rng, n, sigma):
