@@ -7,12 +7,13 @@ the LF mapping and takes the value at its rank on every step, until it
 has covered its window: the positions from its sample down to, but not
 including, the next sample below.  An LF pass moves every cursor one
 step and is strictly sequential: it visits the cursors in rank order
-alongside the BWT and its occurrence directory, sampled symbol counts
-(Ferragina and Manzini's FM-index) built once per walk, so a cursor's LF
-value costs one lookup and one count within a block, not a count of
-every symbol before it.  Each moved cursor goes to the stream of its BWT
-symbol; those streams, concatenated in symbol order, hold the next
-pass's cursors in rank order again.
+alongside the BWT, a column of values (PD's counts, read off PD once
+per walk, or the BWT itself) and the BWT's occurrence directory,
+sampled symbol counts (Ferragina and Manzini's FM-index) built once per
+walk, so a cursor's LF value costs one lookup and one count within a
+block.  Moved cursors are grouped by BWT symbol, in lists if they fit
+one chunk, else in one stream per symbol; the groups, concatenated in
+symbol order, hold the next pass's cursors in rank order again.
 
 Taking PD counts gives K (``position_counts``).  Taking BWT symbols, the
 text symbol one position back, reconstructs the text
@@ -23,13 +24,14 @@ position of the circular anchor (``annotate_positions``).
 """
 
 from array import array
+from collections import defaultdict
 from itertools import islice, repeat
 from math import ceil
 from operator import add
 
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
-from .errors import FormatError, OutOfRange, RateMismatch
+from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
 from .rounds import unary_code
 from .succinct import PlcpBits, RsBitVector
 
@@ -77,63 +79,72 @@ def _lf_directory(bwt, factory):
     return out.finish()
 
 
-def _lf_pass(bwt, directory, cursors, step, factory):
+def _lf_pass(bwt, directory, cursors, step, factory, column=None,
+             weight=1):
     """Move every (rank, payload) cursor of a finished stream one LF step.
 
-    Cursors are visited in rank order.  ``step(rank, payload, sym, lf)``,
-    with ``sym`` the BWT symbol at ``rank`` and ``lf`` = LF(rank), returns
-    the cursor's payload at rank ``lf``, or None to retire the cursor.  A
-    moved cursor is appended to the stream of its symbol: LF keeps the
-    order of ranks that share a symbol, so the symbol streams
-    concatenated in symbol order hold the moved cursors in rank order.
-    The BWT and its ``_lf_directory`` are read side by side up to the
-    last cursor, and LF(rank) is the record's counts plus the symbol's
-    count within the rank's block; chunks without cursors are skipped.
+    Cursors are visited in rank order.  ``step(rank, payload, x, lf)``,
+    with ``x`` the value at ``rank`` in ``column`` (one array per BWT
+    chunk) or else the BWT symbol, and ``lf`` = LF(rank), returns the
+    cursor's payload at rank ``lf``, or None to retire it.  LF(rank) is
+    the ``_lf_directory`` record's counts plus the symbol's count within
+    the rank's block.  A moved cursor joins the group of its symbol; LF
+    keeps the order of ranks that share one, so the groups concatenated
+    in symbol order hold the moved cursors in rank order.  A cursor
+    holds ``weight`` items, itself and its payload's values; if all fit
+    one chunk, the groups are lists, metered as ``walk_cursors``, else
+    streams.
     """
     sigma = bwt.sigma
     block = _block(sigma)
-    buckets = {}
-    it = cursors.rewind().items()
-    head = next(it, None)
-    start = 0
-    for [(base, rows)], chunk in zip(directory.rewind().chunks(),
-                                     bwt.stream(factory).chunks()):
-        if head is None:
-            break
-        end = start + len(chunk)
-        base = base.tolist()
-        while head is not None and head[0] < end:
-            rank, payload = head
-            off = rank - start
-            sym = chunk[off]
-            blk = off // block
-            lf = (base[sym] + rows[blk * sigma + sym]
-                  + chunk.count(sym, blk * block, off))
-            payload = step(rank, payload, sym, lf)
-            if payload is not None:
-                if sym not in buckets:
-                    buckets[sym] = factory.stream("bucket")
-                buckets[sym].append((lf, payload))
-            head = next(it, None)
-        start = end
-    if head is not None:
-        raise OutOfRange("cursor rank %d is not below %d" % (head[0], bwt.n))
-    return concat_buckets(buckets, factory, "cursors")
+    gather = len(cursors) * weight <= factory.capacity
+    buckets = defaultdict(list if gather
+                          else lambda: factory.stream("bucket"))
+    cols = repeat(None) if column is None else column.rewind().items()
+    records = zip(directory.rewind().chunks(), bwt.stream(factory).chunks(),
+                  cols)
+    start = end = 0
+    for rank, payload in cursors.rewind().items():
+        while rank >= end:
+            record = next(records, None)
+            if record is None:
+                raise OutOfRange("cursor rank %d is not below %d"
+                                 % (rank, bwt.n))
+            [(base, rows)], chunk, col = record
+            start, end = end, end + len(chunk)
+            base = base.tolist()
+            col = chunk if col is None else col
+        off = rank - start
+        sym = chunk[off]
+        blk = off // block
+        lf = (base[sym] + rows[blk * sigma + sym]
+              + chunk.count(sym, blk * block, off))
+        payload = step(rank, payload, col[off], lf)
+        if payload is not None:
+            buckets[sym].append((lf, payload))
+    if not gather:
+        return concat_buckets(buckets, factory, "cursors")
+    factory.meter.note("walk_cursors",
+                       sum(map(len, buckets.values())) * weight)
+    out = factory.stream("cursors")
+    for sym in sorted(buckets):
+        out.append_chunk(buckets.pop(sym))
+    return out.finish()
 
 
-def _walk(bwt, sisa, reader, factory, find=()):
+def _walk(bwt, sisa, column, factory, find=()):
     """One window of values per sample, as a stream sorted by sample, and
     the text positions of the ranks in ``find``, as a dict.
 
-    One cursor starts at each sample.  Each pass calls ``reader()`` for a
-    function ``value(rank, sym)``, called at the cursors' ranks in rising
-    order; every cursor takes its value and moves one position back, and
-    retires once it has its window: ``rate`` positions, or, for the
-    sample at position 0, position 0 and the positions after the last
-    sample.  So every cursor retires within min(rate, n) passes.  Its
-    last LF step must reach the rank of the next sample below, and the
-    last sample's rank, always found, must be met once, else the samples
-    are not the BWT's or LF is not one cycle: FormatError.
+    One cursor starts at each sample.  On every pass each cursor takes
+    the value at its rank in ``column`` (see ``_lf_pass``) and moves one
+    position back; it retires once it has its window: ``rate``
+    positions, or, for the sample at position 0, position 0 and the
+    positions after the last sample.  So every cursor retires within
+    min(rate, n) passes.  Its last LF step must reach the rank of the
+    next sample below, and the last sample's rank, always found, must be
+    met once, else the samples are not the BWT's or LF is not one cycle:
+    FormatError.
     """
     _check_rate(bwt, sisa)
     n, rate = bwt.n, sisa.rate
@@ -143,14 +154,14 @@ def _walk(bwt, sisa, reader, factory, find=()):
     find = {*find, ranks[-1]}
     found = {}
 
-    def step(rank, payload, sym, lf):
+    def step(rank, payload, value, lf):
         sample, values = payload
         if rank in find:
             if rank in found:
                 raise FormatError("the BWT's LF mapping is not one cycle: "
                                   "the walk visits rank %d twice" % rank)
             found[rank] = (sample * rate - len(values)) % n
-        values.append(value(rank, sym))
+        values.append(value)
         if len(values) < (rate if sample else tail):
             return payload
         if lf != ranks[sample - 1]:
@@ -164,9 +175,10 @@ def _walk(bwt, sisa, reader, factory, find=()):
         ((rank, (pos // rate, [])) for rank, pos in sisa.pairs_by_rank()),
         "cursors")
     directory = _lf_directory(bwt, factory)
+    weight = 1
     while len(cursors):
-        value = reader()
-        moved = _lf_pass(bwt, directory, cursors, step, factory)
+        weight += 1  # the cursor and one value per pass so far
+        moved = _lf_pass(bwt, directory, cursors, step, factory, column, weight)
         factory.release(cursors)
         cursors = moved
     factory.release(cursors, directory)
@@ -192,31 +204,27 @@ def _in_position_order(windows):
     yield from reversed(first[1:])
 
 
-def _pd_counts(pd):
-    """``value(rank, sym)``: the PD count at each rank, ranks rising."""
-    runs = pd.runs()
-    at = 0  # rank of the next run
-
-    def count(rank, sym):
-        nonlocal at
-        runs.skip(rank - at)
-        at = rank + 1
-        return len(runs.take(1)[0])
-    return count
-
-
-def _bwt_symbol(rank, sym):
-    return sym
-
-
 def position_counts(pd, bwt, sisa, factory=None):
     """PD counts permuted from rank order to text-position order.
 
-    Returns a finished stream of n counts, count i belonging to text
-    position i.
+    PD is read once, into a column of one array per BWT chunk, each of
+    the narrowest type that holds its counts.  Returns a finished stream
+    of n counts, count i belonging to text position i.
     """
     factory = factory or emlayer.StreamFactory()
-    windows, _ = _walk(bwt, sisa, lambda: _pd_counts(pd), factory)
+    if pd.n != bwt.n:
+        raise LengthMismatch("PD has %d ranks, the BWT %d" % (pd.n, bwt.n))
+    pd_counts = pd.iter_counts()
+    column = factory.stream("column", capacity=1)
+    for chunk in bwt.stream(factory).chunks():
+        values = list(islice(pd_counts, len(chunk)))
+        top = max(values)
+        width = next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
+        column.append(array(width, values))
+        factory.meter.note("count_column", len(values))
+    del pd_counts, values  # PD's zero runs, not needed by the walk
+    windows, _ = _walk(bwt, sisa, column.finish(), factory)
+    factory.release(column)
     counts = factory.stream("counts")
     counts.extend(_in_position_order(windows))
     factory.release(windows)
@@ -257,7 +265,7 @@ def reconstruct_text(bwt, sisa, factory=None, find=()):
     ``find``, returns the text and a dict of their text positions.
     """
     factory = factory or emlayer.StreamFactory()
-    windows, found = _walk(bwt, sisa, lambda: _bwt_symbol, factory, find)
+    windows, found = _walk(bwt, sisa, None, factory, find)
     values = _in_position_order(windows)
     last = next(values)
     text = [*values, last]

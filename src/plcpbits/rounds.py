@@ -124,14 +124,6 @@ class ZeroRuns:
         self._pos += k
         return self._runs[pos : pos + k]
 
-    def skip(self, k):
-        """Pass over the runs of the next ``k`` ranks."""
-        while k > len(self._runs) - self._pos:
-            k -= len(self._runs) - self._pos
-            self._runs, self._pos = [], 0
-            self._fill()
-        self._pos += k
-
 
 def _unary(runs):
     """PD bytes of consecutive ranks from their zero runs."""

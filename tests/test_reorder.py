@@ -214,3 +214,53 @@ def test_bwt_symbols_are_bytes():
         Bwt([0, 1], 257)
     with pytest.raises(OutOfRange):
         Bwt([0, 4], 4)
+
+
+def test_lf_pass_gathers_a_pass_that_fits_one_chunk(rng):
+    n = 500
+    bwt = _random_bwt(rng, n, 5)
+    lf, seen = [], [0] * 5
+    for sym in bwt.to_list():
+        lf.append(bwt.d_array[sym] + seen[sym])
+        seen[sym] += 1
+    f = StreamFactory(capacity=64)
+    table = _lf_directory(bwt, f)
+    for ranks in (sorted(rng.sample(range(n), 64)), range(n)):
+        cursors = f.from_items(((r, r) for r in ranks), "cursors")
+        opened = f._counter
+        moved = _lf_pass(bwt, table, cursors, lambda r, p, x, image: p, f)
+        if len(ranks) <= 64:
+            assert f._counter - opened <= 1
+        else:  # one bucket stream per symbol, then the output
+            assert f._counter - opened > 1
+        assert list(moved.rewind().items()) == sorted((lf[r], r) for r in ranks)
+        f.release(cursors, moved)
+    f.release(table)
+    assert f.streams == [] and f.total_non_sequential() == 0
+
+
+def test_walk_buffers_do_not_exceed_the_capacity(rng):
+    n = 1000
+    fx = make_fixture(random_text(rng, n, 4), 4)
+    pd = run_rounds_internal(fx.bwt).pd
+    f = StreamFactory(capacity=64)
+    # 10 cursors: early passes fit one chunk, later ones do not
+    k = reorder_pd(pd, fx.bwt, fx.sisa(100), factory=f)
+    assert k.decode_all() == list(fx.plcp.values)
+    peaks = f.meter.peaks
+    assert peaks["walk_cursors"] > 0 and peaks["count_column"] > 0
+    assert max(peaks.values()) <= 64, peaks
+
+
+@pytest.mark.parametrize("capacity", [3, STREAM_BUFFER_ITEMS])
+def test_count_column_holds_counts_above_a_byte(tmp_path, rng, capacity):
+    unit = [rng.randrange(1, 4) for _ in range(300)]
+    fx = make_fixture(unit * 2 + [0], 4)
+    pd = run_rounds_internal(fx.bwt).pd
+    assert max(pd.counts()) > 255
+    for directory in (None, str(tmp_path)):
+        f = StreamFactory(directory, capacity=capacity)
+        for rate in (1, 7, fx.n):
+            k = reorder_pd(pd, fx.bwt, fx.sisa(rate), factory=f)
+            assert k.decode_all() == list(fx.plcp.values), (directory, rate)
+        assert f.streams == [] and f.total_non_sequential() == 0
