@@ -16,7 +16,7 @@ from math import gcd
 from . import emlayer
 from .errors import CircularPowerInput, NotAPower, OutOfRange, UnknownStrategy
 from .hybrid import hybrid_pd
-from .reorder import annotate_positions, reorder_pd
+from .reorder import annotate_positions, emit_k, reorder_pd
 from .rounds import run_rounds_external, run_rounds_internal
 from .textcore import Bwt
 
@@ -97,16 +97,19 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None):
             )
         shift = (rank_to_position(bwt, sisa, 0) + 1) % n
 
+    if strategy == "hybrid":
+        cap = 3 * max(1, (n - 1).bit_length())
+        counts = hybrid_pd(bwt, sisa, cap if cutoff is None else cutoff,
+                           factory=factory, adaptive=cutoff is None)
+        k = emit_k(counts, n, shift=shift)
+        factory.release(counts)
+        return k
     if strategy == "internal":
         pd = run_rounds_internal(bwt).pd
     elif strategy == "external":
         result = run_rounds_external(bwt, factory)
         factory.release(result.set_marks)
         pd = result.pd
-    elif strategy == "hybrid":
-        cap = 3 * max(1, (n - 1).bit_length())
-        pd = hybrid_pd(bwt, sisa, cap if cutoff is None else cutoff,
-                       factory=factory, adaptive=cutoff is None)
     else:
         raise UnknownStrategy("unknown strategy %r" % strategy)
     k = reorder_pd(pd, bwt, sisa, factory=factory, shift=shift)

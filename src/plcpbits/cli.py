@@ -50,28 +50,15 @@ def ingest(raw, circular):
             _warn("circular input is a power (exponent %d); indexing the "
                   "primitive root" % (len(raw) // p))
             raw = raw[:p]
-        ranks = {b: i for i, b in enumerate(distinct)}
-        symbols = [ranks[b] for b in raw]
-        remap = {"terminator_appended": False,
-                 "alphabet": {str(i): b for b, i in ranks.items()}}
-        return Text(symbols, len(distinct), circular=True), remap
     last = raw[-1]
-    has_term = raw.count(last) == 1 and last == distinct[0]
-    if has_term:
-        ranks = {b: i for i, b in enumerate(distinct)}
-        symbols = [ranks[b] for b in raw]
-        remap = {"terminator_appended": False,
-                 "alphabet": {str(i): b for b, i in ranks.items()}}
-    else:
-        if len(distinct) >= 256:
-            raise AlphabetTooLarge(
-                "no free byte value for an appended terminator"
-            )
-        ranks = {b: i + 1 for i, b in enumerate(distinct)}
-        symbols = [ranks[b] for b in raw] + [0]
-        remap = {"terminator_appended": True,
-                 "alphabet": {str(i + 1): b for i, b in enumerate(distinct)}}
-    return Text(symbols, len(ranks) + (0 if has_term else 1)), remap
+    append = not circular and (raw.count(last) > 1 or last != distinct[0])
+    if append and len(distinct) >= 256:
+        raise AlphabetTooLarge("no free byte value for an appended terminator")
+    ranks = {b: i + append for i, b in enumerate(distinct)}
+    symbols = [ranks[b] for b in raw] + [0] * append
+    remap = {"terminator_appended": append,
+             "alphabet": {str(i): b for b, i in ranks.items()}}
+    return Text(symbols, len(ranks) + append, circular=circular), remap
 
 
 def cmd_index(args):

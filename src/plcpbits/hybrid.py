@@ -5,13 +5,13 @@ and wasteful afterwards.  The hybrid strategy stops it after a cutoff, or
 once ``stop_rule`` prices the kernel below the rounds still to come, and
 computes the missing counts directly: only missing *irreducible* ranks
 (rank 0 or a BWT symbol change) need work, every other missing rank
-provably contributes zero bits.  One LF walk from the ISA samples
-reconstructs the text and finds the positions whose suffixes a pluggable
-kernel compares for their counts.  That kernel is semi-external: it holds
-the whole text in memory, n symbols, noted with the meter under
-``hybrid_text``.  One rewrite of PD then keeps the counts of set ranks
-and gives every unset rank its kernel count or zero, which also drops
-the partial counts of ranks whose rounds were cut short.
+provably contributes zero bits.  One rewrite of PD zeroes the unset
+ranks, dropping the partial counts of rounds cut short.  The one LF walk
+that puts PD's counts in text order carries each rank's BWT symbol too,
+so it also gives the text and the positions whose suffixes a pluggable
+kernel compares; its counts then overwrite the missing ranks' zeros in
+position order.  The kernel is semi-external: it holds the whole text,
+n symbols, noted with the meter under ``hybrid_text``.
 """
 
 from operator import mul
@@ -19,7 +19,7 @@ from operator import mul
 from . import emlayer
 from .emlayer import iter_items
 from .errors import CountConflict
-from .reorder import reconstruct_text, reorder_pd
+from .reorder import emit_k, position_counts
 from .rounds import run_rounds_external
 from .textcore import Text, naive_lcp_pair
 
@@ -49,32 +49,6 @@ def irreducible_missing(bwt, set_marks):
     return out
 
 
-def _sparse_counts(bwt, sisa, missing, kernel_fn, factory):
-    """PD counts of the missing irreducible ``(r, q)`` pairs, by rank.
-
-    The count at r is LCP[r] - LCP[LF(r)] + 1.  LF keeps the order of
-    ranks of one symbol and moves each a text position back, so with
-    LF(q) = LF(r) - 1, LCP[LF(r)] compares the suffixes one position
-    before r's and q's; without a q it starts a bucket and is 0.
-    """
-    n = bwt.n
-    find = {x for r, q in missing for x in (r - 1, r, q)} - {None, -1}
-    factory.meter.note("hybrid_sparse", len(find))
-    factory.meter.note("hybrid_text", n)
-    symbols, pos = reconstruct_text(bwt, sisa, factory, find=find)
-    text = Text(symbols, bwt.sigma, circular=bwt.circular)
-
-    counts = {}
-    for r, q in missing:
-        lcp = kernel_fn(text, pos[r], pos[r - 1]) if r else 0
-        if q is not None:
-            lcp -= kernel_fn(text, (pos[r] - 1) % n, (pos[q] - 1) % n)
-        counts[r] = lcp + 1
-        if counts[r] < 0:
-            raise CountConflict("negative count %d at rank %d" % (counts[r], r))
-    return counts
-
-
 def stop_rule(n, price):
     """Stop after a round, the second or later, that sets fewer ranks
     than the one before and under 1/``price`` of the ranks still unset.
@@ -92,38 +66,62 @@ def stop_rule(n, price):
 
 def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None,
               adaptive=False):
-    """Complete rank-order PD from truncated rounds plus kernel; with
-    ``adaptive``, ``stop_rule`` may end the rounds before the cutoff."""
+    """Position-order counts from truncated rounds plus kernel; with
+    ``adaptive``, ``stop_rule`` may end the rounds before the cutoff.
+
+    The count at a missing irreducible rank r is LCP[r] - LCP[LF(r)] + 1.
+    LF keeps the order of ranks of one symbol and moves each a text
+    position back, so with LF(q) = LF(r) - 1, LCP[LF(r)] compares the
+    suffixes one position before r's and q's; without a q it starts a
+    bucket and is 0.
+    """
     factory = factory or emlayer.StreamFactory()
     kernel_fn = KERNELS[kernel] if isinstance(kernel, str) else kernel
-    stop = stop_rule(bwt.n, min(sisa.rate, bwt.n)) if adaptive else None
-
+    n = bwt.n
+    stop = stop_rule(n, min(sisa.rate, n)) if adaptive else None
     result = run_rounds_external(bwt, factory, cutoff_rounds, stop)
     missing = irreducible_missing(bwt, result.set_marks)
-    counts = (_sparse_counts(bwt, sisa, missing, kernel_fn, factory)
-              if missing else {})
-
-    todo = sorted(counts.items(), reverse=True)
-
-    def completed(rank, piece, runs):
-        # a set rank keeps its run; an unset rank holds 0 or the partial
-        # counts of rounds cut short, and gets its kernel count or none
-        runs = list(map(mul, runs, piece))
-        while todo and todo[-1][0] < rank + len(piece):
-            r, c = todo.pop()
-            runs[r - rank] = bytes(c)
-        return runs
-
-    pd = result.pd.rewrite(result.set_marks.rewind().chunks(), completed,
+    pd = result.pd.rewrite(result.set_marks.rewind().chunks(),
+                           lambda _, piece, runs: list(map(mul, runs, piece)),
                            factory)
     factory.release(result.pd._bits, result.set_marks)
-    return pd
+    find = {x for r, q in missing for x in (r - 1, r, q)} - {None, -1}
+    walked = position_counts(pd, bwt, sisa, factory, find)
+    factory.release(pd._bits)
+    if not find:
+        return walked
+    factory.meter.note("hybrid_sparse", len(find))
+    factory.meter.note("hybrid_text", n)
+    counts, symbols, pos = walked
+    text = Text(symbols, bwt.sigma, circular=bwt.circular)
+    del walked, symbols
+    patch = []
+    for r, q in missing:
+        lcp = kernel_fn(text, pos[r], pos[r - 1]) if r else 0
+        if q is not None:
+            lcp -= kernel_fn(text, (pos[r] - 1) % n, (pos[q] - 1) % n)
+        if lcp < -1:
+            raise CountConflict("negative count %d at rank %d" % (lcp + 1, r))
+        patch.append((pos[r], lcp + 1))
+    del text, pos  # the kernel's state, not needed by emit_k
+    patch.sort(reverse=True)
+    out = factory.stream("counts")
+    end = 0
+    for chunk in counts.rewind().chunks():
+        end += len(chunk)
+        chunk = list(chunk)
+        while patch and patch[-1][0] < end:
+            p, c = patch.pop()
+            chunk[p - end] = c
+        out.append_chunk(chunk)
+    factory.release(counts)
+    return out.finish()
 
 
 def run_hybrid(bwt, sisa, cutoff_rounds, kernel="direct", factory=None):
-    """Hybrid end-to-end: truncated rounds, sparse kernel, reorder to K."""
+    """Hybrid end-to-end: truncated rounds, sparse kernel, counts to K."""
     factory = factory or emlayer.StreamFactory()
-    pd = hybrid_pd(bwt, sisa, cutoff_rounds, kernel=kernel, factory=factory)
-    k = reorder_pd(pd, bwt, sisa, factory=factory)
-    factory.release(pd._bits)
+    counts = hybrid_pd(bwt, sisa, cutoff_rounds, kernel, factory)
+    k = emit_k(counts, bwt.n)
+    factory.release(counts)
     return k

@@ -15,10 +15,10 @@ block.  Moved cursors are grouped by BWT symbol, in lists if they fit
 one chunk, else in one stream per symbol; the groups, concatenated in
 symbol order, hold the next pass's cursors in rank order again.
 
-Taking PD counts gives K (``position_counts``).  Taking BWT symbols, the
-text symbol one position back, reconstructs the text
-(``reconstruct_text``) for verification and, with the text positions
-of the ranks it is asked to find, for the hybrid's kernel.  Retiring
+Taking PD counts gives K (``position_counts``); taking BWT symbols, the
+text symbol one position back, reconstructs the text for verification
+(``reconstruct_text``); the hybrid takes both at once, count times sigma
+plus symbol, and the text positions of the ranks it asks for.  Retiring
 each cursor at the first sampled rank it meets instead finds the text
 position of the circular anchor (``annotate_positions``).
 """
@@ -27,22 +27,13 @@ from array import array
 from collections import defaultdict
 from itertools import islice, repeat
 from math import ceil
-from operator import add
+from operator import add, floordiv, mod, mul
 
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
 from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
 from .rounds import unary_code
 from .succinct import PlcpBits, RsBitVector
-
-
-def _check_rate(bwt, sisa):
-    n = bwt.n
-    if sisa.n != n or len(sisa.ranks) != ceil(n / sisa.rate):
-        raise RateMismatch(
-            "sample count %d does not match length %d at rate %d"
-            % (len(sisa.ranks), n, sisa.rate)
-        )
 
 
 def _block(sigma):
@@ -142,16 +133,23 @@ def _walk(bwt, sisa, column, factory, find=()):
     positions, or, for the sample at position 0, position 0 and the
     positions after the last sample.  So every cursor retires within
     min(rate, n) passes.  Its last LF step must reach the rank of the
-    next sample below, and the last sample's rank, always found, must be
-    met once, else the samples are not the BWT's or LF is not one cycle:
-    FormatError.
+    next sample below, and the last sample's rank and rank 0, always
+    found, must be met once, else the samples are not the BWT's or LF is
+    not one cycle.  A linear text must hold one 0, its last symbol, so
+    rank 0 must be at position n - 1.  Otherwise: FormatError.
     """
-    _check_rate(bwt, sisa)
     n, rate = bwt.n, sisa.rate
+    if sisa.n != n or len(sisa.ranks) != ceil(n / rate):
+        raise RateMismatch(
+            "sample count %d does not match length %d at rate %d"
+            % (len(sisa.ranks), n, rate)
+        )
+    if not bwt.circular and bwt.d_array[1] != 1:
+        raise FormatError("a linear BWT needs one 0, not %d" % bwt.d_array[1])
     ranks = sisa.ranks
     tail = n - (len(ranks) - 1) * rate  # window of the sample at 0
     windows = factory.stream("windows")
-    find = {*find, ranks[-1]}
+    find = {*find, ranks[-1], 0}
     found = {}
 
     def step(rank, payload, value, lf):
@@ -184,6 +182,8 @@ def _walk(bwt, sisa, column, factory, find=()):
     factory.release(cursors, directory)
     if len(found) < len(find):
         raise FormatError("the walk misses rank %d" % min(find - found.keys()))
+    if not bwt.circular and found[0] != n - 1:
+        raise FormatError("rank 0 is at position %d, not n - 1" % found[0])
     key_bits = max(1, (len(sisa.ranks) - 1).bit_length())
     by_sample = em_lsd_sort(windows.finish(), 0, key_bits, factory)
     factory.release(windows)
@@ -204,31 +204,46 @@ def _in_position_order(windows):
     yield from reversed(first[1:])
 
 
-def position_counts(pd, bwt, sisa, factory=None):
+def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
     PD is read once, into a column of one array per BWT chunk, each of
-    the narrowest type that holds its counts.  Returns a finished stream
-    of n counts, count i belonging to text position i.
+    the narrowest type that holds its values.  Returns a finished stream
+    of n counts, count i belonging to text position i.  With ranks to
+    ``find``, a value is ``count * sigma + symbol``, so the walk also
+    gives the text, as ``reconstruct_text`` does: returns the counts, the
+    text and a dict of the ranks' text positions.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
         raise LengthMismatch("PD has %d ranks, the BWT %d" % (pd.n, bwt.n))
+    sigma = bwt.sigma if find else 1
     pd_counts = pd.iter_counts()
     column = factory.stream("column", capacity=1)
     for chunk in bwt.stream(factory).chunks():
         values = list(islice(pd_counts, len(chunk)))
-        top = max(values)
+        top = max(values) * sigma + sigma - 1
         width = next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
-        column.append(array(width, values))
         factory.meter.note("count_column", len(values))
+        if find:
+            values = map(add, map(mul, values, repeat(sigma)), chunk)
+        column.append(array(width, values))
     del pd_counts, values  # PD's zero runs, not needed by the walk
-    windows, _ = _walk(bwt, sisa, column.finish(), factory)
+    windows, found = _walk(bwt, sisa, column.finish(), factory, find)
     factory.release(column)
     counts = factory.stream("counts")
-    counts.extend(_in_position_order(windows))
+    values = _in_position_order(windows)
+    text = []
+    for batch in iter(lambda: list(islice(values, counts.capacity)), []):
+        if find:
+            text.extend(map(mod, batch, repeat(sigma)))
+            batch = list(map(floordiv, batch, repeat(sigma)))
+        counts.append_chunk(batch)
     factory.release(windows)
-    return counts.finish()
+    if not find:
+        return counts.finish()
+    text.append(text.pop(0))
+    return counts.finish(), text, found
 
 
 def emit_k(counts, n, shift=0):
@@ -257,20 +272,17 @@ def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
     return k
 
 
-def reconstruct_text(bwt, sisa, factory=None, find=()):
+def reconstruct_text(bwt, sisa, factory=None):
     """Recover the text symbols from the BWT with the same windowed walk.
 
     The BWT symbol at the rank of position i is the text symbol at i - 1,
-    so the text is the walk's output rotated by one.  With ranks to
-    ``find``, returns the text and a dict of their text positions.
+    so the text is the walk's output rotated by one.
     """
     factory = factory or emlayer.StreamFactory()
-    windows, found = _walk(bwt, sisa, None, factory, find)
-    values = _in_position_order(windows)
-    last = next(values)
-    text = [*values, last]
+    windows, _ = _walk(bwt, sisa, None, factory)
+    text = list(_in_position_order(windows))
     factory.release(windows)
-    return (text, found) if find else text
+    return text[1:] + text[:1]
 
 
 def annotate_positions(bwt, sisa, ranks, factory=None):

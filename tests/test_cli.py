@@ -181,6 +181,44 @@ def test_build_rejects_lf_of_several_cycles(tmp_path, capsys, options,
     assert ("meets no sample" if circular else "not one cycle") in err
 
 
+def rotated_mississippi(tmp_path, capsys):
+    """LF stays one cycle and every window check passes, but rank 0, the
+    terminator's suffix, no longer sits at the last position."""
+    src = tmp_path / "m.txt"
+    src.write_bytes(b"mississippi")
+    pre = str(tmp_path / "m")
+    assert run(capsys, "index", str(src), "--rate", "1",
+               "--output", pre)[0] == 0
+    sisa, sigma, _ = read_sisa(pre + ".sisa")
+    ranks = sisa.ranks[3:] + sisa.ranks[:3]
+    write_sisa(pre + ".sisa", SampledIsa(rate=1, n=sisa.n, ranks=ranks),
+               sigma)
+    return pre, "rank 0 is at position"
+
+
+def two_zeros(tmp_path, capsys):
+    """The linear BWT of 0 1 1 0, with its true samples: one LF cycle
+    whose text holds the terminator twice."""
+    pre = str(tmp_path / "z")
+    write_bwt(pre + ".bwt", Bwt([1, 0, 1, 0], 2))
+    write_sisa(pre + ".sisa", SampledIsa(rate=1, n=4, ranks=(1, 3, 2, 0)), 2)
+    return pre, "one 0, not 2"
+
+
+@pytest.mark.parametrize("artifacts", [rotated_mississippi, two_zeros],
+                         ids=["rotated-samples", "two-zeros"])
+@pytest.mark.parametrize("options", [
+    ["--strategy", "internal"], ["--strategy", "external"],
+    ["--strategy", "hybrid"], ["--strategy", "hybrid", "--cutoff", "0"],
+], ids=["internal", "external", "hybrid", "hybrid-cutoff0"])
+def test_build_rejects_artifacts_of_no_linear_text(tmp_path, capsys,
+                                                   options, artifacts):
+    pre, message = artifacts(tmp_path, capsys)
+    code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                       "-o", pre + ".plcp", *options)
+    assert code == 3 and message in err
+
+
 def test_build_rejects_negative_cutoff(tmp_path, capsys):
     pre = indexed_banana(tmp_path, capsys)
     code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import banana, make_fixture, random_text
-from plcpbits import StreamFactory, hybrid, run_hybrid
+from plcpbits import StreamFactory, hybrid, reorder, run_hybrid
 from plcpbits.circular import build_plcp
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.hybrid import (KERNELS, hybrid_pd, irreducible_missing,
@@ -99,6 +99,47 @@ def test_circular_every_cutoff_matches_oracle(rng):
                         assert k.decode_all() == list(fx.plcp.values), \
                             (symbols, rate, capacity, cutoff)
                     assert f.total_non_sequential() == 0
+
+
+def test_one_walk_per_build(monkeypatch, rng):
+    """Every LF walk builds one occurrence directory: a linear hybrid or
+    external build walks once, a circular hybrid build adds its anchor
+    walk.  The one walk of a linear hybrid build ends within min(rate, n)
+    LF passes."""
+    directories, passes = [], []
+    lf_directory, lf_pass = reorder._lf_directory, reorder._lf_pass
+
+    def counted_directory(*args):
+        directories.append(1)
+        return lf_directory(*args)
+
+    def counted_pass(*args):
+        passes.append(1)
+        return lf_pass(*args)
+    monkeypatch.setattr(reorder, "_lf_directory", counted_directory)
+    monkeypatch.setattr(reorder, "_lf_pass", counted_pass)
+
+    def walk(fx, rate, strategy, cutoff=None):
+        directories.clear()
+        passes.clear()
+        k = build_plcp(fx.bwt, fx.sisa(rate), strategy, cutoff=cutoff,
+                       factory=StreamFactory())
+        assert k.decode_all() == list(fx.plcp.values), (fx.n, rate, cutoff)
+        return len(directories), len(passes)
+
+    for _ in range(4):
+        unit = random_text(rng, rng.randrange(2, 9), 4)[:-1]
+        fx = make_fixture(unit * rng.randrange(3, 7) + [0], 4)
+        for rate in (1, 3, fx.n + 2):
+            for cutoff in (0, 1, None):
+                directories_made, passes_made = walk(fx, rate, "hybrid",
+                                                     cutoff)
+                assert directories_made == 1
+                assert passes_made <= min(rate, fx.n)
+            assert walk(fx, rate, "external")[0] == 1
+    fx = make_fixture([0, 1, 1, 0, 2, 1, 1, 0, 2], 3, circular=True)
+    for cutoff in (0, 1, None):
+        assert walk(fx, 3, "hybrid", cutoff)[0] == 2
 
 
 def test_kernel_budget(rng):

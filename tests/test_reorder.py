@@ -3,7 +3,8 @@ from math import ceil
 import pytest
 
 from conftest import abbab, banana, make_fixture, random_text
-from plcpbits import Bwt, StreamFactory, reconstruct_text, reorder_pd
+from plcpbits import (Bwt, StreamFactory, reconstruct_text, reorder,
+                      reorder_pd, run_hybrid)
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import (AlphabetTooLarge, FormatError, OutOfRange,
                              RateMismatch)
@@ -116,6 +117,7 @@ def test_text_walk_finds_positions(tmp_path, rng):
     texts += [make_fixture(random_text(rng, n, 4), 4) for n in (2, 5, 11)]
     for i, fx in enumerate(texts):
         n = fx.n
+        pd = run_rounds_internal(fx.bwt).pd
         for capacity in (1, 3, STREAM_BUFFER_ITEMS):
             for directory in (None, tmp_path / ("%d-%d" % (i, capacity))):
                 if directory:
@@ -124,14 +126,18 @@ def test_text_walk_finds_positions(tmp_path, rng):
                 f = StreamFactory(directory, capacity=capacity)
                 for rate in {1, 3, max(1, (n - 1).bit_length()), n + 2}:
                     case = (list(fx.text.symbols), capacity, directory, rate)
-                    text, positions = reconstruct_text(
-                        fx.bwt, fx.sisa(rate), f, find=range(n))
+                    counts, text, positions = position_counts(
+                        pd, fx.bwt, fx.sisa(rate), f, find=range(n))
                     assert text == list(fx.text.symbols), case
                     assert positions == dict(enumerate(fx.sa)), case
+                    plain = position_counts(pd, fx.bwt, fx.sisa(rate), f)
+                    assert list(counts.rewind()) == list(plain.rewind()), case
+                    f.release(counts, plain)
                 assert f.streams == [] and f.total_non_sequential() == 0
     fx = banana()
+    pd = run_rounds_internal(fx.bwt).pd
     with pytest.raises(FormatError, match="misses rank 7"):
-        reconstruct_text(fx.bwt, fx.sisa(3), find=[1, 7])
+        position_counts(pd, fx.bwt, fx.sisa(3), find=[1, 7])
 
 
 def _random_bwt(rng, n, sigma):
@@ -264,3 +270,58 @@ def test_count_column_holds_counts_above_a_byte(tmp_path, rng, capacity):
             k = reorder_pd(pd, fx.bwt, fx.sisa(rate), factory=f)
             assert k.decode_all() == list(fx.plcp.values), (directory, rate)
         assert f.streams == [] and f.total_non_sequential() == 0
+
+
+@pytest.fixture
+def fused_columns(monkeypatch):
+    """The column records of every walk that finds ranks."""
+    records = []
+    walk = reorder._walk
+
+    def recording(bwt, sisa, column, factory, find=()):
+        if find:
+            records.extend(column.rewind().items())
+        return walk(bwt, sisa, column, factory, find)
+    monkeypatch.setattr(reorder, "_walk", recording)
+    return records
+
+
+@pytest.mark.parametrize("capacity", [3, STREAM_BUFFER_ITEMS])
+def test_fused_column_switches_to_four_bytes(tmp_path, rng, fused_columns,
+                                             capacity):
+    """With ranks to find, a column value is count * 256 + symbol at
+    sigma 256, so a count above 255 needs the record type I."""
+    unit = [rng.randrange(1, 256) for _ in range(300)]
+    fx = make_fixture(unit * 2 + [0], 256)
+    pd = run_rounds_internal(fx.bwt).pd
+    for directory in (None, str(tmp_path)):
+        f = StreamFactory(directory, capacity=capacity)
+        for cutoff in (0, 1):
+            k = run_hybrid(fx.bwt, fx.sisa(7), cutoff, factory=f)
+            assert k.decode_all() == list(fx.plcp.values), (directory, cutoff)
+        fused_columns.clear()
+        counts, text, positions = position_counts(pd, fx.bwt, fx.sisa(7), f,
+                                                  find=range(fx.n))
+        assert emit_k(counts, fx.n).decode_all() == list(fx.plcp.values)
+        assert text == list(fx.text.symbols)
+        assert positions == dict(enumerate(fx.sa))
+        assert max(map(max, fused_columns)) > 65535
+        assert "I" in {record.typecode for record in fused_columns}
+        f.release(counts)
+        assert f.streams == [] and f.total_non_sequential() == 0
+
+
+def test_hybrid_walk_carries_counts_above_65535(rng, fused_columns):
+    """A set count above 255, where the shorter repeat starts, rides
+    beside its symbol while the kernel still compares the longer one."""
+    a = [rng.randrange(1, 256) for _ in range(260)]
+    b = [rng.randrange(1, 256) for _ in range(300)]
+    fx = make_fixture(a * 2 + b * 2 + [0], 256)
+    k = run_hybrid(fx.bwt, fx.sisa(7), 280, factory=StreamFactory())
+    assert k.decode_all() == list(fx.plcp.values)
+    assert max(map(max, fused_columns)) > 65535
+    # the full cutoff leaves the kernel nothing, so its walk finds nothing
+    fused_columns.clear()
+    k = run_hybrid(fx.bwt, fx.sisa(7), fx.n, factory=StreamFactory())
+    assert k.decode_all() == list(fx.plcp.values)
+    assert fused_columns == []
