@@ -72,17 +72,24 @@ def rank_to_position(bwt, sisa, rank):
     return annotate_positions(bwt, sisa, [rank])[rank]
 
 
+STRATEGIES = ("internal", "external", "hybrid")
+
+
 def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None):
     """2n-bit PLCP vector of ``bwt`` by one of three strategies.
 
     ``internal`` runs the wavelet-tree rounds, ``external`` the sort-based
     rounds, ``hybrid`` the sort-based rounds cut after ``cutoff`` rounds
     plus the sparse kernel.  Without a cutoff the hybrid's rounds stop by
-    ``hybrid.stop_rule``, capped at 3*ceil(log2 n).  A circular input
-    must be primitive; its vector starts at the text position right after
-    rank 0's, whose LCP is zero, and that rotation is recorded as the
-    shift.
+    ``hybrid.stop_rule``, capped at 3*ceil(log2 n); the other strategies
+    take no cutoff.  A circular input must be primitive; its vector
+    starts at the text position right after rank 0's, whose LCP is zero,
+    and that rotation is recorded as the shift.
     """
+    if strategy not in STRATEGIES:
+        raise UnknownStrategy("unknown strategy %r" % strategy)
+    if cutoff is not None and strategy != "hybrid":
+        raise OutOfRange("a cutoff applies to the hybrid strategy only")
     if cutoff is not None and cutoff < 0:
         raise OutOfRange("cutoff %d is negative" % cutoff)
     factory = factory or emlayer.StreamFactory()
@@ -106,12 +113,10 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None):
         return k
     if strategy == "internal":
         pd = run_rounds_internal(bwt).pd
-    elif strategy == "external":
+    else:
         result = run_rounds_external(bwt, factory)
         factory.release(result.set_marks)
         pd = result.pd
-    else:
-        raise UnknownStrategy("unknown strategy %r" % strategy)
     k = reorder_pd(pd, bwt, sisa, factory=factory, shift=shift)
     factory.release(pd._bits)
     return k

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import formats
-from .circular import build_plcp, detect_period
+from .circular import STRATEGIES, build_plcp, detect_period
 from .emlayer import StreamFactory
 from .errors import (AlphabetTooLarge, EmptyInput, FormatError,
                      HeaderMismatch, PlcpError, VerificationFailed)
@@ -104,7 +104,7 @@ def cmd_build(args):
             print("temporary streams in %s" % factory.directory)
         plcp = build_plcp(bwt, sisa, args.strategy, cutoff=args.cutoff,
                           factory=factory)
-        out = args.output or args.bwt.rsplit(".bwt", 1)[0] + ".plcp"
+        out = args.output or args.bwt.removesuffix(".bwt") + ".plcp"
         formats.write_plcp(out, plcp, bwt.sigma, circular=bwt.circular)
         if args.verify_after_build:
             symbols = reconstruct_text(bwt, sisa)
@@ -164,7 +164,7 @@ def make_parser():
     p.add_argument("sisa")
     p.add_argument("--output", "-o")
     p.add_argument("--strategy", default="external",
-                   choices=["internal", "external", "hybrid"])
+                   choices=STRATEGIES)
     p.add_argument("--cutoff", type=int, default=None,
                    help="hybrid round cutoff (default: stop once the rounds"
                    " set too few ranks, at most 3*ceil(log2 n) rounds)")

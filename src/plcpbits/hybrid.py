@@ -8,10 +8,10 @@ computes the missing counts directly: only missing *irreducible* ranks
 provably contributes zero bits.  One rewrite of PD zeroes the unset
 ranks, dropping the partial counts of rounds cut short.  The one LF walk
 that puts PD's counts in text order carries each rank's BWT symbol too,
-so it also gives the text and the positions whose suffixes a pluggable
-kernel compares; its counts then overwrite the missing ranks' zeros in
-position order.  The kernel is semi-external: it holds the whole text,
-n symbols, noted with the meter under ``hybrid_text``.
+so it also gives the text and the positions whose suffixes the kernel,
+``KERNELS["direct"]``, compares; its counts then overwrite the missing
+ranks' zeros in position order.  The kernel is semi-external: it holds
+the whole text, n symbols, noted with the meter under ``hybrid_text``.
 """
 
 from operator import mul
@@ -19,17 +19,12 @@ from operator import mul
 from . import emlayer
 from .emlayer import iter_items
 from .errors import CountConflict
-from .reorder import emit_k, position_counts
+from .reorder import position_counts
 from .rounds import run_rounds_external
 from .textcore import Text, naive_lcp_pair
 
-
-def sparse_lcp_kernel_direct(text, p, q):
-    """Symbol-by-symbol comparison of the suffixes at p and q."""
-    return naive_lcp_pair(text, p, q)
-
-
-KERNELS = {"direct": sparse_lcp_kernel_direct}
+# looked up on every build, so a caller may swap the entry
+KERNELS = {"direct": naive_lcp_pair}
 
 
 def irreducible_missing(bwt, set_marks):
@@ -64,8 +59,7 @@ def stop_rule(n, price):
     return stop
 
 
-def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None,
-              adaptive=False):
+def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     """Position-order counts from truncated rounds plus kernel; with
     ``adaptive``, ``stop_rule`` may end the rounds before the cutoff.
 
@@ -76,7 +70,7 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None,
     bucket and is 0.
     """
     factory = factory or emlayer.StreamFactory()
-    kernel_fn = KERNELS[kernel] if isinstance(kernel, str) else kernel
+    kernel_fn = KERNELS["direct"]
     n = bwt.n
     stop = stop_rule(n, min(sisa.rate, n)) if adaptive else None
     result = run_rounds_external(bwt, factory, cutoff_rounds, stop)
@@ -117,11 +111,3 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, kernel="direct", factory=None,
     factory.release(counts)
     return out.finish()
 
-
-def run_hybrid(bwt, sisa, cutoff_rounds, kernel="direct", factory=None):
-    """Hybrid end-to-end: truncated rounds, sparse kernel, counts to K."""
-    factory = factory or emlayer.StreamFactory()
-    counts = hybrid_pd(bwt, sisa, cutoff_rounds, kernel, factory)
-    k = emit_k(counts, bwt.n)
-    factory.release(counts)
-    return k

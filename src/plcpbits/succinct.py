@@ -244,30 +244,6 @@ class WaveletTree:
                 # stable sort by the bit prefix keeps every node contiguous
                 cur = sorted(cur, key=lambda c: c >> shift)
 
-    def _descend(self, sym, a, b, i):
-        """Track (node range, mapped index) for one symbol down all levels."""
-        for lvl in range(self.nlevels):
-            bits = self.levels[lvl]
-            bit = (sym >> (self.nlevels - 1 - lvl)) & 1
-            z_before = bits.rank0(a)
-            z_in = bits.rank0(b) - z_before
-            if bit:
-                i = a + z_in + (bits.rank1(i) - bits.rank1(a))
-                a = a + z_in
-            else:
-                i = a + (bits.rank0(i) - z_before)
-                b = a + z_in
-        return a, b, i
-
-    def rank(self, sym, i):
-        """Occurrences of sym strictly before index i."""
-        if not 0 <= i <= self.n:
-            raise OutOfRange("rank index %d out of range" % i)
-        if not 0 <= sym < self.sigma:
-            return 0
-        a, _b, i = self._descend(sym, 0, self.n, i)
-        return i - a
-
     def select(self, sym, j):
         """Index of the (j+1)-th occurrence of sym."""
         if not 0 <= sym < self.sigma:
@@ -296,25 +272,6 @@ class WaveletTree:
             else:
                 pos = bits.select0(bits.rank0(a) + pos) - a
         return pos
-
-    def access(self, i):
-        if not 0 <= i < self.n:
-            raise OutOfRange("index %d out of range" % i)
-        a, b = 0, self.n
-        sym = 0
-        for lvl in range(self.nlevels):
-            bits = self.levels[lvl]
-            bit = bits.get(i)
-            sym = (sym << 1) | bit
-            z_before = bits.rank0(a)
-            z_in = bits.rank0(b) - z_before
-            if bit:
-                i = a + z_in + (bits.rank1(i) - bits.rank1(a))
-                a = a + z_in
-            else:
-                i = a + (bits.rank0(i) - z_before)
-                b = a + z_in
-        return sym
 
     def interval_symbols(self, lo, hi):
         """Distinct symbols in [lo, hi) with rank at lo and interval count.

@@ -41,37 +41,9 @@ class Text:
 
 
 @dataclass(frozen=True)
-class SuffixArray:
-    ranks_to_positions: tuple
+class _Table:
+    """An immutable table of ints indexed from 0."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranks_to_positions",
-                           tuple(self.ranks_to_positions))
-
-    def __getitem__(self, i):
-        return self.ranks_to_positions[i]
-
-    def __len__(self):
-        return len(self.ranks_to_positions)
-
-
-@dataclass(frozen=True)
-class InverseSuffixArray:
-    positions_to_ranks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions_to_ranks",
-                           tuple(self.positions_to_ranks))
-
-    def __getitem__(self, i):
-        return self.positions_to_ranks[i]
-
-    def __len__(self):
-        return len(self.positions_to_ranks)
-
-
-@dataclass(frozen=True)
-class LcpArray:
     values: tuple
 
     def __post_init__(self):
@@ -84,18 +56,20 @@ class LcpArray:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class PlcpArray:
-    values: tuple
+class SuffixArray(_Table):
+    """Text position of each rank."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
 
-    def __getitem__(self, i):
-        return self.values[i]
+class InverseSuffixArray(_Table):
+    """Rank of each text position."""
 
-    def __len__(self):
-        return len(self.values)
+
+class LcpArray(_Table):
+    """LCP of each rank with the rank before it."""
+
+
+class PlcpArray(_Table):
+    """LCP values in text position order."""
 
 
 class Bwt:
@@ -250,7 +224,7 @@ def build_suffix_array(text):
 def invert_sa(sa):
     n = len(sa)
     inv = [0] * n
-    for rank, pos in enumerate(sa.ranks_to_positions):
+    for rank, pos in enumerate(sa.values):
         inv[pos] = rank
     return InverseSuffixArray(inv)
 

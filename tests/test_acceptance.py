@@ -14,9 +14,10 @@ import pytest
 
 from conftest import (abbab, adversarial_texts, banana, circular_bwt_raw,
                       de_bruijn_like, make_fixture, random_text)
-from plcpbits import (StreamFactory, build_circular_plcp, detect_period,
-                      plcp_encode, reconstruct_text, reorder_pd, run_hybrid,
-                      run_rounds_external, run_rounds_internal, shrink_bwt)
+from plcpbits import (StreamFactory, build_circular_plcp, build_plcp,
+                      detect_period, plcp_encode, reconstruct_text,
+                      reorder_pd, run_rounds_external, run_rounds_internal,
+                      shrink_bwt)
 from plcpbits.succinct import GammaStream
 from plcpbits.emlayer import em_lsd_sort
 from plcpbits.rounds import _next_starts
@@ -70,9 +71,10 @@ def builds(corpus):
         external = run_rounds_external(fx.bwt, f)
         ks["external"] = reorder_pd(external.pd, fx.bwt, sisa,
                                     factory=f).bit_string()
-        for cutoff in {0, 1, 2, max(1, math.ceil(math.log2(n))), n}:
-            ks["hybrid/%d" % cutoff] = run_hybrid(
-                fx.bwt, sisa, cutoff).bit_string()
+        # None: the stop rule, the default a user gets
+        for cutoff in {0, 1, 2, max(1, math.ceil(math.log2(n))), n, None}:
+            ks["hybrid/%s" % cutoff] = build_plcp(
+                fx.bwt, sisa, "hybrid", cutoff=cutoff).bit_string()
         wrong = [name for name, bits in ks.items() if bits != oracle]
         if wrong:
             bad.append("text %d (n=%d sigma=%d): %s" % (idx, n, sigma, wrong))

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from conftest import abbab, banana, circular_bwt_raw, make_fixture
-from plcpbits import (StreamFactory, build_circular_plcp, detect_period,
-                      rank_to_position, shrink_bwt)
+from plcpbits import (StreamFactory, build_circular_plcp, circular,
+                      detect_period, rank_to_position, shrink_bwt)
 from plcpbits.cli import build_plcp
-from plcpbits.errors import CircularPowerInput, NotAPower
+from plcpbits.errors import (CircularPowerInput, NotAPower, OutOfRange,
+                             UnknownStrategy)
 from plcpbits.textcore import Bwt, brute_period, sample_isa
 
 
@@ -78,6 +79,21 @@ def test_rejects_powers_and_tiny():
         build_circular_plcp(Bwt([1, 1, 0, 0], 2, circular=True), None)
     with pytest.raises(CircularPowerInput):
         build_circular_plcp(Bwt([0], 1, circular=True), None)
+
+
+def test_arguments_checked_before_any_work(monkeypatch):
+    """An unknown strategy, or a cutoff given to a strategy other than the
+    hybrid, fails before the period scan and the anchor walk."""
+    def no_work(*args):
+        raise AssertionError("the build started before its checks")
+    monkeypatch.setattr(circular, "detect_period", no_work)
+    monkeypatch.setattr(circular, "rank_to_position", no_work)
+    fx = abbab()
+    with pytest.raises(UnknownStrategy):
+        build_plcp(fx.bwt, fx.sisa(1), "bogus")
+    for strategy in ("internal", "external"):
+        with pytest.raises(OutOfRange, match="hybrid strategy only"):
+            build_plcp(fx.bwt, fx.sisa(1), strategy, cutoff=0)
 
 
 def test_rank_to_position_identity(rng):

@@ -227,6 +227,29 @@ def test_build_rejects_negative_cutoff(tmp_path, capsys):
     assert code == 1 and "cutoff -3 is negative" in err
 
 
+@pytest.mark.parametrize("strategy", ["internal", "external"])
+def test_build_rejects_cutoff_without_hybrid(tmp_path, capsys, strategy):
+    pre = indexed_banana(tmp_path, capsys)
+    code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
+                       "-o", pre + ".plcp", "--strategy", strategy,
+                       "--cutoff", "3")
+    assert code == 1 and "hybrid strategy only" in err
+    assert not Path(pre + ".plcp").exists()
+
+
+def test_default_output_strips_only_a_trailing_bwt(tmp_path, capsys):
+    """Without -o the .plcp goes beside the BWT artifact, named after it."""
+    folder = tmp_path / "runs.bwt"
+    folder.mkdir()
+    pre = indexed_banana(folder, capsys)
+    assert run(capsys, "build", pre + ".bwt", pre + ".sisa")[0] == 0
+    assert Path(pre + ".plcp").exists()
+    Path(pre + ".bwt").rename(pre + ".bin")
+    assert run(capsys, "build", pre + ".bin", pre + ".sisa")[0] == 0
+    assert Path(pre + ".bin.plcp").exists()
+    assert not (tmp_path / "runs.plcp").exists()
+
+
 @pytest.mark.parametrize("keep", [False, True], ids=["cleanup", "keep-temp"])
 def test_failed_build_removes_temp_dir(tmp_path, capsys, monkeypatch, keep):
     pre = indexed_banana(tmp_path, capsys)

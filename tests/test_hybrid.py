@@ -3,19 +3,17 @@ import random
 import pytest
 
 from conftest import banana, make_fixture, random_text
-from plcpbits import StreamFactory, hybrid, reorder, run_hybrid
-from plcpbits.circular import build_plcp
+from plcpbits import StreamFactory, build_plcp, hybrid, reorder
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
-from plcpbits.hybrid import (KERNELS, hybrid_pd, irreducible_missing,
-                             sparse_lcp_kernel_direct)
+from plcpbits.hybrid import KERNELS, hybrid_pd, irreducible_missing
 from plcpbits.reorder import annotate_positions
 from plcpbits.rounds import run_rounds_external, run_rounds_internal
-from plcpbits.textcore import brute_period
+from plcpbits.textcore import brute_period, naive_lcp_pair
 
 
 def test_banana_cutoff_two():
     fx = banana()
-    k = run_hybrid(fx.bwt, fx.sisa(3), 2)
+    k = build_plcp(fx.bwt, fx.sisa(3), "hybrid", cutoff=2)
     assert k.bit_string() == "01000011110101"
 
 
@@ -38,9 +36,8 @@ def test_irreducible_missing_banana():
 
 def test_kernel_examples():
     fx = banana()
-    assert sparse_lcp_kernel_direct(fx.text, 1, 3) == 3
-    assert sparse_lcp_kernel_direct(fx.text, 0, 1) == 0
-    assert KERNELS["direct"] is sparse_lcp_kernel_direct
+    assert KERNELS["direct"](fx.text, 1, 3) == 3
+    assert KERNELS["direct"](fx.text, 0, 1) == 0
 
 
 def test_annotate_positions(rng):
@@ -57,7 +54,8 @@ def test_all_cutoffs_match_oracle(rng):
     def check(fx, rate, cutoffs, capacity=STREAM_BUFFER_ITEMS):
         for cutoff in cutoffs:
             f = StreamFactory(capacity=capacity)
-            k = run_hybrid(fx.bwt, fx.sisa(rate), cutoff, factory=f)
+            k = build_plcp(fx.bwt, fx.sisa(rate), "hybrid", cutoff=cutoff,
+                           factory=f)
             assert k.bit_string() == fx.k_bits(), (fx.n, rate, cutoff)
             assert f.total_non_sequential() == 0
 
@@ -142,13 +140,14 @@ def test_one_walk_per_build(monkeypatch, rng):
         assert walk(fx, 3, "hybrid", cutoff)[0] == 2
 
 
-def test_kernel_budget(rng):
+def test_kernel_budget(monkeypatch, rng):
     """The kernel runs at most ~3 comparisons per missing irreducible rank."""
     calls = []
 
     def counting_kernel(text, p, q):
         calls.append(1)
-        return sparse_lcp_kernel_direct(text, p, q)
+        return naive_lcp_pair(text, p, q)
+    monkeypatch.setitem(KERNELS, "direct", counting_kernel)
 
     for _ in range(10):
         n = rng.randrange(4, 80)
@@ -159,19 +158,18 @@ def test_kernel_budget(rng):
                                     max_rounds=cutoff)
             n_im = len(irreducible_missing(fx.bwt, r.set_marks))
             calls.clear()
-            hybrid_pd(fx.bwt, fx.sisa(1), cutoff, kernel=counting_kernel,
-                      factory=StreamFactory())
+            hybrid_pd(fx.bwt, fx.sisa(1), cutoff, factory=StreamFactory())
             assert len(calls) <= 3 * n_im + 2
 
 
-def test_full_cutoff_skips_kernel():
+def test_full_cutoff_skips_kernel(monkeypatch):
     fx = banana()
 
     def exploding_kernel(text, p, q):
         raise AssertionError("kernel must not run when nothing is missing")
+    monkeypatch.setitem(KERNELS, "direct", exploding_kernel)
 
-    k = run_hybrid(fx.bwt, fx.sisa(3), cutoff_rounds=fx.n,
-                   kernel=exploding_kernel)
+    k = build_plcp(fx.bwt, fx.sisa(3), "hybrid", cutoff=fx.n)
     assert k.bit_string() == "01000011110101"
 
 

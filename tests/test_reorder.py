@@ -3,8 +3,8 @@ from math import ceil
 import pytest
 
 from conftest import abbab, banana, make_fixture, random_text
-from plcpbits import (Bwt, StreamFactory, reconstruct_text, reorder,
-                      reorder_pd, run_hybrid)
+from plcpbits import (Bwt, StreamFactory, build_plcp, reconstruct_text,
+                      reorder, reorder_pd)
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import (AlphabetTooLarge, FormatError, OutOfRange,
                              RateMismatch)
@@ -297,7 +297,8 @@ def test_fused_column_switches_to_four_bytes(tmp_path, rng, fused_columns,
     for directory in (None, str(tmp_path)):
         f = StreamFactory(directory, capacity=capacity)
         for cutoff in (0, 1):
-            k = run_hybrid(fx.bwt, fx.sisa(7), cutoff, factory=f)
+            k = build_plcp(fx.bwt, fx.sisa(7), "hybrid", cutoff=cutoff,
+                           factory=f)
             assert k.decode_all() == list(fx.plcp.values), (directory, cutoff)
         fused_columns.clear()
         counts, text, positions = position_counts(pd, fx.bwt, fx.sisa(7), f,
@@ -317,11 +318,13 @@ def test_hybrid_walk_carries_counts_above_65535(rng, fused_columns):
     a = [rng.randrange(1, 256) for _ in range(260)]
     b = [rng.randrange(1, 256) for _ in range(300)]
     fx = make_fixture(a * 2 + b * 2 + [0], 256)
-    k = run_hybrid(fx.bwt, fx.sisa(7), 280, factory=StreamFactory())
+    k = build_plcp(fx.bwt, fx.sisa(7), "hybrid", cutoff=280,
+                   factory=StreamFactory())
     assert k.decode_all() == list(fx.plcp.values)
     assert max(map(max, fused_columns)) > 65535
     # the full cutoff leaves the kernel nothing, so its walk finds nothing
     fused_columns.clear()
-    k = run_hybrid(fx.bwt, fx.sisa(7), fx.n, factory=StreamFactory())
+    k = build_plcp(fx.bwt, fx.sisa(7), "hybrid", cutoff=fx.n,
+                   factory=StreamFactory())
     assert k.decode_all() == list(fx.plcp.values)
     assert fused_columns == []

@@ -12,8 +12,8 @@ from plcpbits.textcore import SuffixArray, brute_period, naive_lcp_pair
 
 def test_banana_structures():
     fx = banana()
-    assert fx.sa.ranks_to_positions == (6, 5, 3, 1, 0, 4, 2)
-    assert fx.isa.positions_to_ranks == (4, 3, 6, 2, 5, 1, 0)
+    assert fx.sa.values == (6, 5, 3, 1, 0, 4, 2)
+    assert fx.isa.values == (4, 3, 6, 2, 5, 1, 0)
     assert fx.lcp.values == (0, 0, 1, 3, 0, 0, 2)
     assert fx.plcp.values == (0, 3, 2, 1, 0, 0, 0)
     assert fx.bwt.to_list() == [1, 3, 3, 2, 0, 1, 1]
@@ -22,13 +22,13 @@ def test_banana_structures():
 
 def test_single_terminator():
     fx = make_fixture([1, 0], 2)
-    assert fx.sa.ranks_to_positions == (1, 0)
+    assert fx.sa.values == (1, 0)
     assert fx.lcp.values == (0, 0)
 
 
 def test_circular_abbab():
     fx = abbab()
-    assert fx.sa.ranks_to_positions == (3, 0, 2, 4, 1)
+    assert fx.sa.values == (3, 0, 2, 4, 1)
     assert fx.lcp.values == (0, 2, 0, 3, 1)
     assert fx.plcp.values == (2, 1, 0, 0, 3)
     assert fx.bwt.to_list() == [1, 1, 1, 0, 0]
@@ -56,17 +56,17 @@ def test_text_validation():
 
 
 def test_invert_sa_examples():
-    assert invert_sa(SuffixArray([6, 5, 3, 1, 0, 4, 2])).positions_to_ranks \
+    assert invert_sa(SuffixArray([6, 5, 3, 1, 0, 4, 2])).values \
         == (4, 3, 6, 2, 5, 1, 0)
-    assert invert_sa(SuffixArray([0])).positions_to_ranks == (0,)
-    assert invert_sa(SuffixArray([1, 0])).positions_to_ranks == (1, 0)
+    assert invert_sa(SuffixArray([0])).values == (0,)
+    assert invert_sa(SuffixArray([1, 0])).values == (1, 0)
 
 
 @given(st.permutations(range(9)))
 def test_invert_is_involution(perm):
     sa = SuffixArray(perm)
-    twice = invert_sa(SuffixArray(invert_sa(sa).positions_to_ranks))
-    assert twice.positions_to_ranks == tuple(perm)
+    twice = invert_sa(SuffixArray(invert_sa(sa).values))
+    assert twice.values == tuple(perm)
 
 
 def test_naive_lcp_examples():
@@ -128,7 +128,7 @@ def test_doubling_matches_direct_sort(rng):
             tc._DIRECT_SORT_LIMIT = 10 ** 9
             slow = build_suffix_array(Text(body, 3))
             tc._DIRECT_SORT_LIMIT = 8
-            assert fast.ranks_to_positions == slow.ranks_to_positions
+            assert fast.values == slow.values
         for _ in range(30):
             n = rng.randrange(2, 40)
             body = [rng.randrange(3) for _ in range(n)]
@@ -138,7 +138,7 @@ def test_doubling_matches_direct_sort(rng):
             tc._DIRECT_SORT_LIMIT = 10 ** 9
             slow = build_suffix_array(Text(body, 3, circular=True))
             tc._DIRECT_SORT_LIMIT = 8
-            assert fast.ranks_to_positions == slow.ranks_to_positions
+            assert fast.values == slow.values
     finally:
         tc._DIRECT_SORT_LIMIT = old
 
