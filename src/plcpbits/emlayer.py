@@ -385,8 +385,3 @@ def em_lsd_sort(stream, key_index, key_bits, factory):
             factory.release(cur)
         cur = nxt
     return cur
-
-
-def iter_items(seq):
-    """Items of a finished stream from its start, or of any other iterable."""
-    return seq.rewind().items() if hasattr(seq, "rewind") else iter(seq)

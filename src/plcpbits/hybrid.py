@@ -14,10 +14,10 @@ ranks' zeros in position order.  The kernel is semi-external: it holds
 the whole text, n symbols, noted with the meter under ``hybrid_text``.
 """
 
-from operator import mul
+from itertools import accumulate, count, repeat
+from operator import add, mul
 
 from . import emlayer
-from .emlayer import iter_items
 from .errors import CountConflict
 from .reorder import position_counts
 from .rounds import run_rounds_external
@@ -27,20 +27,71 @@ from .textcore import Text, naive_lcp_pair
 KERNELS = {"direct": naive_lcp_pair}
 
 
+# maps every byte but 0 to 1
+NONZERO = bytes(c > 0 for c in range(256))
+
+# One missing rank's search costs about as much as this many steps of a
+# per-rank loop; a chunk with more missing ranks per rank reads rank by rank.
+SEARCH_STEPS = 3
+
+
 def irreducible_missing(bwt, set_marks):
     """Ranks without a value whose count cannot be deduced as zero.
 
     Those are the unset ranks where the BWT changes symbol (or rank 0).
     Returns them in rank order as pairs ``(r, q)``, q being the last rank
-    before r with r's BWT symbol, or None.
+    before r with r's BWT symbol, or None.  ``set_marks`` is a 0/1 byte
+    stream cut like the BWT's chunks, or a list over ranks.
+
+    Per chunk, on big integers with one byte per rank, the chunk XOR
+    itself shifted by one rank is non-zero at the run heads; those with
+    a clear set mark are the missing ranks.  Only they are visited: q is
+    the last occurrence of r's symbol before r in the chunk (``rfind``),
+    else in the chunks before, carried per symbol.  A chunk where more
+    than one rank in ``SEARCH_STEPS`` is missing is read rank by rank.
     """
+    n = bwt.n
+    view = bwt.stream()
+    if hasattr(set_marks, "rewind"):
+        marks = set_marks.rewind().chunks()
+    else:
+        held = bytes(set_marks)
+        marks = (held[i : i + view.capacity]
+                 for i in range(0, n, view.capacity))
     out = []
     last = [None] * bwt.sigma
-    sit = iter_items(set_marks)
-    for rank, sym in enumerate(bwt.stream().items()):
-        if not next(sit) and last[sym] != rank - 1:
-            out.append((rank, last[sym]))
-        last[sym] = rank
+    base = 0
+    for chunk, mark in zip(view.chunks(), marks):
+        size = len(chunk)
+        if not base:
+            prev = chunk[0] ^ 1  # rank 0 is a run head
+        x = int.from_bytes(chunk, "little")
+        heads = (x ^ (x << 8 | prev)).to_bytes(size + 1, "little")[:size]
+        flags = (int.from_bytes(heads.translate(NONZERO), "little")
+                 & ~int.from_bytes(mark, "little")).to_bytes(size, "little")
+        if flags.count(1) * SEARCH_STEPS > size:
+            for r, a, m in zip(range(base, base + size), chunk, mark):
+                if not m and last[a] != r - 1:
+                    out.append((r, last[a]))
+                last[a] = r
+        else:
+            gaps = flags.split(b"\x01")
+            gaps.pop()
+            offs = list(map(add, accumulate(map(len, gaps)), count()))
+            syms = bytes(map(chunk.__getitem__, offs))
+            js = list(map(chunk.rfind, syms, repeat(0), offs))
+            qs = list(map(add, js, repeat(base)))
+            i = -1
+            for _ in range(js.count(-1)):  # r's symbol not before r here
+                i = js.index(-1, i + 1)
+                qs[i] = last[syms[i]]
+            out.extend(zip(map(add, offs, repeat(base)), qs))
+            for a in range(bwt.sigma):
+                j = chunk.rfind(a)
+                if j >= 0:
+                    last[a] = base + j
+        base += size
+        prev = chunk[-1]
     return out
 
 

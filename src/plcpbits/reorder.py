@@ -11,9 +11,16 @@ alongside the BWT, a column of values (PD's counts, read off PD once
 per walk, or the BWT itself) and the BWT's occurrence directory,
 sampled symbol counts (Ferragina and Manzini's FM-index) built once per
 walk, so a cursor's LF value costs one lookup and one count within a
-block.  Moved cursors are grouped by BWT symbol, in lists if they fit
-one chunk, else in one stream per symbol; the groups, concatenated in
-symbol order, hold the next pass's cursors in rank order again.
+block.  Moved cursors are grouped by BWT symbol; the groups,
+concatenated in symbol order, hold the next pass's cursors in rank order
+again.
+
+One rule decides where a walk's lists go: output already in memory that
+fits one stream buffer is handed on in memory, wrapped as a finished
+stream (``StreamFactory.wrap``); larger output goes through streams.  So
+the start cursors, the moved cursors of a pass and the retired windows
+of a walk over at most one buffer of values are lists, and only walks
+above that write cursor, bucket, window and sorted streams.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
 text symbol one position back, reconstructs the text for verification
@@ -27,7 +34,7 @@ from array import array
 from collections import defaultdict
 from itertools import islice, repeat
 from math import ceil
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, itemgetter, mod, mul
 
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
@@ -70,6 +77,14 @@ def _lf_directory(bwt, factory):
     return out.finish()
 
 
+def _handed_on(items, name, factory):
+    """A finished stream of the list ``items``: the list itself, wrapped,
+    if it fits one buffer, else a new stream holding its items."""
+    if len(items) <= factory.capacity:
+        return factory.wrap(items, name)
+    return factory.from_items(items, name)
+
+
 def _lf_pass(bwt, directory, cursors, step, factory, column=None,
              weight=1):
     """Move every (rank, payload) cursor of a finished stream one LF step.
@@ -82,9 +97,10 @@ def _lf_pass(bwt, directory, cursors, step, factory, column=None,
     the rank's block.  A moved cursor joins the group of its symbol; LF
     keeps the order of ranks that share one, so the groups concatenated
     in symbol order hold the moved cursors in rank order.  A cursor
-    holds ``weight`` items, itself and its payload's values; if all fit
-    one chunk, the groups are lists, metered as ``walk_cursors``, else
-    streams.
+    holds ``weight`` items, itself and its payload's values.  If all fit
+    one buffer, the groups are lists, metered as ``walk_cursors``, and
+    their concatenation is handed on in memory; else they are streams,
+    concatenated into a new one.
     """
     sigma = bwt.sigma
     block = _block(sigma)
@@ -115,12 +131,11 @@ def _lf_pass(bwt, directory, cursors, step, factory, column=None,
             buckets[sym].append((lf, payload))
     if not gather:
         return concat_buckets(buckets, factory, "cursors")
-    factory.meter.note("walk_cursors",
-                       sum(map(len, buckets.values())) * weight)
-    out = factory.stream("cursors")
+    moved = []
     for sym in sorted(buckets):
-        out.append_chunk(buckets.pop(sym))
-    return out.finish()
+        moved += buckets.pop(sym)
+    factory.meter.note("walk_cursors", len(moved) * weight)
+    return factory.wrap(moved, "cursors")
 
 
 def _walk(bwt, sisa, column, factory, find=()):
@@ -137,6 +152,11 @@ def _walk(bwt, sisa, column, factory, find=()):
     found, must be met once, else the samples are not the BWT's or LF is
     not one cycle.  A linear text must hold one 0, its last symbol, so
     rank 0 must be at position n - 1.  Otherwise: FormatError.
+
+    The start cursors, made from the in-memory samples, are handed on in
+    memory if they fit one buffer.  So are the retired windows if all n
+    values fit one: they are sorted by sample in a list.  Else they go to
+    a stream, radix-sorted by sample.
     """
     n, rate = bwt.n, sisa.rate
     if sisa.n != n or len(sisa.ranks) != ceil(n / rate):
@@ -148,7 +168,8 @@ def _walk(bwt, sisa, column, factory, find=()):
         raise FormatError("a linear BWT needs one 0, not %d" % bwt.d_array[1])
     ranks = sisa.ranks
     tail = n - (len(ranks) - 1) * rate  # window of the sample at 0
-    windows = factory.stream("windows")
+    gather = n <= factory.capacity  # every window fits one buffer
+    windows = [] if gather else factory.stream("windows")
     find = {*find, ranks[-1], 0}
     found = {}
 
@@ -169,9 +190,9 @@ def _walk(bwt, sisa, column, factory, find=()):
         windows.append(payload)
         return None
 
-    cursors = factory.from_items(
-        ((rank, (pos // rate, [])) for rank, pos in sisa.pairs_by_rank()),
-        "cursors")
+    cursors = _handed_on(
+        sorted((rank, (sample, [])) for sample, rank in enumerate(ranks)),
+        "cursors", factory)
     directory = _lf_directory(bwt, factory)
     weight = 1
     while len(cursors):
@@ -184,6 +205,9 @@ def _walk(bwt, sisa, column, factory, find=()):
         raise FormatError("the walk misses rank %d" % min(find - found.keys()))
     if not bwt.circular and found[0] != n - 1:
         raise FormatError("rank 0 is at position %d, not n - 1" % found[0])
+    if gather:
+        windows.sort(key=itemgetter(0))
+        return factory.wrap(windows, "sorted"), found
     key_bits = max(1, (len(sisa.ranks) - 1).bit_length())
     by_sample = em_lsd_sort(windows.finish(), 0, key_bits, factory)
     factory.release(windows)
@@ -304,7 +328,7 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
         out[orig] = (samples[rank] + steps) % n
         return None
 
-    cursors = factory.from_items(((r, (r, 0)) for r in ranks), "cursors")
+    cursors = _handed_on([(r, (r, 0)) for r in ranks], "cursors", factory)
     directory = _lf_directory(bwt, factory)
     for _ in range(min(sisa.rate, n)):
         if not len(cursors):

@@ -11,7 +11,7 @@ each pass a whole chunk at a time with byte translation, selection and
 big-integer bit operations.
 """
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from time import perf_counter
@@ -282,14 +282,22 @@ def _next_starts(keys, starts, sigma, factory):
     by one byte translation: a bare a is 0xFE, a first a 0xFF and every
     other symbol 0x00, which ``translate(KEEP_MARK, b"\\x00")`` deletes.
     Appending each symbol's marks to its own stream is the LF mapping; the
-    streams are then concatenated in symbol order.  The OR of all
-    symbols' marks, translated without deleting, is the first marks in
-    rank order: first[r] = next_starts[LF(r)].
+    streams are then concatenated in symbol order.  A BWT of one chunk
+    yields the marks in symbol order already, so, as output in memory
+    that fits one buffer, they go straight to the next starts, with no
+    stream per symbol.  The OR of all symbols' marks, translated without
+    deleting, is the first marks in rank order: first[r] =
+    next_starts[LF(r)].
     """
     # per symbol a, the byte table that maps a to 0xFF and all else to 0
     tables = [bytes(a) + b"\xff" + bytes(255 - a) for a in range(sigma)]
     carry = [1] * sigma
-    buckets = {}
+    if len(keys) <= keys.capacity:
+        nxt = factory.stream("starts", keys.capacity)
+        buckets = defaultdict(lambda: nxt)
+    else:
+        nxt = None
+        buckets = defaultdict(lambda: factory.stream("bucket"))
     first = factory.stream("first", keys.capacity)
     for chunk, st in zip(keys.chunks(), starts.rewind().chunks()):
         width = 8 * len(chunk)
@@ -310,13 +318,12 @@ def _next_starts(keys, starts, sigma, factory):
             marks |= marked
             part = marked.to_bytes(len(chunk), "little").translate(
                 KEEP_MARK, b"\x00")
-            if a not in buckets:
-                buckets[a] = factory.stream("bucket")
             buckets[a].append_chunk(part)
         first.append_chunk(marks.to_bytes(len(chunk), "little").translate(
             KEEP_MARK))
-    return (concat_buckets(buckets, factory, "starts", keys.capacity),
-            first.finish())
+    if nxt is None:
+        nxt = concat_buckets(buckets, factory, "starts", keys.capacity)
+    return nxt.finish(), first.finish()
 
 
 def _active(new, old, first, first_prev, active, act_next, tally):

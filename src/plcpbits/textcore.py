@@ -151,9 +151,6 @@ class SampledIsa:
         """(rank, position) pairs in position order."""
         return [(r, i * self.rate) for i, r in enumerate(self.ranks)]
 
-    def pairs_by_rank(self):
-        return sorted(self.pairs())
-
 
 def brute_period(symbols):
     """Smallest p such that symbols = root^(n/p); checks every divisor."""

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import banana, make_fixture, random_text
-from plcpbits import StreamFactory, build_plcp, hybrid, reorder
+from plcpbits import Bwt, StreamFactory, build_plcp, hybrid, reorder
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.hybrid import KERNELS, hybrid_pd, irreducible_missing
 from plcpbits.reorder import annotate_positions
@@ -32,6 +32,36 @@ def test_irreducible_missing_banana():
     # rank 5 starts a run of a's after the a at rank 0
     marks[0], marks[5] = 1, 0
     assert irreducible_missing(fx.bwt, marks) == [(5, 0)]
+
+
+def _missing_per_rank(symbols, marks):
+    """``irreducible_missing`` one rank at a time."""
+    out, last = [], {}
+    for r, (sym, mark) in enumerate(zip(symbols, marks)):
+        if not mark and (r == 0 or symbols[r - 1] != sym):
+            out.append((r, last.get(sym)))
+        last[sym] = r
+    return out
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 7, STREAM_BUFFER_ITEMS])
+@pytest.mark.parametrize("sigma", [1, 2, 5, 256])
+def test_irreducible_missing_matches_per_rank(rng, sigma, capacity):
+    for n in (1, 2, 40, 600):
+        # runs of one to three symbols, so that not every rank is a head
+        symbols = bytes(sym for _ in range(n) for sym in
+                        [rng.randrange(sigma)] * rng.randrange(1, 4))[:n]
+        bwt = Bwt(symbols, sigma)
+        f = StreamFactory(capacity=capacity)
+        bwt.stream(f)
+        for unset in (0.0, 0.1, 0.5, 1.0):
+            marks = bytes(rng.random() >= unset for _ in range(n))
+            expected = _missing_per_rank(symbols, marks)
+            stream = f.stream("starts")
+            stream.append_chunk(marks)
+            assert irreducible_missing(bwt, stream.finish()) == expected
+            assert irreducible_missing(bwt, list(marks)) == expected
+            f.release(stream)
 
 
 def test_kernel_examples():

@@ -235,14 +235,50 @@ def test_lf_pass_gathers_a_pass_that_fits_one_chunk(rng):
         cursors = f.from_items(((r, r) for r in ranks), "cursors")
         opened = f._counter
         moved = _lf_pass(bwt, table, cursors, lambda r, p, x, image: p, f)
-        if len(ranks) <= 64:
-            assert f._counter - opened <= 1
+        if len(ranks) <= 64:  # handed on in memory
+            assert f._counter == opened
         else:  # one bucket stream per symbol, then the output
             assert f._counter - opened > 1
         assert list(moved.rewind().items()) == sorted((lf[r], r) for r in ranks)
         f.release(cursors, moved)
     f.release(table)
     assert f.streams == [] and f.total_non_sequential() == 0
+
+
+@pytest.mark.parametrize("circular", [False, True])
+def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
+                                                   circular):
+    """On temp files at the default capacity, the rounds open no bucket
+    streams and the walk no cursor, window or sorted streams: what fits
+    one buffer is handed on in memory.  At capacities 3 and 64 the same
+    builds still open them."""
+    names = []
+    stream = StreamFactory.stream
+
+    def recorded(factory, name="tmp", capacity=None):
+        names.append(name)
+        return stream(factory, name, capacity)
+    monkeypatch.setattr(StreamFactory, "stream", recorded)
+    spilled = {"bucket", "cursors", "windows", "sorted"}
+    n = 2000
+    if circular:
+        fx = make_fixture([rng.randrange(4) for _ in range(n)], 4, True)
+    else:
+        fx = make_fixture(random_text(rng, n, 4), 4)
+    for capacity in (STREAM_BUFFER_ITEMS, 3, 64):
+        for strategy in ("external", "hybrid"):
+            for rate in (4, 64):
+                names.clear()
+                case = (capacity, strategy, rate)
+                directory = tmp_path / ("%d-%s-%d" % case)
+                directory.mkdir()
+                with StreamFactory(str(directory), capacity=capacity) as f:
+                    k = build_plcp(fx.bwt, fx.sisa(rate), strategy, factory=f)
+                    assert k.decode_all() == list(fx.plcp.values), case
+                    assert f.total_non_sequential() == 0, case
+                    assert f.streams == [], case
+                expected = set() if capacity == STREAM_BUFFER_ITEMS else spilled
+                assert spilled & {*names} == expected, case
 
 
 def test_walk_buffers_do_not_exceed_the_capacity(rng):
