@@ -8,6 +8,10 @@ Either way the only operations offered are sequential, so a compliant
 algorithm cannot accidentally perform random access: the one escape
 hatch (``seek``) is counted and asserted zero after every run.
 Rewinds between passes are counted separately.
+
+One rule keeps small output off the backing store: items that fit one
+buffer are handed on in memory, wrapped as a finished stream
+(``StreamFactory.from_items``); more go to a new stream.
 """
 
 import os
@@ -283,7 +287,15 @@ class StreamFactory:
         return s
 
     def from_items(self, items, name="tmp"):
+        """A finished stream of ``items``.  Items that fit one buffer are
+        handed on in memory, as a wrapped list; more go to a new stream,
+        read from ``items`` one buffer at a time."""
+        items = iter(items)
+        head = list(islice(items, self.capacity + 1))
+        if len(head) <= self.capacity:
+            return self.wrap(head, name)
         s = self.stream(name)
+        s.extend(head)
         s.extend(items)
         return s.finish()
 
@@ -364,15 +376,13 @@ def em_lsd_sort(stream, key_index, key_bits, factory):
 
     One bucket pass per 8-bit digit of the key, least significant first.
     A stream of one chunk is read into memory by any pass, so it is
-    sorted there in one step, without a bucket stream per digit value.
+    sorted there in one step, without a bucket stream per digit value,
+    and handed on by ``StreamFactory.from_items``.
     """
     key = itemgetter(key_index)
     stream.rewind()
     if len(stream) <= stream.capacity:
-        out = factory.stream("sorted", stream.capacity)
-        for chunk in stream.chunks():
-            out.append_chunk(sorted(chunk, key=key))
-        return out.finish()
+        return factory.from_items(sorted(stream.items(), key=key), "sorted")
     cur = stream
     for shift in range(0, max(1, key_bits), DIGIT_BITS):
         if key_bits <= DIGIT_BITS:

@@ -14,8 +14,8 @@ ranks' zeros in position order.  The kernel is semi-external: it holds
 the whole text, n symbols, noted with the meter under ``hybrid_text``.
 """
 
-from itertools import accumulate, count, repeat
-from operator import add, mul
+from itertools import compress
+from operator import mul
 
 from . import emlayer
 from .errors import CountConflict
@@ -30,10 +30,6 @@ KERNELS = {"direct": naive_lcp_pair}
 # maps every byte but 0 to 1
 NONZERO = bytes(c > 0 for c in range(256))
 
-# One missing rank's search costs about as much as this many steps of a
-# per-rank loop; a chunk with more missing ranks per rank reads rank by rank.
-SEARCH_STEPS = 3
-
 
 def irreducible_missing(bwt, set_marks):
     """Ranks without a value whose count cannot be deduced as zero.
@@ -44,11 +40,10 @@ def irreducible_missing(bwt, set_marks):
     stream cut like the BWT's chunks, or a list over ranks.
 
     Per chunk, on big integers with one byte per rank, the chunk XOR
-    itself shifted by one rank is non-zero at the run heads; those with
-    a clear set mark are the missing ranks.  Only they are visited: q is
-    the last occurrence of r's symbol before r in the chunk (``rfind``),
-    else in the chunks before, carried per symbol.  A chunk where more
-    than one rank in ``SEARCH_STEPS`` is missing is read rank by rank.
+    itself shifted by one rank is non-zero at the run heads.  Only the
+    heads are visited, one per BWT run: a head is missing when its set
+    mark is clear, and its q is the last rank of the latest run of its
+    symbol, which each run records per symbol, across chunks too.
     """
     n = bwt.n
     view = bwt.stream()
@@ -66,30 +61,18 @@ def irreducible_missing(bwt, set_marks):
         if not base:
             prev = chunk[0] ^ 1  # rank 0 is a run head
         x = int.from_bytes(chunk, "little")
-        heads = (x ^ (x << 8 | prev)).to_bytes(size + 1, "little")[:size]
-        flags = (int.from_bytes(heads.translate(NONZERO), "little")
-                 & ~int.from_bytes(mark, "little")).to_bytes(size, "little")
-        if flags.count(1) * SEARCH_STEPS > size:
-            for r, a, m in zip(range(base, base + size), chunk, mark):
-                if not m and last[a] != r - 1:
-                    out.append((r, last[a]))
-                last[a] = r
-        else:
-            gaps = flags.split(b"\x01")
-            gaps.pop()
-            offs = list(map(add, accumulate(map(len, gaps)), count()))
-            syms = bytes(map(chunk.__getitem__, offs))
-            js = list(map(chunk.rfind, syms, repeat(0), offs))
-            qs = list(map(add, js, repeat(base)))
-            i = -1
-            for _ in range(js.count(-1)):  # r's symbol not before r here
-                i = js.index(-1, i + 1)
-                qs[i] = last[syms[i]]
-            out.extend(zip(map(add, offs, repeat(base)), qs))
-            for a in range(bwt.sigma):
-                j = chunk.rfind(a)
-                if j >= 0:
-                    last[a] = base + j
+        head = (x ^ (x << 8 | prev)).to_bytes(size + 1, "little")[:size]
+        head = head.translate(NONZERO)
+        gaps = head.split(b"\x01")
+        r = base + len(gaps.pop(0))
+        if r > base:  # the chunk starts inside the run of prev
+            last[prev] = r - 1
+        for gap, a, m in zip(map(len, gaps), compress(chunk, head),
+                             compress(mark, head)):
+            if not m:
+                out.append((r, last[a]))
+            r += gap + 1
+            last[a] = r - 1
         base += size
         prev = chunk[-1]
     return out

@@ -15,12 +15,11 @@ block.  Moved cursors are grouped by BWT symbol; the groups,
 concatenated in symbol order, hold the next pass's cursors in rank order
 again.
 
-One rule decides where a walk's lists go: output already in memory that
-fits one stream buffer is handed on in memory, wrapped as a finished
-stream (``StreamFactory.wrap``); larger output goes through streams.  So
-the start cursors, the moved cursors of a pass and the retired windows
-of a walk over at most one buffer of values are lists, and only walks
-above that write cursor, bucket, window and sorted streams.
+A walk's cursors, each pass's moved cursors and the retired windows are
+handed on by ``StreamFactory.from_items``: in memory if they fit one
+stream buffer, else through a new stream.  A walk whose n values and
+ceil(n / rate) cursors fit one buffer so writes no cursor, bucket,
+window or sorted stream.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
 text symbol one position back, reconstructs the text for verification
@@ -32,9 +31,9 @@ position of the circular anchor (``annotate_positions``).
 
 from array import array
 from collections import defaultdict
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import ceil
-from operator import add, floordiv, itemgetter, mod, mul
+from operator import add, floordiv, mod, mul
 
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
@@ -77,14 +76,6 @@ def _lf_directory(bwt, factory):
     return out.finish()
 
 
-def _handed_on(items, name, factory):
-    """A finished stream of the list ``items``: the list itself, wrapped,
-    if it fits one buffer, else a new stream holding its items."""
-    if len(items) <= factory.capacity:
-        return factory.wrap(items, name)
-    return factory.from_items(items, name)
-
-
 def _lf_pass(bwt, directory, cursors, step, factory, column=None,
              weight=1):
     """Move every (rank, payload) cursor of a finished stream one LF step.
@@ -98,9 +89,9 @@ def _lf_pass(bwt, directory, cursors, step, factory, column=None,
     keeps the order of ranks that share one, so the groups concatenated
     in symbol order hold the moved cursors in rank order.  A cursor
     holds ``weight`` items, itself and its payload's values.  If all fit
-    one buffer, the groups are lists, metered as ``walk_cursors``, and
-    their concatenation is handed on in memory; else they are streams,
-    concatenated into a new one.
+    one buffer, the groups are lists, metered as ``walk_cursors``, whose
+    concatenation is handed on in memory (``from_items``); else they are
+    streams, concatenated into a new one.
     """
     sigma = bwt.sigma
     block = _block(sigma)
@@ -131,11 +122,11 @@ def _lf_pass(bwt, directory, cursors, step, factory, column=None,
             buckets[sym].append((lf, payload))
     if not gather:
         return concat_buckets(buckets, factory, "cursors")
-    moved = []
-    for sym in sorted(buckets):
-        moved += buckets.pop(sym)
-    factory.meter.note("walk_cursors", len(moved) * weight)
-    return factory.wrap(moved, "cursors")
+    factory.meter.note("walk_cursors",
+                       sum(map(len, buckets.values())) * weight)
+    return factory.from_items(
+        chain.from_iterable(buckets.pop(sym) for sym in sorted(buckets)),
+        "cursors")
 
 
 def _walk(bwt, sisa, column, factory, find=()):
@@ -153,10 +144,9 @@ def _walk(bwt, sisa, column, factory, find=()):
     not one cycle.  A linear text must hold one 0, its last symbol, so
     rank 0 must be at position n - 1.  Otherwise: FormatError.
 
-    The start cursors, made from the in-memory samples, are handed on in
-    memory if they fit one buffer.  So are the retired windows if all n
-    values fit one: they are sorted by sample in a list.  Else they go to
-    a stream, radix-sorted by sample.
+    The retired windows are collected in a list if the walk's n values
+    and cursors fit one buffer, else in a stream; either way they are
+    handed on and radix-sorted by sample (``em_lsd_sort``).
     """
     n, rate = bwt.n, sisa.rate
     if sisa.n != n or len(sisa.ranks) != ceil(n / rate):
@@ -168,7 +158,7 @@ def _walk(bwt, sisa, column, factory, find=()):
         raise FormatError("a linear BWT needs one 0, not %d" % bwt.d_array[1])
     ranks = sisa.ranks
     tail = n - (len(ranks) - 1) * rate  # window of the sample at 0
-    gather = n <= factory.capacity  # every window fits one buffer
+    gather = n + len(ranks) <= factory.capacity  # cursors and values
     windows = [] if gather else factory.stream("windows")
     find = {*find, ranks[-1], 0}
     found = {}
@@ -190,9 +180,10 @@ def _walk(bwt, sisa, column, factory, find=()):
         windows.append(payload)
         return None
 
-    cursors = _handed_on(
-        sorted((rank, (sample, [])) for sample, rank in enumerate(ranks)),
-        "cursors", factory)
+    cursors = factory.from_items(
+        ((ranks[s], (s, []))
+         for s in sorted(range(len(ranks)), key=ranks.__getitem__)),
+        "cursors")
     directory = _lf_directory(bwt, factory)
     weight = 1
     while len(cursors):
@@ -205,11 +196,10 @@ def _walk(bwt, sisa, column, factory, find=()):
         raise FormatError("the walk misses rank %d" % min(find - found.keys()))
     if not bwt.circular and found[0] != n - 1:
         raise FormatError("rank 0 is at position %d, not n - 1" % found[0])
-    if gather:
-        windows.sort(key=itemgetter(0))
-        return factory.wrap(windows, "sorted"), found
+    windows = (factory.from_items(windows, "windows") if gather
+               else windows.finish())
     key_bits = max(1, (len(sisa.ranks) - 1).bit_length())
-    by_sample = em_lsd_sort(windows.finish(), 0, key_bits, factory)
+    by_sample = em_lsd_sort(windows, 0, key_bits, factory)
     factory.release(windows)
     return by_sample, found
 
@@ -328,7 +318,7 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
         out[orig] = (samples[rank] + steps) % n
         return None
 
-    cursors = _handed_on([(r, (r, 0)) for r in ranks], "cursors", factory)
+    cursors = factory.from_items(((r, (r, 0)) for r in ranks), "cursors")
     directory = _lf_directory(bwt, factory)
     for _ in range(min(sisa.rate, n)):
         if not len(cursors):

@@ -283,11 +283,10 @@ def _next_starts(keys, starts, sigma, factory):
     other symbol 0x00, which ``translate(KEEP_MARK, b"\\x00")`` deletes.
     Appending each symbol's marks to its own stream is the LF mapping; the
     streams are then concatenated in symbol order.  A BWT of one chunk
-    yields the marks in symbol order already, so, as output in memory
-    that fits one buffer, they go straight to the next starts, with no
-    stream per symbol.  The OR of all symbols' marks, translated without
-    deleting, is the first marks in rank order: first[r] =
-    next_starts[LF(r)].
+    yields the marks in symbol order already, so they go straight to the
+    next starts, with no stream per symbol.  The OR of all symbols'
+    marks, translated without deleting, is the first marks in rank order:
+    first[r] = next_starts[LF(r)].
     """
     # per symbol a, the byte table that maps a to 0xFF and all else to 0
     tables = [bytes(a) + b"\xff" + bytes(255 - a) for a in range(sigma)]
