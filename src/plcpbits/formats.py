@@ -114,6 +114,8 @@ def read_plcp(path):
         (shift,) = struct.unpack("<Q", _read_exact(fh, 8, path))
         if shift and shift >= n:
             raise FormatError("%s: shift %d outside 0..n-1" % (path, shift))
+        if shift and not circular:
+            raise FormatError("%s: shift %d on a linear text" % (path, shift))
         raw = _read_exact(fh, (2 * n + 7) // 8, path)
         _expect_end(fh, path)
     bits = RsBitVector.from_packed(raw, 2 * n)

@@ -5,17 +5,17 @@ and wasteful afterwards.  The hybrid strategy stops it after a cutoff, or
 once ``stop_rule`` prices the kernel below the rounds still to come, and
 computes the missing counts directly: only missing *irreducible* ranks
 (rank 0 or a BWT symbol change) need work, every other missing rank
-provably contributes zero bits.  One rewrite of PD zeroes the unset
-ranks, dropping the partial counts of rounds cut short.  The one LF walk
-that puts PD's counts in text order carries each rank's BWT symbol too,
-so it also gives the text and the positions whose suffixes the kernel,
-``KERNELS["direct"]``, compares; its counts then overwrite the missing
-ranks' zeros in position order.  The kernel is semi-external: it holds
-the whole text, n symbols, noted with the meter under ``hybrid_text``.
+provably contributes zero bits.  One pass over PD's count lanes zeroes
+the unset ranks, dropping the partial counts of rounds cut short.  The
+one LF walk that puts PD's counts in text order carries each rank's BWT
+symbol too, so it also gives the text and the positions whose suffixes
+the kernel, ``KERNELS["direct"]``, compares; its counts then overwrite
+the missing ranks' zeros in position order.  The kernel is
+semi-external: it holds the whole text, n symbols, noted with the meter
+under ``hybrid_text``.
 """
 
 from itertools import compress
-from operator import mul
 
 from . import emlayer
 from .errors import CountConflict
@@ -109,9 +109,7 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     stop = stop_rule(n, min(sisa.rate, n)) if adaptive else None
     result = run_rounds_external(bwt, factory, cutoff_rounds, stop)
     missing = irreducible_missing(bwt, result.set_marks)
-    pd = result.pd.rewrite(result.set_marks.rewind().chunks(),
-                           lambda _, piece, runs: list(map(mul, runs, piece)),
-                           factory)
+    pd = result.pd.masked(result.set_marks.rewind().chunks(), factory)
     factory.release(result.pd._bits, result.set_marks)
     find = {x for r, q in missing for x in (r - 1, r, q)} - {None, -1}
     walked = position_counts(pd, bwt, sisa, factory, find)

@@ -1,19 +1,18 @@
 """Turning the rank-ordered difference vector PD into the final K.
 
-PD carries one unary count per suffix-array rank; K needs the same
-counts in text order.  With only a sampled inverse suffix array
-available, one cursor per sample walks backwards through the text via
-the LF mapping and takes the value at its rank on every step, until it
-has covered its window: the positions from its sample down to, but not
-including, the next sample below.  An LF pass moves every cursor one
-step and is strictly sequential: it visits the cursors in rank order
-alongside the BWT, a column of values (PD's counts, read off PD once
-per walk, or the BWT itself) and the BWT's occurrence directory,
-sampled symbol counts (Ferragina and Manzini's FM-index) built once per
-walk, so a cursor's LF value costs one lookup and one count within a
-block.  Moved cursors are grouped by BWT symbol; the groups,
-concatenated in symbol order, hold the next pass's cursors in rank order
-again.
+PD carries one count per suffix-array rank; K needs the same counts in
+text order.  With only a sampled inverse suffix array available, one
+cursor per sample walks backwards through the text via the LF mapping
+and takes the value at its rank on every step, until it has covered its
+window: the positions from its sample down to, but not including, the
+next sample below.  An LF pass moves every cursor one step and is
+strictly sequential: it visits the cursors in rank order alongside the
+BWT, a column of values (PD's count lanes, one array per BWT chunk, or
+the BWT itself) and the BWT's occurrence directory, sampled symbol
+counts (Ferragina and Manzini's FM-index) built once per walk, so a
+cursor's LF value costs one lookup and one count within a block.  Moved
+cursors are grouped by BWT symbol; the groups, concatenated in symbol
+order, hold the next pass's cursors in rank order again.
 
 A walk's cursors, each pass's moved cursors and the retired windows are
 handed on by ``StreamFactory.from_items``: in memory if they fit one
@@ -38,7 +37,7 @@ from operator import add, floordiv, mod, mul
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
 from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
-from .rounds import unary_code
+from .rounds import typecode, unary_code
 from .succinct import PlcpBits, RsBitVector
 
 
@@ -58,8 +57,7 @@ def _lf_directory(bwt, factory):
     sigma = bwt.sigma
     syms = range(sigma)
     view = bwt.stream(factory)
-    width = next(t for t in "BHIQ"
-                 if view.capacity <= 1 << 8 * array(t).itemsize)
+    width = typecode(view.capacity - 1)
     block = _block(sigma)
     out = factory.stream("directory", capacity=1)
     base = bwt.d_array[:sigma]
@@ -221,30 +219,38 @@ def _in_position_order(windows):
 def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
-    PD is read once, into a column of one array per BWT chunk, each of
-    the narrowest type that holds its values.  Returns a finished stream
-    of n counts, count i belonging to text position i.  With ranks to
-    ``find``, a value is ``count * sigma + symbol``, so the walk also
-    gives the text, as ``reconstruct_text`` does: returns the counts, the
-    text and a dict of the ranks' text positions.
+    The walk's column holds one array per BWT chunk: PD's count lanes
+    if they are cut like the BWT, else, or with ranks to ``find``, a new
+    one, each array of the narrowest type that holds its values.
+    Returns a finished stream of n counts, count i belonging to text
+    position i.  With ranks to ``find``, a value is ``count * sigma +
+    symbol``, so the walk also gives the text, as ``reconstruct_text``
+    does: returns the counts, the text and a dict of the ranks' text
+    positions.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
         raise LengthMismatch("PD has %d ranks, the BWT %d" % (pd.n, bwt.n))
     sigma = bwt.sigma if find else 1
-    pd_counts = pd.iter_counts()
-    column = factory.stream("column", capacity=1)
-    for chunk in bwt.stream(factory).chunks():
-        values = list(islice(pd_counts, len(chunk)))
-        top = max(values) * sigma + sigma - 1
-        width = next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
-        factory.meter.note("count_column", len(values))
-        if find:
-            values = map(add, map(mul, values, repeat(sigma)), chunk)
-        column.append(array(width, values))
-    del pd_counts, values  # PD's zero runs, not needed by the walk
-    windows, found = _walk(bwt, sisa, column.finish(), factory, find)
-    factory.release(column)
+    view = bwt.stream(factory)
+    if not find and pd.cut == view.capacity:
+        column = pd._bits
+        factory.meter.note("count_column", min(pd.cut, pd.n))
+    else:
+        pd_counts = pd.iter_counts()
+        column = factory.stream("column", capacity=1)
+        for chunk in view.chunks():
+            values = list(islice(pd_counts, len(chunk)))
+            top = max(values) * sigma + sigma - 1
+            factory.meter.note("count_column", len(values))
+            if find:
+                values = map(add, map(mul, values, repeat(sigma)), chunk)
+            column.append(array(typecode(top), values))
+        del pd_counts, values  # a lane and a chunk, not needed by the walk
+        column.finish()
+    windows, found = _walk(bwt, sisa, column, factory, find)
+    if column is not pd._bits:
+        factory.release(column)
     counts = factory.stream("counts")
     values = _in_position_order(windows)
     text = []

@@ -6,22 +6,25 @@ until the round in which the rank itself does; each active round adds
 one zero bit in front of the rank's one bit in PD.  The in-memory
 strategy walks a pruned interval queue over a wavelet tree.  The
 sequential strategy keeps the round's state as rank-order bit streams,
-one 0/1 byte per rank, moves marks only forward through LF, and works
-each pass a whole chunk at a time with byte translation, selection and
-big-integer bit operations.
+one 0/1 byte per rank, and PD as per-rank count lanes, one array per
+chunk; it moves marks only forward through LF, and works each pass a
+whole chunk at a time with byte translation, selection and big-integer
+bit operations, PD's growth included.
 """
 
+from array import array
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
+from itertools import chain, islice
+from operator import add, mul
 from time import perf_counter
 
 from . import emlayer
 from .emlayer import concat_buckets
-from .errors import LengthMismatch, NotIncreasing, OutOfRange
+from .errors import NotIncreasing, OutOfRange
 from .succinct import GammaStream
 
-# PD is split into per-rank zero runs at most this many ranks at a time.
+# unary_code codes this many counts at a time
 PIECE = 4096
 
 
@@ -87,119 +90,107 @@ class IntervalList:
         return prev == n
 
 
-class ZeroRuns:
-    """The zero runs of PD in rank order, run r in front of rank r's one.
-
-    PD is split on its one bits one window of at most PIECE bytes at a
-    time, so no more than about 2*PIECE runs are held at once.
-    """
-
-    def __init__(self, bits):
-        self._windows = (bytes(chunk[i : i + PIECE])
-                         for chunk in bits.rewind().chunks()
-                         for i in range(0, len(chunk), PIECE))
-        self._runs = []
-        self._pos = 0
-        self._zeros = 0  # zeros read past the last one bit
-
-    def _fill(self):
-        for window in self._windows:
-            if 1 not in window:
-                self._zeros += len(window)
-                continue
-            runs = window.split(b"\x01")
-            if self._zeros:
-                runs[0] = bytes(self._zeros) + runs[0]
-            self._zeros = len(runs.pop())
-            self._runs = self._runs[self._pos :] + runs
-            self._pos = 0
-            return
-        raise LengthMismatch("PD holds fewer one bits than ranks")
-
-    def take(self, k):
-        """The runs of the next ``k`` ranks, ``k`` at most PIECE."""
-        while len(self._runs) - self._pos < k:
-            self._fill()
-        pos = self._pos
-        self._pos += k
-        return self._runs[pos : pos + k]
-
-
-def _unary(runs):
-    """PD bytes of consecutive ranks from their zero runs."""
-    return b"\x01".join(runs) + b"\x01"
-
-
 def unary_code(counts):
     """PD's coder: the 0/1 bytes of a count sequence, PIECE counts a piece."""
     it = iter(counts)
     for batch in iter(lambda: list(islice(it, PIECE)), []):
-        yield _unary(map(bytes, batch))
+        yield b"\x01".join(map(bytes, batch)) + b"\x01"
+
+
+def typecode(top):
+    """The narrowest unsigned array type that holds ``top``."""
+    return next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
+
+
+# the next wider array type, for a count lane that passes its maximum
+WIDER = {"B": "H", "H": "I", "I": "Q"}
+# maps 0xFF to 1 and every other byte to 0
+FULL = bytes(c == 0xFF for c in range(256))
+
+
+def _grow(lanes, marks):
+    """One chunk's count lanes plus one at every rank whose byte of the
+    big integer ``marks`` is 1.
+
+    While no marked byte lane is full, that is one big-integer add with
+    no carry between lanes.  Otherwise the add is element-wise, into the
+    next wider type if a lane passes its type's maximum.  A count grows
+    by at most one per round, so that takes at least 255 rounds.
+    """
+    size = len(lanes)
+    if lanes.typecode == "B":
+        raw = lanes.tobytes()
+        if (b"\xff" not in raw
+                or not int.from_bytes(raw.translate(FULL), "little") & marks):
+            return array("B", (int.from_bytes(raw, "little")
+                               + marks).to_bytes(size, "little"))
+    grown = list(map(add, lanes, marks.to_bytes(size, "little")))
+    try:
+        return array(lanes.typecode, grown)
+    except OverflowError:
+        return array(WIDER[lanes.typecode], grown)
 
 
 class PdBits:
     """Bit vector with one 1 bit per rank; zeros precede their rank's 1.
 
-    The bits are a byte stream, one 0/1 byte per bit.
+    PD is held as its per-rank zero counts, in lanes: a capacity-1 stream
+    of one array per chunk of ``cut`` ranks, each of type ``B`` until a
+    count passes 255, then widened.  Its length in bits is n plus the
+    counts.
     """
 
-    def __init__(self, bits, n):
-        self._bits = bits
+    def __init__(self, lanes, n, length, cut):
+        self._bits = lanes
         self.n = n
+        self.cut = cut
+        self._length = length
 
     @classmethod
     def from_counts(cls, counts, factory=None):
-        """Unary-code per-rank zero counts into a PD stream."""
+        """Per-rank zero counts as PD, cut at the factory's capacity."""
         factory = factory or emlayer.StreamFactory()
-        out = factory.stream("pd")
-        n = 0
-        for piece in unary_code(counts):
-            out.append_chunk(piece)
-            n += piece.count(1)
-        return cls(out.finish(), n)
+        cut = factory.capacity
+        out = factory.stream("pd", capacity=1)
+        it = iter(counts)
+        n = zeros = 0
+        for batch in iter(lambda: list(islice(it, cut)), []):
+            out.append(array(typecode(max(batch)), batch))
+            n += len(batch)
+            zeros += sum(batch)
+        return cls(out.finish(), n, n + zeros, cut)
 
-    def rewrite(self, marks, change, factory):
-        """One pass over PD and a rank-order byte stream's ``marks`` chunks.
-
-        For each piece of at most PIECE ranks, ``change(rank, piece,
-        runs)`` maps the zero runs of those ranks, the first at ``rank``,
-        to their new runs.  Every rewrite of PD goes through here.
-        """
-        runs = self.runs()
-        out = factory.stream("pd")
-        rank = 0
-        for chunk in marks:
-            for i in range(0, len(chunk), PIECE):
-                piece = chunk[i : i + PIECE]
-                out.append_chunk(_unary(change(rank, piece,
-                                               runs.take(len(piece)))))
-                rank += len(piece)
-        return PdBits(out.finish(), self.n)
-
-    def runs(self):
-        return ZeroRuns(self._bits)
-
-    def iter_bits(self):
+    def lanes(self):
         return self._bits.rewind().items()
+
+    def masked(self, marks, factory):
+        """PD with the counts zeroed at the ranks whose byte in the 0/1
+        byte chunks ``marks``, cut like the lanes, is 0."""
+        out = factory.stream("pd", capacity=1)
+        length = self.n
+        for lanes, keep in zip(self.lanes(), marks):
+            lanes = array(lanes.typecode, map(mul, lanes, keep))
+            out.append(lanes)
+            length += sum(lanes)
+        return PdBits(out.finish(), self.n, length, self.cut)
 
     def counts(self):
         """Zero-bit count in front of each rank's one bit."""
         return list(self.iter_counts())
 
     def iter_counts(self):
-        runs = self.runs()
-        for lo in range(0, self.n, PIECE):
-            yield from map(len, runs.take(min(PIECE, self.n - lo)))
+        return chain.from_iterable(self.lanes())
 
     def bit_string(self):
-        return "".join(str(b) for b in self.iter_bits())
+        return "".join(map(str, b"".join(unary_code(self.iter_counts()))))
 
     def __len__(self):
-        return len(self._bits)
+        return self._length
 
 
 # one external round: interval starts, ranks newly set, active ranks, PD
-# bits after the round and wall time
+# bits after the round (n plus the active ranks of every round so far) and
+# wall time
 RoundStats = namedtuple("RoundStats", "starts newly_set active pd_bits seconds")
 
 
@@ -332,9 +323,9 @@ def _active(new, old, first, first_prev, active, act_next, tally):
     rank r turns active when its LF image is newly set, which is
     first[r] and not first_prev[r], unless r itself was set before this
     round (``old``: a rank set in this same round still gains its zero
-    bit).  The next active marks, without the set ranks, go to
-    ``act_next``; ``tally`` counts the starts, the newly set and the
-    active ranks.
+    bit).  The marks are yielded as big integers, one byte per rank.  The
+    next active marks, without the set ranks, go to ``act_next``;
+    ``tally`` counts the starts, the newly set and the active ranks.
     """
     chunks = zip(new.rewind().chunks(), old.rewind().chunks(),
                  first.rewind().chunks(), first_prev.rewind().chunks(),
@@ -348,41 +339,35 @@ def _active(new, old, first, first_prev, active, act_next, tally):
         tally[1] += (now & ~was).bit_count()
         tally[2] += a.bit_count()
         act_next.append_chunk((a & ~now).to_bytes(len(nc), "little"))
-        yield a.to_bytes(len(nc), "little")
-
-
-def _grow(rank, piece, runs):
-    """Every active rank gains one zero bit; the others keep their runs."""
-    for i in compress(range(len(piece)), piece):
-        runs[i] += b"\x00"
-    return runs
+        yield a
 
 
 def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     """Sequential round builder over rank-order bit streams.
 
     The state is four streams: the interval starts, the previous round's
-    first marks, the active marks and PD.  After k rounds the starts are
-    the ranks that begin an interval of equal length-k prefixes, which are
-    the ranks of LCP below k: the set marks (none before round 0).  Per
-    round, two passes, both chunk-wise:
+    first marks, the active marks and PD's count lanes.  After k rounds
+    the starts are the ranks that begin an interval of equal length-k
+    prefixes, which are the ranks of LCP below k: the set marks (none
+    before round 0).  Per round, two passes, both chunk-wise:
 
     - the first marks, and the next starts as their LF images
       (``_next_starts``);
-    - one PD rewrite (``_active``): the newly set ranks are the new starts
-      not old; a rank turns active when its LF image is newly set, unless
-      it was set before this round; every active rank gains a zero bit in
-      PD, and the set ranks leave the active set.
+    - the active marks (``_active``): the newly set ranks are the new
+      starts not old; a rank turns active when its LF image is newly set,
+      unless it was set before this round; the set ranks leave the active
+      set.  Every active rank gains a zero bit in PD: its count lane grows
+      by one, in one big-integer add per chunk (``_grow``).
 
     Marks move only forward through LF: the LF image of rank r is a new
     start exactly when r is first, and was an old start exactly when r
     was first in the round before.
 
-    Besides stream buffers and at most 2*PIECE zero runs of PD, a round
-    keeps one carry of the first marks per symbol in memory.  Each round
-    appends its ``RoundStats`` to ``stats``, then ``stop(stats)`` may end
-    the rounds.  The set marks are returned, released by the caller;
-    every other stream is released here.
+    Besides stream buffers and one chunk of PD's lanes, a round keeps one
+    carry of the first marks per symbol in memory.  Each round appends its
+    ``RoundStats`` to ``stats``, then ``stop(stats)`` may end the rounds.
+    The set marks are returned, released by the caller; every other
+    stream is released here.
     """
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
@@ -392,7 +377,10 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     starts = _marks(factory, "starts", n, cap)
     first = _marks(factory, "first", n, cap)
     active = _marks(factory, "active", n, cap)
-    pd = PdBits.from_counts(repeat(0, n), factory)
+    lanes = factory.stream("pd", capacity=1)
+    for lo in range(0, n, cap):
+        lanes.append(array("B", bytes(min(cap, n - lo))))
+    pd = PdBits(lanes.finish(), n, n, cap)
     set_count = 0
     stats = []
 
@@ -405,12 +393,15 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
         nxt, first_next = _next_starts(bwt.stream(factory), starts, sigma,
                                        factory)
         act_next = factory.stream("active", cap)
+        lanes = factory.stream("pd", capacity=1)
         tally = [0, 0, 0]
-        pd_next = pd.rewrite(
-            _active(nxt, starts, first_next, first, active, act_next, tally),
-            _grow, factory)
+        for marks, counts in zip(_active(nxt, starts, first_next, first,
+                                         active, act_next, tally),
+                                 pd.lanes()):
+            lanes.append(_grow(counts, marks))
         factory.release(pd._bits, starts, first, active)
-        pd, starts, first = pd_next, nxt, first_next
+        pd = PdBits(lanes.finish(), n, len(pd) + tally[2], cap)
+        starts, first = nxt, first_next
         active = act_next.finish()
         set_count += tally[1]
         stats.append(RoundStats(*tally, len(pd), perf_counter() - began))

@@ -302,6 +302,21 @@ def test_plcp_shift_out_of_range_rejected(tmp_path, capsys, shift):
     assert code == 3 and "shift" in err
 
 
+def test_plcp_shift_on_a_linear_text_rejected(tmp_path, capsys):
+    """Only a circular artifact is rotated: a linear one with a shift in
+    range is malformed, not decoded as rotated values."""
+    pre = indexed_banana(tmp_path, capsys)
+    path = pre + ".plcp"
+    assert run(capsys, "build", pre + ".bwt", pre + ".sisa", "-o", path)[0] == 0
+    with open(path, "r+b") as fh:
+        fh.seek(24)
+        fh.write(struct.pack("<Q", 3))
+    code, _, err = run(capsys, "decode", path, "--all")
+    assert code == 3 and "linear" in err
+    code, _, err = run(capsys, "verify", str(tmp_path / "t.txt"), path)
+    assert code == 3 and "linear" in err
+
+
 @pytest.mark.parametrize("text, flags", [(b"banana", ()),
                                          (b"abbab", ("--circular",))])
 def test_walks_end_within_n_passes(tmp_path, capsys, monkeypatch, text,

@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import compress
 
 import pytest
@@ -7,7 +8,8 @@ from conftest import abbab, banana, make_fixture, random_text
 from plcpbits import StreamFactory
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import NotIncreasing, OutOfRange
-from plcpbits.rounds import (IntervalList, PdBits, _next_starts,
+from plcpbits.reorder import reorder_pd
+from plcpbits.rounds import (IntervalList, PdBits, _grow, _next_starts,
                              run_rounds_external, run_rounds_internal)
 
 
@@ -152,6 +154,55 @@ def test_stop_predicate_ends_rounds(rng):
     assert r.rounds == len(r.stats) == 3 and seen == [1, 2, 3]
     assert r.pd.bit_string() == run_rounds_external(
         fx.bwt, StreamFactory(), max_rounds=3).pd.bit_string()
+
+
+@pytest.mark.parametrize("k", [254, 255, 256, 300])
+def test_count_lanes_widen_past_a_byte(tmp_path, k):
+    """1^k 0 reaches a count of k after k rounds, so 256 and 300 pass the
+    byte lane.  The file backend opens a file per chunk, so it runs the
+    short capacities for the first text that crosses only."""
+    fx = make_fixture([1] * k + [0], 2)
+    want = run_rounds_internal(fx.bwt).pd.bit_string()
+    runs = [(None, 1), (None, 3), (None, STREAM_BUFFER_ITEMS),
+            (str(tmp_path), STREAM_BUFFER_ITEMS)]
+    if k == 256:
+        runs += [(str(tmp_path), 1), (str(tmp_path), 3)]
+    for directory, capacity in runs:
+        with StreamFactory(directory, capacity=capacity) as f:
+            r = run_rounds_external(fx.bwt, f)
+            assert r.pd.bit_string() == want, (directory, capacity)
+            assert max(r.pd.counts()) == k
+            widened = {lanes.typecode for lanes in r.pd.lanes()} != {"B"}
+            assert widened == (k > 255)
+            plcp = reorder_pd(r.pd, fx.bwt, fx.sisa(7), factory=f)
+            assert plcp.decode_all() == list(fx.plcp.values)
+            f.release(r.pd._bits, r.set_marks)
+            assert f.streams == [] and f.total_non_sequential() == 0
+
+
+def test_grow_widens_only_a_lane_that_passes_its_maximum():
+    marks = int.from_bytes(b"\x01\x01\x00", "little")
+    assert _grow(array("B", [254, 3, 255]), marks) == array("B", [255, 4, 255])
+    assert _grow(array("B", [255, 3, 0]), marks) == array("H", [256, 4, 0])
+    assert _grow(array("H", [65534, 0, 65535]), marks) == \
+        array("H", [65535, 1, 65535])
+    grown = _grow(array("H", [65535, 0, 7]), marks)
+    assert grown == array("I", [65536, 1, 7]) and grown.typecode == "I"
+
+
+def test_pd_on_disk_takes_about_a_byte_per_rank(tmp_path, rng):
+    """The file backend keeps PD as byte lanes: n bytes plus a little per
+    chunk, where unary PD took n plus the sum of the counts."""
+    n = 5000
+    fx = make_fixture(random_text(rng, n, 4), 4)
+    with StreamFactory(str(tmp_path)) as f:
+        r = run_rounds_external(fx.bwt, f)
+        assert r.rounds == max(fx.lcp.values) + 1
+        chunks = -(-n // f.capacity)
+        on_disk = sum(p.stat().st_size for p in tmp_path.glob("pd-*"))
+        assert n < on_disk <= n + 128 * chunks
+        assert sum(r.pd.counts()) > 128 * chunks
+        f.release(r.pd._bits, r.set_marks)
 
 
 def reference_next_starts(keys, starts, sigma):
