@@ -219,9 +219,8 @@ def _in_position_order(windows):
 def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
-    The walk's column holds one array per BWT chunk: PD's count lanes
-    if they are cut like the BWT, else, or with ranks to ``find``, a new
-    one, each array of the narrowest type that holds its values.
+    The walk's column holds one array per BWT chunk: PD's counts cut like
+    the BWT (``PdBits.column``), or with ranks to ``find`` a new stream.
     Returns a finished stream of n counts, count i belonging to text
     position i.  With ranks to ``find``, a value is ``count * sigma +
     symbol``, so the walk also gives the text, as ``reconstruct_text``
@@ -231,21 +230,20 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
         raise LengthMismatch("PD has %d ranks, the BWT %d" % (pd.n, bwt.n))
-    sigma = bwt.sigma if find else 1
     view = bwt.stream(factory)
-    if not find and pd.cut == view.capacity:
-        column = pd._bits
-        factory.meter.note("count_column", min(pd.cut, pd.n))
+    if not find:
+        column = pd.column(view.capacity, factory)
+        factory.meter.note("count_column", min(view.capacity, pd.n))
     else:
+        sigma = bwt.sigma
         pd_counts = pd.iter_counts()
         column = factory.stream("column", capacity=1)
         for chunk in view.chunks():
             values = list(islice(pd_counts, len(chunk)))
-            top = max(values) * sigma + sigma - 1
             factory.meter.note("count_column", len(values))
-            if find:
-                values = map(add, map(mul, values, repeat(sigma)), chunk)
-            column.append(array(typecode(top), values))
+            column.append(array(typecode(max(values) * sigma + sigma - 1),
+                                map(add, map(mul, values, repeat(sigma)),
+                                    chunk)))
         del pd_counts, values  # a lane and a chunk, not needed by the walk
         column.finish()
     windows, found = _walk(bwt, sisa, column, factory, find)

@@ -104,24 +104,21 @@ def typecode(top):
 
 # the next wider array type, for a count lane that passes its maximum
 WIDER = {"B": "H", "H": "I", "I": "Q"}
-# maps 0xFF to 1 and every other byte to 0
-FULL = bytes(c == 0xFF for c in range(256))
 
 
 def _grow(lanes, marks):
     """One chunk's count lanes plus one at every rank whose byte of the
     big integer ``marks`` is 1.
 
-    While no marked byte lane is full, that is one big-integer add with
-    no carry between lanes.  Otherwise the add is element-wise, into the
-    next wider type if a lane passes its type's maximum.  A count grows
+    While no byte lane is full, that is one big-integer add with no carry
+    between lanes.  Otherwise the add is element-wise, into the next
+    wider type if a lane passes its type's maximum.  A count grows
     by at most one per round, so that takes at least 255 rounds.
     """
     size = len(lanes)
     if lanes.typecode == "B":
         raw = lanes.tobytes()
-        if (b"\xff" not in raw
-                or not int.from_bytes(raw.translate(FULL), "little") & marks):
+        if b"\xff" not in raw:
             return array("B", (int.from_bytes(raw, "little")
                                + marks).to_bytes(size, "little"))
     grown = list(map(add, lanes, marks.to_bytes(size, "little")))
@@ -140,39 +137,35 @@ class PdBits:
     counts.
     """
 
-    def __init__(self, lanes, n, length, cut):
+    def __init__(self, lanes, n, cut):
         self._bits = lanes
         self.n = n
         self.cut = cut
-        self._length = length
 
     @classmethod
     def from_counts(cls, counts, factory=None):
         """Per-rank zero counts as PD, cut at the factory's capacity."""
         factory = factory or emlayer.StreamFactory()
-        cut = factory.capacity
-        out = factory.stream("pd", capacity=1)
-        it = iter(counts)
-        n = zeros = 0
-        for batch in iter(lambda: list(islice(it, cut)), []):
-            out.append(array(typecode(max(batch)), batch))
-            n += len(batch)
-            zeros += sum(batch)
-        return cls(out.finish(), n, n + zeros, cut)
+        return cls(*_cut(counts, factory.capacity, factory),
+                   factory.capacity)
 
     def lanes(self):
         return self._bits.rewind().items()
+
+    def column(self, capacity, factory):
+        """PD's counts as a finished stream of one array per ``capacity``
+        ranks: its own lanes if they are cut so, else a new stream."""
+        if self.cut == capacity:
+            return self._bits
+        return _cut(self.iter_counts(), capacity, factory)[0]
 
     def masked(self, marks, factory):
         """PD with the counts zeroed at the ranks whose byte in the 0/1
         byte chunks ``marks``, cut like the lanes, is 0."""
         out = factory.stream("pd", capacity=1)
-        length = self.n
         for lanes, keep in zip(self.lanes(), marks):
-            lanes = array(lanes.typecode, map(mul, lanes, keep))
-            out.append(lanes)
-            length += sum(lanes)
-        return PdBits(out.finish(), self.n, length, self.cut)
+            out.append(array(lanes.typecode, map(mul, lanes, keep)))
+        return PdBits(out.finish(), self.n, self.cut)
 
     def counts(self):
         """Zero-bit count in front of each rank's one bit."""
@@ -185,7 +178,19 @@ class PdBits:
         return "".join(map(str, b"".join(unary_code(self.iter_counts()))))
 
     def __len__(self):
-        return self._length
+        return self.n + sum(map(sum, self.lanes()))
+
+
+def _cut(counts, capacity, factory):
+    """Counts as a finished stream of arrays of ``capacity`` counts each,
+    each of the narrowest type that holds its counts, and their number."""
+    out = factory.stream("pd", capacity=1)
+    it = iter(counts)
+    n = 0
+    for batch in iter(lambda: list(islice(it, capacity)), []):
+        out.append(array(typecode(max(batch)), batch))
+        n += len(batch)
+    return out.finish(), n
 
 
 # one external round: interval starts, ranks newly set, active ranks, PD
@@ -377,10 +382,8 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     starts = _marks(factory, "starts", n, cap)
     first = _marks(factory, "first", n, cap)
     active = _marks(factory, "active", n, cap)
-    lanes = factory.stream("pd", capacity=1)
-    for lo in range(0, n, cap):
-        lanes.append(array("B", bytes(min(cap, n - lo))))
-    pd = PdBits(lanes.finish(), n, n, cap)
+    pd = PdBits(_cut(bytes(n), cap, factory)[0], n, cap)
+    bits = n  # PD's length: n plus every round's active ranks
     set_count = 0
     stats = []
 
@@ -400,11 +403,12 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
                                  pd.lanes()):
             lanes.append(_grow(counts, marks))
         factory.release(pd._bits, starts, first, active)
-        pd = PdBits(lanes.finish(), n, len(pd) + tally[2], cap)
+        pd = PdBits(lanes.finish(), n, cap)
         starts, first = nxt, first_next
         active = act_next.finish()
         set_count += tally[1]
-        stats.append(RoundStats(*tally, len(pd), perf_counter() - began))
+        bits += tally[2]
+        stats.append(RoundStats(*tally, bits, perf_counter() - began))
         if stop is not None and stop(stats):
             break
 
