@@ -14,11 +14,11 @@ cursor's LF value costs one lookup and one count within a block.  Moved
 cursors are grouped by BWT symbol; the groups, concatenated in symbol
 order, hold the next pass's cursors in rank order again.
 
-A walk's cursors, each pass's moved cursors and the retired windows are
-handed on by ``StreamFactory.from_items``: in memory if they fit one
-stream buffer, else through a new stream.  A walk whose n values and
-ceil(n / rate) cursors fit one buffer so writes no cursor, bucket,
-window or sorted stream.
+A cursor carries no values: a pass puts its values in sample order,
+and text order is a zip of the passes.  Cursors are handed on by
+``StreamFactory.from_items``, in memory if they fit one stream buffer,
+so a walk whose n values and ceil(n / rate) cursors fit one buffer
+writes no cursor, bucket, value or sorted stream.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
 text symbol one position back, reconstructs the text for verification
@@ -30,15 +30,15 @@ position of the circular anchor (``annotate_positions``).
 
 from array import array
 from collections import defaultdict
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, zip_longest
 from math import ceil
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, itemgetter, mod, mul
 
 from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
 from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
 from .rounds import typecode, unary_code
-from .succinct import PlcpBits, RsBitVector
+from .succinct import PlcpBits
 
 
 def _block(sigma):
@@ -74,9 +74,9 @@ def _lf_directory(bwt, factory):
     return out.finish()
 
 
-def _lf_pass(bwt, directory, cursors, step, factory, column=None,
-             weight=1):
-    """Move every (rank, payload) cursor of a finished stream one LF step.
+def _lf_pass(bwt, directory, cursors, step, factory, column=None):
+    """Move every (rank, payload) cursor of a finished stream one LF step,
+    releasing the stream.
 
     Cursors are visited in rank order.  ``step(rank, payload, x, lf)``,
     with ``x`` the value at ``rank`` in ``column`` (one array per BWT
@@ -85,15 +85,14 @@ def _lf_pass(bwt, directory, cursors, step, factory, column=None,
     the ``_lf_directory`` record's counts plus the symbol's count within
     the rank's block.  A moved cursor joins the group of its symbol; LF
     keeps the order of ranks that share one, so the groups concatenated
-    in symbol order hold the moved cursors in rank order.  A cursor
-    holds ``weight`` items, itself and its payload's values.  If all fit
-    one buffer, the groups are lists, metered as ``walk_cursors``, whose
-    concatenation is handed on in memory (``from_items``); else they are
-    streams, concatenated into a new one.
+    in symbol order hold the moved cursors in rank order.  If the cursors
+    fit one buffer, the groups are lists, metered as ``walk_cursors``,
+    whose concatenation is handed on in memory (``from_items``); else
+    they are streams, concatenated into a new one.
     """
     sigma = bwt.sigma
     block = _block(sigma)
-    gather = len(cursors) * weight <= factory.capacity
+    gather = len(cursors) <= factory.capacity
     buckets = defaultdict(list if gather
                           else lambda: factory.stream("bucket"))
     cols = repeat(None) if column is None else column.rewind().items()
@@ -118,102 +117,107 @@ def _lf_pass(bwt, directory, cursors, step, factory, column=None,
         payload = step(rank, payload, col[off], lf)
         if payload is not None:
             buckets[sym].append((lf, payload))
+    factory.release(cursors)
     if not gather:
         return concat_buckets(buckets, factory, "cursors")
-    factory.meter.note("walk_cursors",
-                       sum(map(len, buckets.values())) * weight)
+    factory.meter.note("walk_cursors", sum(map(len, buckets.values())))
     return factory.from_items(
         chain.from_iterable(buckets.pop(sym) for sym in sorted(buckets)),
         "cursors")
 
 
 def _walk(bwt, sisa, column, factory, find=()):
-    """One window of values per sample, as a stream sorted by sample, and
-    the text positions of the ranks in ``find``, as a dict.
+    """The values of ``column`` (see ``_lf_pass``) from text position 0 to
+    n - 1, as an iterator, and the text positions of the ranks in
+    ``find``, as a dict.
 
-    One cursor starts at each sample.  On every pass each cursor takes
-    the value at its rank in ``column`` (see ``_lf_pass``) and moves one
-    position back; it retires once it has its window: ``rate``
-    positions, or, for the sample at position 0, position 0 and the
-    positions after the last sample.  So every cursor retires within
+    One ``(rank, sample)`` cursor starts at each sample; on pass p it
+    takes the value of position sample * rate - p (mod n) and moves one
+    position back, until it has its window: ``rate`` positions, or, for
+    sample 0, position 0 and those after the last sample; so within
     min(rate, n) passes.  Its last LF step must reach the rank of the
-    next sample below, and the last sample's rank and rank 0, always
-    found, must be met once, else the samples are not the BWT's or LF is
-    not one cycle.  A linear text must hold one 0, its last symbol, so
-    rank 0 must be at position n - 1.  Otherwise: FormatError.
+    next sample below; the ranks of samples 0 and m - 1 and rank 0,
+    always found, must be met once; a linear BWT must hold one 0, at
+    rank 0 and position n - 1.  Otherwise: FormatError.
 
-    The retired windows are collected in a list if the walk's n values
-    and cursors fit one buffer, else in a stream; either way they are
-    handed on and radix-sorted by sample (``em_lsd_sort``).
+    A pass puts its values in sample order, sample 0 last: in a list if
+    its cursors fit one buffer, else as pairs sorted by ``em_lsd_sort``.
+    Lists are held while they and the cursors fit one buffer, then go to
+    a stream as one row per sample.  Passes rate - 1, ..., 0 of sample
+    s >= 1 are positions (s - 1) * rate + 1, ..., s * rate, so text order
+    is a zip of the passes' rows, last pass first, then sample 0's.
     """
     n, rate = bwt.n, sisa.rate
     if sisa.n != n or len(sisa.ranks) != ceil(n / rate):
-        raise RateMismatch(
-            "sample count %d does not match length %d at rate %d"
-            % (len(sisa.ranks), n, rate)
-        )
+        raise RateMismatch("sample count %d does not match length %d at "
+                           "rate %d" % (len(sisa.ranks), n, rate))
     if not bwt.circular and bwt.d_array[1] != 1:
         raise FormatError("a linear BWT needs one 0, not %d" % bwt.d_array[1])
-    ranks = sisa.ranks
-    tail = n - (len(ranks) - 1) * rate  # window of the sample at 0
-    gather = n + len(ranks) <= factory.capacity  # cursors and values
-    windows = [] if gather else factory.stream("windows")
-    find = {*find, ranks[-1], 0}
-    found = {}
+    ranks, cap, passes = sisa.ranks, factory.capacity, min(rate, n)
+    m = len(ranks)
+    tail = n - (m - 1) * rate  # window of the sample at 0
+    spill = m > cap  # a pass's values go to a stream of pairs
+    find, found, first = {*find, ranks[0], ranks[-1], 0}, {}, None
+    held, sources = [], []  # passes in memory; streams of earlier passes
 
-    def step(rank, payload, value, lf):
-        sample, values = payload
+    def step(rank, sample, value, lf):
+        nonlocal first
         if rank in find:
             if rank in found:
                 raise FormatError("the BWT's LF mapping is not one cycle: "
                                   "the walk visits rank %d twice" % rank)
-            found[rank] = (sample * rate - len(values)) % n
-        values.append(value)
-        if len(values) < (rate if sample else tail):
-            return payload
+            found[rank] = position = (sample * rate - p) % n
+            if not position:
+                first = value
+        if spill:
+            values.append((sample or m, value))
+        else:
+            values[sample - 1] = value
+        if p < (rate if sample else tail) - 1:
+            return sample
         if lf != ranks[sample - 1]:
             raise FormatError("ISA samples do not match the BWT: the walk "
                               "from sample %d ends at rank %d, not %d"
                               % (sample, lf, ranks[sample - 1]))
-        windows.append(payload)
         return None
 
     cursors = factory.from_items(
-        ((ranks[s], (s, []))
-         for s in sorted(range(len(ranks)), key=ranks.__getitem__)),
+        ((ranks[s], s) for s in sorted(range(m), key=ranks.__getitem__)),
         "cursors")
     directory = _lf_directory(bwt, factory)
-    weight = 1
-    while len(cursors):
-        weight += 1  # the cursor and one value per pass so far
-        moved = _lf_pass(bwt, directory, cursors, step, factory, column, weight)
-        factory.release(cursors)
-        cursors = moved
+    for p in range(passes):
+        size = m if p < tail else m - 1  # sample 0 has retired
+        if held and sum(map(len, held)) + size > cap - m:
+            sources.append(factory.stream("values", max(1, cap // len(held))))
+            sources[-1].extend(zip_longest(*reversed(held)))
+            sources[-1].finish()
+            held = []
+        values = factory.stream("values") if spill else [None] * size
+        cursors = _lf_pass(bwt, directory, cursors, step, factory, column)
+        if spill:
+            sources.append(em_lsd_sort(values.finish(), 0, m.bit_length(),
+                                       factory))
+            factory.release(values)
+        else:
+            held.append(values)
+            factory.meter.note("pass_values", sum(map(len, held)))
     factory.release(cursors, directory)
     if len(found) < len(find):
         raise FormatError("the walk misses rank %d" % min(find - found.keys()))
     if not bwt.circular and found[0] != n - 1:
         raise FormatError("rank 0 is at position %d, not n - 1" % found[0])
-    windows = (factory.from_items(windows, "windows") if gather
-               else windows.finish())
-    key_bits = max(1, (len(sisa.ranks) - 1).bit_length())
-    by_sample = em_lsd_sort(windows, 0, key_bits, factory)
-    factory.release(windows)
-    return by_sample, found
 
-
-def _in_position_order(windows):
-    """The values of ``_walk``'s windows, from position 0 to n - 1.
-
-    A window holds its positions from the highest down; the first one
-    runs 0, n-1, n-2, ... and so is split around all the others.
-    """
-    items = windows.items()
-    _, first = next(items)
-    yield first[0]
-    for _, values in items:
-        yield from reversed(values)
-    yield from reversed(first[1:])
+    def in_position_order():
+        rows = [zip_longest(*reversed(held))] if held else []
+        rows += [map(itemgetter(slice(1, None)), s.items()) if spill
+                 else s.items() for s in reversed(sources)]
+        yield first
+        yield from chain.from_iterable(
+            chain.from_iterable(islice(zip(*rows), m - 1)))
+        yield from islice(chain.from_iterable(next(r, (None,)) for r in rows),
+                          passes - tail, passes - 1)
+        factory.release(*sources)
+    return in_position_order(), found
 
 
 def position_counts(pd, bwt, sisa, factory=None, find=()):
@@ -246,18 +250,16 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
                                     chunk)))
         del pd_counts, values  # a lane and a chunk, not needed by the walk
         column.finish()
-    windows, found = _walk(bwt, sisa, column, factory, find)
+    values, found = _walk(bwt, sisa, column, factory, find)
     if column is not pd._bits:
         factory.release(column)
     counts = factory.stream("counts")
-    values = _in_position_order(windows)
     text = []
     for batch in iter(lambda: list(islice(values, counts.capacity)), []):
         if find:
             text.extend(map(mod, batch, repeat(sigma)))
             batch = list(map(floordiv, batch, repeat(sigma)))
         counts.append_chunk(batch)
-    factory.release(windows)
     if not find:
         return counts.finish()
     text.append(text.pop(0))
@@ -277,8 +279,7 @@ def emit_k(counts, n, shift=0):
         if shift:
             yield from islice(counts.rewind().items(), shift)
 
-    bits = RsBitVector(b"".join(unary_code(rotated())))
-    return PlcpBits(bits, n, shift=shift)
+    return PlcpBits("".join(unary_code(rotated())), n, shift=shift)
 
 
 def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
@@ -291,15 +292,13 @@ def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
 
 
 def reconstruct_text(bwt, sisa, factory=None):
-    """Recover the text symbols from the BWT with the same windowed walk.
+    """Recover the text symbols from the BWT with the same walk.
 
     The BWT symbol at the rank of position i is the text symbol at i - 1,
     so the text is the walk's output rotated by one.
     """
     factory = factory or emlayer.StreamFactory()
-    windows, _ = _walk(bwt, sisa, None, factory)
-    text = list(_in_position_order(windows))
-    factory.release(windows)
+    text = list(_walk(bwt, sisa, None, factory)[0])
     return text[1:] + text[:1]
 
 
@@ -327,9 +326,7 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
     for _ in range(min(sisa.rate, n)):
         if not len(cursors):
             break
-        moved = _lf_pass(bwt, directory, cursors, step, factory)
-        factory.release(cursors)
-        cursors = moved
+        cursors = _lf_pass(bwt, directory, cursors, step, factory)
     factory.release(directory)
     if len(cursors):
         raise FormatError("ISA samples do not match the BWT: a cursor "

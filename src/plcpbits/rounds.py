@@ -26,6 +26,8 @@ from .succinct import GammaStream
 
 # unary_code codes this many counts at a time
 PIECE = 4096
+# shared zeros of the small counts most PD and K entries hold
+ZEROS = {c: "0" * c for c in range(64)}
 
 
 class IntervalList:
@@ -91,10 +93,10 @@ class IntervalList:
 
 
 def unary_code(counts):
-    """PD's coder: the 0/1 bytes of a count sequence, PIECE counts a piece."""
+    """PD's coder: the 0/1 text of a count sequence, PIECE counts a piece."""
     it = iter(counts)
     for batch in iter(lambda: list(islice(it, PIECE)), []):
-        yield b"\x01".join(map(bytes, batch)) + b"\x01"
+        yield "1".join([ZEROS.get(c) or "0" * c for c in batch]) + "1"
 
 
 def typecode(top):
@@ -175,7 +177,7 @@ class PdBits:
         return chain.from_iterable(self.lanes())
 
     def bit_string(self):
-        return "".join(map(str, b"".join(unary_code(self.iter_counts()))))
+        return "".join(unary_code(self.iter_counts()))
 
     def __len__(self):
         return self.n + sum(map(sum, self.lanes()))

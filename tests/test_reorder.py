@@ -1,10 +1,11 @@
+import os
 from math import ceil
 
 import pytest
 
 from conftest import abbab, banana, make_fixture, random_text
-from plcpbits import (Bwt, StreamFactory, build_plcp, reconstruct_text,
-                      reorder, reorder_pd)
+from plcpbits import (Bwt, StreamFactory, build_plcp, emlayer,
+                      reconstruct_text, reorder, reorder_pd)
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import (AlphabetTooLarge, FormatError, OutOfRange,
                              RateMismatch)
@@ -249,10 +250,11 @@ def test_lf_pass_gathers_a_pass_that_fits_one_chunk(rng):
 def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
                                                    circular):
     """On temp files, a walk whose n values and n / rate cursors fit one
-    buffer opens no cursor, window or sorted stream, nor the rounds a
+    buffer opens no cursor, value or sorted stream, nor the rounds a
     bucket stream: what fits one buffer is handed on in memory.  One item
-    less and the windows go to a stream; at capacities 3 and 64 the same
-    builds open them all (sorted only when the windows span chunks)."""
+    less and the values go to a stream; at capacities 3 and 64 the same
+    builds open value and bucket streams, and cursor and sorted streams
+    when a pass's cursors span chunks."""
     names = []
     stream = StreamFactory.stream
 
@@ -260,7 +262,7 @@ def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
         names.append(name)
         return stream(factory, name, capacity)
     monkeypatch.setattr(StreamFactory, "stream", recorded)
-    spilled = {"bucket", "cursors", "windows", "sorted"}
+    spilled = {"bucket", "cursors", "values", "sorted"}
     if circular:
         fx = make_fixture([rng.randrange(4) for _ in range(2000)], 4, True)
     else:
@@ -282,9 +284,10 @@ def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
                 if capacity >= n + m:
                     assert not spilled & {*names}, case
                 elif capacity >= n:
-                    assert "windows" in names, case
+                    assert "values" in names, case
                 else:
-                    expected = spilled if m > capacity else spilled - {"sorted"}
+                    expected = (spilled if m > capacity
+                                else spilled - {"cursors", "sorted"})
                     assert spilled & {*names} == expected, case
 
 
@@ -298,7 +301,37 @@ def test_walk_buffers_do_not_exceed_the_capacity(rng):
     assert k.decode_all() == list(fx.plcp.values)
     peaks = f.meter.peaks
     assert peaks["walk_cursors"] > 0 and peaks["count_column"] > 0
+    assert 0 < peaks["pass_values"] <= 64, peaks
     assert max(peaks.values()) <= 64, peaks
+
+
+def test_walk_writes_no_more_per_value_at_a_higher_rate(tmp_path, rng,
+                                                        monkeypatch):
+    """Cursors carry no values: above one buffer, the temp-file bytes a
+    walk writes do not grow with the sampling rate, as they did while
+    every pass re-wrote each cursor's window."""
+    n = 8000
+    fx = make_fixture(random_text(rng, n, 4), 4)
+    pd = run_rounds_internal(fx.bwt).pd
+    written = []
+    append_chunk = emlayer._FileBackend.append_chunk
+
+    def counted(backend, chunk):
+        size = os.path.getsize(backend.path)
+        append_chunk(backend, chunk)
+        written[-1] += os.path.getsize(backend.path) - size
+    monkeypatch.setattr(emlayer._FileBackend, "append_chunk", counted)
+    for rate in (4, 64):
+        directory = tmp_path / str(rate)
+        directory.mkdir()
+        with StreamFactory(str(directory), capacity=256) as f:
+            written.append(0)
+            counts = position_counts(pd, fx.bwt, fx.sisa(rate), f)
+            k = emit_k(counts, n)
+            assert k.decode_all() == list(fx.plcp.values), rate
+            f.release(counts)
+            assert f.streams == [] and f.total_non_sequential() == 0
+    assert 0 < written[1] <= 1.25 * written[0], written
 
 
 @pytest.mark.parametrize("capacity", [3, STREAM_BUFFER_ITEMS])
