@@ -338,7 +338,7 @@ DIGIT_BITS = 8
 BUCKETS = 1 << DIGIT_BITS
 
 
-def _bucket_pass(src, key, factory):
+def _bucket_pass(src, key, factory, capacity=None):
     """One stable bucket pass: the items of ``src`` grouped by ``key(item)``.
 
     Keys lie below BUCKETS.  Each chunk is split into per-key lists, which
@@ -355,7 +355,7 @@ def _bucket_pass(src, key, factory):
                 buckets[k] = factory.stream("bucket")
             buckets[k].append_chunk(part)
         del parts
-    return concat_buckets(buckets, factory, "sorted")
+    return concat_buckets(buckets, factory, "sorted", capacity)
 
 
 def concat_buckets(buckets, factory, name, capacity=None):
@@ -371,13 +371,14 @@ def concat_buckets(buckets, factory, name, capacity=None):
     return out.finish()
 
 
-def em_lsd_sort(stream, key_index, key_bits, factory):
+def em_lsd_sort(stream, key_index, key_bits, factory, capacity=None):
     """Stable LSD radix sort of tuple records by an integer component.
 
     One bucket pass per 8-bit digit of the key, least significant first.
     A stream of one chunk is read into memory by any pass, so it is
     sorted there in one step, without a bucket stream per digit value,
-    and handed on by ``StreamFactory.from_items``.
+    and handed on by ``StreamFactory.from_items``; else the passes write
+    chunks of ``capacity`` items, by default the factory's.
     """
     key = itemgetter(key_index)
     stream.rewind()
@@ -390,7 +391,7 @@ def em_lsd_sort(stream, key_index, key_bits, factory):
         else:
             def digit(item, shift=shift):
                 return key(item) >> shift & (BUCKETS - 1)
-        nxt = _bucket_pass(cur, digit, factory)
+        nxt = _bucket_pass(cur, digit, factory, capacity)
         if cur is not stream:
             factory.release(cur)
         cur = nxt

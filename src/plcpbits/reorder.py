@@ -15,10 +15,9 @@ cursors are grouped by BWT symbol; the groups, concatenated in symbol
 order, hold the next pass's cursors in rank order again.
 
 A cursor carries no values: a pass puts its values in sample order,
-and text order is a zip of the passes.  Cursors are handed on by
-``StreamFactory.from_items``, in memory if they fit one stream buffer,
-so a walk whose n values and ceil(n / rate) cursors fit one buffer
-writes no cursor, bucket, value or sorted stream.
+and text order is a zip of the passes.  What fits one stream buffer is
+handed on in memory, so a walk whose n values and ceil(n / rate)
+cursors fit one buffer writes no cursor, bucket, value or sorted stream.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
 text symbol one position back, reconstructs the text for verification
@@ -30,7 +29,7 @@ position of the circular anchor (``annotate_positions``).
 
 from array import array
 from collections import defaultdict
-from itertools import chain, islice, repeat, zip_longest
+from itertools import chain, islice, repeat
 from math import ceil
 from operator import add, floordiv, itemgetter, mod, mul
 
@@ -38,7 +37,7 @@ from . import emlayer
 from .emlayer import concat_buckets, em_lsd_sort
 from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
 from .rounds import typecode, unary_code
-from .succinct import PlcpBits
+from .succinct import PlcpBits, RsBitVector
 
 
 def _block(sigma):
@@ -140,12 +139,12 @@ def _walk(bwt, sisa, column, factory, find=()):
     always found, must be met once; a linear BWT must hold one 0, at
     rank 0 and position n - 1.  Otherwise: FormatError.
 
-    A pass puts its values in sample order, sample 0 last: in a list if
-    its cursors fit one buffer, else as pairs sorted by ``em_lsd_sort``.
-    Lists are held while they and the cursors fit one buffer, then go to
-    a stream as one row per sample.  Passes rate - 1, ..., 0 of sample
-    s >= 1 are positions (s - 1) * rate + 1, ..., s * rate, so text order
-    is a zip of the passes' rows, last pass first, then sample 0's.
+    A pass puts its values in sample order, in m slots, sample 0's last:
+    in a list if its cursors fit one buffer, else as pairs sorted by
+    ``em_lsd_sort``.  Lists are held if n values and m cursors fit one
+    buffer, else each goes to a stream of 1 / passes of a buffer a chunk.
+    Passes rate - 1, ..., 0 of sample s >= 1 are positions (s - 1) * rate
+    + 1, ..., s * rate: text order is a zip of the passes, last first.
     """
     n, rate = bwt.n, sisa.rate
     if sisa.n != n or len(sisa.ranks) != ceil(n / rate):
@@ -157,8 +156,10 @@ def _walk(bwt, sisa, column, factory, find=()):
     m = len(ranks)
     tail = n - (m - 1) * rate  # window of the sample at 0
     spill = m > cap  # a pass's values go to a stream of pairs
+    whole = n + m <= cap  # every pass's values stay in memory
+    chunk = max(1, cap // passes)  # of a pass's stream
     find, found, first = {*find, ranks[0], ranks[-1], 0}, {}, None
-    held, sources = [], []  # passes in memory; streams of earlier passes
+    kept = []  # each pass's values: lists if whole, else streams
 
     def step(rank, sample, value, lf):
         nonlocal first
@@ -186,37 +187,35 @@ def _walk(bwt, sisa, column, factory, find=()):
         "cursors")
     directory = _lf_directory(bwt, factory)
     for p in range(passes):
-        size = m if p < tail else m - 1  # sample 0 has retired
-        if held and sum(map(len, held)) + size > cap - m:
-            sources.append(factory.stream("values", max(1, cap // len(held))))
-            sources[-1].extend(zip_longest(*reversed(held)))
-            sources[-1].finish()
-            held = []
-        values = factory.stream("values") if spill else [None] * size
+        values = factory.stream("values") if spill else [None] * m
         cursors = _lf_pass(bwt, directory, cursors, step, factory, column)
         if spill:
-            sources.append(em_lsd_sort(values.finish(), 0, m.bit_length(),
-                                       factory))
+            values.extend([(m, None)] * (p >= tail))  # sample 0 retired
+            kept.append(em_lsd_sort(values.finish(), 0, m.bit_length(),
+                                    factory, chunk))
             factory.release(values)
+        elif whole:
+            kept.append(values)
         else:
-            held.append(values)
-            factory.meter.note("pass_values", sum(map(len, held)))
+            kept.append(factory.stream("values", chunk))
+            kept[-1].append_chunk(values)
+            kept[-1].finish()
     factory.release(cursors, directory)
     if len(found) < len(find):
         raise FormatError("the walk misses rank %d" % min(find - found.keys()))
     if not bwt.circular and found[0] != n - 1:
         raise FormatError("rank 0 is at position %d, not n - 1" % found[0])
+    if not spill:
+        factory.meter.note("pass_values", n if whole else m)
 
     def in_position_order():
-        rows = [zip_longest(*reversed(held))] if held else []
-        rows += [map(itemgetter(slice(1, None)), s.items()) if spill
-                 else s.items() for s in reversed(sources)]
+        rows = zip(*[p if whole else map(itemgetter(1), p.items()) if spill
+                     else p.items() for p in reversed(kept)])
         yield first
-        yield from chain.from_iterable(
-            chain.from_iterable(islice(zip(*rows), m - 1)))
-        yield from islice(chain.from_iterable(next(r, (None,)) for r in rows),
-                          passes - tail, passes - 1)
-        factory.release(*sources)
+        yield from chain.from_iterable(islice(rows, m - 1))
+        yield from next(rows)[passes - tail : passes - 1]
+        if not whole:
+            factory.release(*kept)
     return in_position_order(), found
 
 
@@ -279,7 +278,9 @@ def emit_k(counts, n, shift=0):
         if shift:
             yield from islice(counts.rewind().items(), shift)
 
-    return PlcpBits("".join(unary_code(rotated())), n, shift=shift)
+    text = "".join(unary_code(rotated()))
+    packed = int(text[::-1], 2).to_bytes((len(text) + 7) // 8, "little")
+    return PlcpBits(RsBitVector.from_packed(packed, len(text)), n, shift=shift)
 
 
 def reorder_pd(pd, bwt, sisa, factory=None, shift=0):

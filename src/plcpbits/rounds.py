@@ -26,8 +26,7 @@ from .succinct import GammaStream
 
 # unary_code codes this many counts at a time
 PIECE = 4096
-# shared zeros of the small counts most PD and K entries hold
-ZEROS = {c: "0" * c for c in range(64)}
+ZEROS = {c: "0" * c for c in range(64)}  # shared by the small counts
 
 
 class IntervalList:

@@ -89,10 +89,9 @@ class RsBitVector:
     """
 
     def __init__(self, bits):
-        if not isinstance(bits, str):  # else '0'/'1' text
-            bits = bytes(bits).translate(_DIGITS)  # one 0/1 byte per bit
-        value = int(bits[::-1], 2) if bits else 0
-        self._load(value.to_bytes((len(bits) + 7) // 8, "little"), len(bits))
+        raw = bytes(bits)  # one 0/1 byte per bit
+        value = int(raw[::-1].translate(_DIGITS), 2) if raw else 0
+        self._load(value.to_bytes((len(raw) + 7) // 8, "little"), len(raw))
 
     @classmethod
     def from_packed(cls, packed, n):

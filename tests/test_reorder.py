@@ -252,7 +252,7 @@ def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
     """On temp files, a walk whose n values and n / rate cursors fit one
     buffer opens no cursor, value or sorted stream, nor the rounds a
     bucket stream: what fits one buffer is handed on in memory.  One item
-    less and the values go to a stream; at capacities 3 and 64 the same
+    less, or n, and the values go to streams; at capacities 3 and 64 the same
     builds open value and bucket streams, and cursor and sorted streams
     when a pass's cursors span chunks."""
     names = []
@@ -270,7 +270,7 @@ def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
     n = fx.bwt.n
     for rate in (4, 64):
         m = ceil(n / rate)
-        for capacity in (STREAM_BUFFER_ITEMS, n + m, n + m - 1, 3, 64):
+        for capacity in (STREAM_BUFFER_ITEMS, n + m, n + m - 1, n, 3, 64):
             for strategy in ("external", "hybrid"):
                 names.clear()
                 case = (capacity, strategy, rate)
@@ -303,6 +303,36 @@ def test_walk_buffers_do_not_exceed_the_capacity(rng):
     assert peaks["walk_cursors"] > 0 and peaks["count_column"] > 0
     assert 0 < peaks["pass_values"] <= 64, peaks
     assert max(peaks.values()) <= 64, peaks
+
+
+@pytest.mark.parametrize("capacity", [128, 512])
+def test_walk_reads_its_passes_out_within_one_buffer(tmp_path, rng,
+                                                     monkeypatch, capacity):
+    """Above one buffer, the read-out holds one chunk of every pass at
+    once, together at most a buffer, whether a pass's values went to a
+    list (m <= capacity) or were sorted as pairs.  Sample 0's last pass
+    is neither the first nor the last, so its row gives a tail of
+    several positions."""
+    fx = make_fixture(random_text(rng, 2000, 4), 4)
+    n, rate = fx.bwt.n, 7
+    assert 2 <= n - (ceil(n / rate) - 1) * rate < rate
+    held = {}
+    peak = [0]
+    chunks = emlayer._FileBackend.chunks
+
+    def recorded(backend, start, capacity):
+        for chunk in chunks(backend, start, capacity):
+            held[backend] = len(chunk)
+            peak[0] = max(peak[0], sum(held.values()))
+            yield chunk
+        held.pop(backend, None)
+    with StreamFactory(str(tmp_path), capacity=capacity) as f:
+        values, _ = reorder._walk(fx.bwt, fx.sisa(rate), None, f)
+        monkeypatch.setattr(emlayer._FileBackend, "chunks", recorded)
+        text = list(values)
+        assert text[1:] + text[:1] == list(fx.text.symbols)
+        assert f.streams == [] and f.total_non_sequential() == 0
+    assert 0 < peak[0] <= capacity, peak
 
 
 def test_walk_writes_no_more_per_value_at_a_higher_rate(tmp_path, rng,
