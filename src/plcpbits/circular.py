@@ -108,9 +108,7 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None):
         cap = 3 * max(1, (n - 1).bit_length())
         counts = hybrid_pd(bwt, sisa, cap if cutoff is None else cutoff,
                            factory=factory, adaptive=cutoff is None)
-        k = emit_k(counts, n, shift=shift)
-        factory.release(counts)
-        return k
+        return emit_k(counts, n, shift=shift)
     if strategy == "internal":
         pd = run_rounds_internal(bwt).pd
     else:

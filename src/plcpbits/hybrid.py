@@ -5,17 +5,18 @@ and wasteful afterwards.  The hybrid strategy stops it after a cutoff, or
 once ``stop_rule`` prices the kernel below the rounds still to come, and
 computes the missing counts directly: only missing *irreducible* ranks
 (rank 0 or a BWT symbol change) need work, every other missing rank
-provably contributes zero bits.  One pass over PD's count lanes zeroes
-the unset ranks, dropping the partial counts of rounds cut short.  The
-one LF walk that puts PD's counts in text order carries each rank's BWT
-symbol too, so it also gives the text and the positions whose suffixes
-the kernel, ``KERNELS["direct"]``, compares; its counts then overwrite
-the missing ranks' zeros in position order.  The kernel is
-semi-external: it holds the whole text, n symbols, noted with the meter
-under ``hybrid_text``.
+provably contributes zero bits.  PD needs no cleaning: at a reducible
+rank r, BWT[r] = BWT[r - 1], so LF(r - 1) = LF(r) - 1 and LCP[LF(r)] =
+LCP[r] + 1; r is set a round before LF(r), is never active, and its
+count is 0.  The one LF walk that puts PD's counts in text order carries
+each rank's BWT symbol too, so it also gives the text and the positions
+whose suffixes the kernel, ``KERNELS["direct"]``, compares; its counts
+then replace the missing ranks' partial counts, left by the rounds cut
+short, as ``emit_k`` reads them.  The kernel is semi-external: it holds
+the whole text, n symbols, noted with the meter under ``hybrid_text``.
 """
 
-from itertools import compress
+from itertools import compress, count
 
 from . import emlayer
 from .errors import CountConflict
@@ -94,8 +95,9 @@ def stop_rule(n, price):
 
 
 def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
-    """Position-order counts from truncated rounds plus kernel; with
-    ``adaptive``, ``stop_rule`` may end the rounds before the cutoff.
+    """Position-order counts from truncated rounds plus kernel, as an
+    iterator of n counts to be read once; with ``adaptive``,
+    ``stop_rule`` may end the rounds before the cutoff.
 
     The count at a missing irreducible rank r is LCP[r] - LCP[LF(r)] + 1.
     LF keeps the order of ranks of one symbol and moves each a text
@@ -109,11 +111,10 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     stop = stop_rule(n, min(sisa.rate, n)) if adaptive else None
     result = run_rounds_external(bwt, factory, cutoff_rounds, stop)
     missing = irreducible_missing(bwt, result.set_marks)
-    pd = result.pd.masked(result.set_marks.rewind().chunks(), factory)
-    factory.release(result.pd._bits, result.set_marks)
+    factory.release(result.set_marks)
     find = {x for r, q in missing for x in (r - 1, r, q)} - {None, -1}
-    walked = position_counts(pd, bwt, sisa, factory, find)
-    factory.release(pd._bits)
+    walked = position_counts(result.pd, bwt, sisa, factory, find)
+    factory.release(result.pd._bits)
     if not find:
         return walked
     factory.meter.note("hybrid_sparse", len(find))
@@ -121,25 +122,17 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     counts, symbols, pos = walked
     text = Text(symbols, bwt.sigma, circular=bwt.circular)
     del walked, symbols
-    patch = []
+    patch = {}
     for r, q in missing:
         lcp = kernel_fn(text, pos[r], pos[r - 1]) if r else 0
         if q is not None:
             lcp -= kernel_fn(text, (pos[r] - 1) % n, (pos[q] - 1) % n)
         if lcp < -1:
             raise CountConflict("negative count %d at rank %d" % (lcp + 1, r))
-        patch.append((pos[r], lcp + 1))
+        patch[pos[r]] = lcp + 1
     del text, pos  # the kernel's state, not needed by emit_k
-    patch.sort(reverse=True)
-    out = factory.stream("counts")
-    end = 0
-    for chunk in counts.rewind().chunks():
-        end += len(chunk)
-        chunk = list(chunk)
-        while patch and patch[-1][0] < end:
-            p, c = patch.pop()
-            chunk[p - end] = c
-        out.append_chunk(chunk)
-    factory.release(counts)
-    return out.finish()
 
+    def patched():
+        yield from map(patch.get, count(), counts.items())
+        factory.release(counts)
+    return patched()

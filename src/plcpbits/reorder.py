@@ -224,11 +224,11 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
 
     The walk's column holds one array per BWT chunk: PD's counts cut like
     the BWT (``PdBits.column``), or with ranks to ``find`` a new stream.
-    Returns a finished stream of n counts, count i belonging to text
-    position i.  With ranks to ``find``, a value is ``count * sigma +
-    symbol``, so the walk also gives the text, as ``reconstruct_text``
-    does: returns the counts, the text and a dict of the ranks' text
-    positions.
+    Returns the walk's iterator of n counts, count i belonging to text
+    position i, to be read once.  With ranks to ``find``, a value is
+    ``count * sigma + symbol``, so the walk also gives the text, as
+    ``reconstruct_text`` does: returns a finished stream of the counts,
+    the text and a dict of the ranks' text positions.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
@@ -252,44 +252,36 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
     values, found = _walk(bwt, sisa, column, factory, find)
     if column is not pd._bits:
         factory.release(column)
+    if not find:
+        return values
     counts = factory.stream("counts")
     text = []
     for batch in iter(lambda: list(islice(values, counts.capacity)), []):
-        if find:
-            text.extend(map(mod, batch, repeat(sigma)))
-            batch = list(map(floordiv, batch, repeat(sigma)))
-        counts.append_chunk(batch)
-    if not find:
-        return counts.finish()
+        text.extend(map(mod, batch, repeat(sigma)))
+        counts.append_chunk(list(map(floordiv, batch, repeat(sigma))))
     text.append(text.pop(0))
     return counts.finish(), text, found
 
 
 def emit_k(counts, n, shift=0):
-    """Unary-code a count stream into the 2n-bit K, rotated by ``shift``.
+    """Unary-code n position-order counts, an iterable read once, into
+    the 2n-bit K, rotated by ``shift``.
 
-    The bit for text position ``shift`` comes first; a non-zero shift
-    costs one extra rewind of the count stream.  K is coded like PD.
+    The bit for text position ``shift`` comes first: the first ``shift``
+    counts are coded, then the rest, and the first part's code goes last.
+    K is coded like PD.
     """
     shift %= n
-
-    def rotated():
-        yield from islice(counts.rewind().items(), shift, None)
-        if shift:
-            yield from islice(counts.rewind().items(), shift)
-
-    text = "".join(unary_code(rotated()))
+    counts = iter(counts)
+    head = "".join(unary_code(islice(counts, shift)))
+    text = "".join(unary_code(counts)) + head
     packed = int(text[::-1], 2).to_bytes((len(text) + 7) // 8, "little")
     return PlcpBits(RsBitVector.from_packed(packed, len(text)), n, shift=shift)
 
 
 def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
     """Full reorder: PD plus sampled ISA to the position-ordered K."""
-    factory = factory or emlayer.StreamFactory()
-    counts = position_counts(pd, bwt, sisa, factory)
-    k = emit_k(counts, bwt.n, shift=shift)
-    factory.release(counts)
-    return k
+    return emit_k(position_counts(pd, bwt, sisa, factory), bwt.n, shift=shift)
 
 
 def reconstruct_text(bwt, sisa, factory=None):

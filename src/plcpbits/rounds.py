@@ -16,7 +16,7 @@ from array import array
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import add, mul
+from operator import add
 from time import perf_counter
 
 from . import emlayer
@@ -159,14 +159,6 @@ class PdBits:
         if self.cut == capacity:
             return self._bits
         return _cut(self.iter_counts(), capacity, factory)[0]
-
-    def masked(self, marks, factory):
-        """PD with the counts zeroed at the ranks whose byte in the 0/1
-        byte chunks ``marks``, cut like the lanes, is 0."""
-        out = factory.stream("pd", capacity=1)
-        for lanes, keep in zip(self.lanes(), marks):
-            out.append(array(lanes.typecode, map(mul, lanes, keep)))
-        return PdBits(out.finish(), self.n, self.cut)
 
     def counts(self):
         """Zero-bit count in front of each rank's one bit."""

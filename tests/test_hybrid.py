@@ -179,6 +179,7 @@ def test_kernel_budget(monkeypatch, rng):
         return naive_lcp_pair(text, p, q)
     monkeypatch.setitem(KERNELS, "direct", counting_kernel)
 
+    partial = 0
     for _ in range(10):
         n = rng.randrange(4, 80)
         fx = make_fixture(random_text(rng, n, 4), 4)
@@ -186,10 +187,19 @@ def test_kernel_budget(monkeypatch, rng):
             from plcpbits.rounds import run_rounds_external
             r = run_rounds_external(fx.bwt, StreamFactory(),
                                     max_rounds=cutoff)
-            n_im = len(irreducible_missing(fx.bwt, r.set_marks))
+            missing = irreducible_missing(fx.bwt, r.set_marks)
+            n_im = len(missing)
+            # the kernel's patch covers every unset rank the rounds left
+            # a count at: PD needs no zeroing
+            marks = list(r.set_marks.rewind().items())
+            unset = {rank for rank, c in enumerate(r.pd.counts())
+                     if c and not marks[rank]}
+            assert unset <= {rank for rank, _ in missing}, (n, cutoff)
+            partial += len(unset)
             calls.clear()
             hybrid_pd(fx.bwt, fx.sisa(1), cutoff, factory=StreamFactory())
             assert len(calls) <= 3 * n_im + 2
+    assert partial > 0
 
 
 def test_full_cutoff_skips_kernel(monkeypatch):
