@@ -96,8 +96,9 @@ def stop_rule(n, price):
 
 def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     """Position-order counts from truncated rounds plus kernel, as an
-    iterator of n counts to be read once; with ``adaptive``,
-    ``stop_rule`` may end the rounds before the cutoff.
+    iterator of n counts to be read once, which frees its streams when
+    read to the end or, after its first value, closed; with
+    ``adaptive``, ``stop_rule`` may end the rounds before the cutoff.
 
     The count at a missing irreducible rank r is LCP[r] - LCP[LF(r)] + 1.
     LF keeps the order of ranks of one symbol and moves each a text
@@ -133,6 +134,8 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     del text, pos  # the kernel's state, not needed by emit_k
 
     def patched():
-        yield from map(patch.get, count(), counts.items())
-        factory.release(counts)
+        try:
+            yield from map(patch.get, count(), counts.items())
+        finally:
+            factory.release(counts)
     return patched()

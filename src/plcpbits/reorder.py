@@ -128,7 +128,8 @@ def _lf_pass(bwt, directory, cursors, step, factory, column=None):
 def _walk(bwt, sisa, column, factory, find=()):
     """The values of ``column`` (see ``_lf_pass``) from text position 0 to
     n - 1, as an iterator, and the text positions of the ranks in
-    ``find``, as a dict.
+    ``find``, as a dict.  The iterator frees the passes' streams once it
+    is read to the end or, after its first value, closed.
 
     One ``(rank, sample)`` cursor starts at each sample; on pass p it
     takes the value of position sample * rate - p (mod n) and moves one
@@ -211,11 +212,13 @@ def _walk(bwt, sisa, column, factory, find=()):
     def in_position_order():
         rows = zip(*[p if whole else map(itemgetter(1), p.items()) if spill
                      else p.items() for p in reversed(kept)])
-        yield first
-        yield from chain.from_iterable(islice(rows, m - 1))
-        yield from next(rows)[passes - tail : passes - 1]
-        if not whole:
-            factory.release(*kept)
+        try:
+            yield first
+            yield from chain.from_iterable(islice(rows, m - 1))
+            yield from next(rows)[passes - tail : passes - 1]
+        finally:
+            if not whole:
+                factory.release(*kept)
     return in_position_order(), found
 
 
@@ -225,10 +228,10 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
     The walk's column holds one array per BWT chunk: PD's counts cut like
     the BWT (``PdBits.column``), or with ranks to ``find`` a new stream.
     Returns the walk's iterator of n counts, count i belonging to text
-    position i, to be read once.  With ranks to ``find``, a value is
-    ``count * sigma + symbol``, so the walk also gives the text, as
-    ``reconstruct_text`` does: returns a finished stream of the counts,
-    the text and a dict of the ranks' text positions.
+    position i, to be read once (see ``_walk``).  With ranks to ``find``,
+    a value is ``count * sigma + symbol``, so the walk also gives the
+    text, as ``reconstruct_text`` does: returns a finished stream of the
+    counts, the text and a dict of the ranks' text positions.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:

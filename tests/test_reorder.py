@@ -9,6 +9,7 @@ from plcpbits import (Bwt, StreamFactory, build_plcp, emlayer,
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import (AlphabetTooLarge, FormatError, OutOfRange,
                              RateMismatch)
+from plcpbits.hybrid import hybrid_pd
 from plcpbits.reorder import (_lf_directory, _lf_pass, annotate_positions,
                               emit_k, position_counts)
 from plcpbits.rounds import run_rounds_external, run_rounds_internal
@@ -336,26 +337,43 @@ def test_walk_reads_its_passes_out_within_one_buffer(tmp_path, rng,
     assert 0 < peak[0] <= capacity, peak
 
 
-def test_walk_read_out_holds_one_file_open(tmp_path, rng, monkeypatch):
+def test_walk_closed_early_frees_its_streams(tmp_path, rng):
+    """A walk's iterator, or the hybrid's, closed before its end (say, by
+    an error while its reader codes K) releases the streams it reads."""
+    fx = make_fixture(random_text(rng, 600, 4), 4)
+    pd = run_rounds_internal(fx.bwt).pd
+    with StreamFactory(str(tmp_path), capacity=64) as f:
+        counts = position_counts(pd, fx.bwt, fx.sisa(8), f)
+        next(counts)
+        assert f.streams
+        counts.close()
+        assert f.streams == []
+        counts = hybrid_pd(fx.bwt, fx.sisa(8), 1, factory=f)
+        next(counts)
+        assert f.streams
+        counts.close()
+        assert f.streams == []
+
+
+def test_walk_reads_more_passes_than_files_may_be_open(tmp_path, rng):
     """The read-out reads the rate passes' streams side by side; on the
     file backend each opens its file only while it reads a chunk, so a
     rate above the process's limit of open files still builds."""
-    fx = make_fixture(random_text(rng, 600, 4), 4)
+    resource = pytest.importorskip("resource")
+    fx = make_fixture(random_text(rng, 800, 4), 4)
     pd = run_rounds_internal(fx.bwt).pd
-    live, peak = [], [0]
-
-    def counted(*args, **kwargs):
-        live[:] = [fh for fh in live if not fh.closed]
-        live.append(open(*args, **kwargs))
-        peak[0] = max(peak[0], len(live))
-        return live[-1]
-    monkeypatch.setattr(emlayer, "open", counted, raising=False)
-    with StreamFactory(str(tmp_path), capacity=64) as f:
-        # 60 passes, each to its own value stream of 10 one-value chunks
-        k = reorder_pd(pd, fx.bwt, fx.sisa(60), factory=f)
-        assert f.streams == [] and f.total_non_sequential() == 0
+    limits = resource.getrlimit(resource.RLIMIT_NOFILE)
+    free = os.open(os.devnull, os.O_RDONLY)  # the lowest free descriptor
+    os.close(free)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (free + 32, limits[1]))
+    try:
+        with StreamFactory(str(tmp_path), capacity=64) as f:
+            # 100 passes, each to its own value stream of 8 one-value chunks
+            k = reorder_pd(pd, fx.bwt, fx.sisa(100), factory=f)
+            assert f.streams == [] and f.total_non_sequential() == 0
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, limits)
     assert k.decode_all() == list(fx.plcp.values)
-    assert peak[0] == 1, peak
 
 
 def test_walk_writes_no_more_per_value_at_a_higher_rate(tmp_path, rng,
