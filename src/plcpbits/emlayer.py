@@ -18,6 +18,7 @@ import os
 import pickle
 import shutil
 import tempfile
+from array import array
 from collections import defaultdict
 from itertools import islice
 from operator import itemgetter
@@ -287,8 +288,11 @@ class StreamFactory:
 
     def from_items(self, items, name="tmp"):
         """A finished stream of ``items``.  Items that fit one buffer are
-        handed on in memory, as a wrapped list; more go to a new stream,
-        read from ``items`` one buffer at a time."""
+        handed on in memory: a typed array as it is, others as a wrapped
+        list; more go to a new stream, read from ``items`` one buffer at a
+        time."""
+        if isinstance(items, array) and len(items) <= self.capacity:
+            return self.wrap(items, name)
         items = iter(items)
         head = list(islice(items, self.capacity + 1))
         if len(head) <= self.capacity:

@@ -9,6 +9,8 @@ should describe the same text disagree.
 
 import os
 import struct
+from itertools import islice
+from operator import eq
 
 from .errors import FormatError, HeaderMismatch
 from .succinct import PlcpBits, RsBitVector
@@ -93,9 +95,12 @@ def read_sisa(path):
         count = -(-n // rate)
         ranks = struct.unpack("<%dQ" % count, _read_exact(fh, 8 * count, path))
         _expect_end(fh, path)
-    if any(r >= n for r in ranks):
+    # sorted, not marked in a set or in n bytes: the header's n is not
+    # bounded by the file's size, the sample count is
+    ordered = sorted(ranks)
+    if ordered[-1] >= n:
         raise FormatError("%s: sampled rank outside 0..n-1" % path)
-    if len(set(ranks)) != len(ranks):
+    if any(map(eq, ordered, islice(ordered, 1, None))):
         raise FormatError("%s: repeated sampled rank" % path)
     return SampledIsa(rate=rate, n=n, ranks=ranks), sigma, circular
 

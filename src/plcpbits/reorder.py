@@ -14,10 +14,15 @@ cursor's LF value costs one lookup and one count within a block.  Moved
 cursors are grouped by BWT symbol; the groups, concatenated in symbol
 order, hold the next pass's cursors in rank order again.
 
-A cursor carries no values: a pass puts its values in sample order,
-and text order is a zip of the passes.  What fits one stream buffer is
-handed on in memory, so a walk whose n values and ceil(n / rate)
-cursors fit one buffer writes no cursor, bucket, value or sorted stream.
+A cursor is one integer, its rank times a radix plus a payload (the
+walk's sample, or the rank a position search started from), so rank
+order is integer order; a pass's cursors sit in typed arrays, 4 bytes
+each while n times the radix stays below 2**32, or, above one buffer,
+in streams of the same integers.  A cursor carries no values: a pass
+puts its values in sample order, and text order is a zip of the passes.
+What fits one stream buffer is handed on in memory, so a walk whose n
+values and ceil(n / rate) cursors fit one buffer writes no cursor,
+bucket, value or sorted stream.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
 text symbol one position back, reconstructs the text for verification
@@ -29,6 +34,7 @@ position of the circular anchor (``annotate_positions``).
 
 from array import array
 from collections import defaultdict
+from functools import partial
 from itertools import chain, islice, repeat
 from math import ceil
 from operator import add, floordiv, itemgetter, mod, mul
@@ -73,32 +79,37 @@ def _lf_directory(bwt, factory):
     return out.finish()
 
 
-def _lf_pass(bwt, directory, cursors, step, factory, column=None):
-    """Move every (rank, payload) cursor of a finished stream one LF step,
-    releasing the stream.
+def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
+    """Move every cursor of a finished stream one LF step, releasing the
+    stream.
 
-    Cursors are visited in rank order.  ``step(rank, payload, x, lf)``,
-    with ``x`` the value at ``rank`` in ``column`` (one array per BWT
-    chunk) or else the BWT symbol, and ``lf`` = LF(rank), returns the
-    cursor's payload at rank ``lf``, or None to retire it.  LF(rank) is
-    the ``_lf_directory`` record's counts plus the symbol's count within
-    the rank's block.  A moved cursor joins the group of its symbol; LF
-    keeps the order of ranks that share one, so the groups concatenated
-    in symbol order hold the moved cursors in rank order.  If the cursors
-    fit one buffer, the groups are lists, metered as ``walk_cursors``,
-    whose concatenation is handed on in memory (``from_items``); else
-    they are streams, concatenated into a new one.
+    A cursor is one integer, ``rank * radix + payload`` with the payload
+    below ``radix``, so cursors in rank order are in ascending order.
+    ``step(rank, payload, x, lf)``, with ``x`` the value at ``rank`` in
+    ``column`` (one array per BWT chunk) or, if it is None, the BWT
+    symbol, and ``lf`` = LF(rank), returns the cursor's payload at rank
+    ``lf``, or None to retire it.  LF(rank) is the ``_lf_directory``
+    record's counts plus the symbol's count within the rank's block.  A moved cursor,
+    ``lf * radix + payload``, joins the group of its symbol; LF keeps the
+    order of ranks that share one, so the groups concatenated in symbol
+    order hold the moved cursors in rank order.  If the cursors fit one
+    buffer, the groups are typed arrays wide enough for ``n * radix - 1``,
+    metered as ``walk_cursors``, whose concatenation is handed on in
+    memory (``from_items``); else they are streams, concatenated into a
+    new one.
     """
     sigma = bwt.sigma
     block = _block(sigma)
     gather = len(cursors) <= factory.capacity
-    buckets = defaultdict(list if gather
+    width = typecode(bwt.n * radix - 1)
+    buckets = defaultdict(partial(array, width) if gather
                           else lambda: factory.stream("bucket"))
     cols = repeat(None) if column is None else column.rewind().items()
     records = zip(directory.rewind().chunks(), bwt.stream(factory).chunks(),
                   cols)
     start = end = 0
-    for rank, payload in cursors.rewind().items():
+    for cursor in cursors.rewind().items():
+        rank, payload = divmod(cursor, radix)
         while rank >= end:
             record = next(records, None)
             if record is None:
@@ -115,14 +126,15 @@ def _lf_pass(bwt, directory, cursors, step, factory, column=None):
               + chunk.count(sym, blk * block, off))
         payload = step(rank, payload, col[off], lf)
         if payload is not None:
-            buckets[sym].append((lf, payload))
+            buckets[sym].append(lf * radix + payload)
     factory.release(cursors)
     if not gather:
         return concat_buckets(buckets, factory, "cursors")
-    factory.meter.note("walk_cursors", sum(map(len, buckets.values())))
-    return factory.from_items(
-        chain.from_iterable(buckets.pop(sym) for sym in sorted(buckets)),
-        "cursors")
+    moved = array(width)
+    for sym in sorted(buckets):
+        moved.extend(buckets.pop(sym))
+    factory.meter.note("walk_cursors", len(moved))
+    return factory.from_items(moved, "cursors")
 
 
 def _walk(bwt, sisa, column, factory, find=()):
@@ -131,14 +143,14 @@ def _walk(bwt, sisa, column, factory, find=()):
     ``find``, as a dict.  The iterator frees the passes' streams once it
     is read to the end or, after its first value, closed.
 
-    One ``(rank, sample)`` cursor starts at each sample; on pass p it
-    takes the value of position sample * rate - p (mod n) and moves one
-    position back, until it has its window: ``rate`` positions, or, for
-    sample 0, position 0 and those after the last sample; so within
-    min(rate, n) passes.  Its last LF step must reach the rank of the
-    next sample below; the ranks of samples 0 and m - 1 and rank 0,
-    always found, must be met once; a linear BWT must hold one 0, at
-    rank 0 and position n - 1.  Otherwise: FormatError.
+    One cursor starts at each sample, its payload the sample (radix m);
+    on pass p it takes the value of position sample * rate - p (mod n)
+    and moves one position back, until it has its window: ``rate``
+    positions, or, for sample 0, position 0 and those after the last
+    sample; so within min(rate, n) passes.  Its last LF step must reach
+    the rank of the next sample below; the ranks of samples 0 and m - 1
+    and rank 0, always found, must be met once; a linear BWT must hold
+    one 0, at rank 0 and position n - 1.  Otherwise: FormatError.
 
     A pass puts its values in sample order, in m slots, sample 0's last:
     in a list if its cursors fit one buffer, else as pairs sorted by
@@ -183,13 +195,15 @@ def _walk(bwt, sisa, column, factory, find=()):
                               % (sample, lf, ranks[sample - 1]))
         return None
 
+    # sample s's cursor: ranks[s] * m + s
     cursors = factory.from_items(
-        ((ranks[s], s) for s in sorted(range(m), key=ranks.__getitem__)),
+        array(typecode(n * m - 1),
+              sorted(map(add, map(mul, ranks, repeat(m)), range(m)))),
         "cursors")
     directory = _lf_directory(bwt, factory)
     for p in range(passes):
         values = factory.stream("values") if spill else [None] * m
-        cursors = _lf_pass(bwt, directory, cursors, step, factory, column)
+        cursors = _lf_pass(bwt, directory, cursors, step, factory, column, m)
         if spill:
             values.extend([(m, None)] * (p >= tail))  # sample 0 retired
             kept.append(em_lsd_sort(values.finish(), 0, m.bit_length(),
@@ -302,7 +316,9 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
     """Text position of each rank in a sorted list, as a dict.
 
     Walks all cursors backwards together; each retires at the first
-    sampled rank it meets, within min(rate, n) LF passes.
+    sampled rank it meets, within min(rate, n) LF passes.  A cursor's
+    payload is the rank it started from (radix n), and its steps are the
+    pass number.
     """
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
@@ -310,19 +326,19 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
     factory.meter.note("isa_samples", len(samples))
     out = {}
 
-    def step(rank, payload, sym, lf):
-        orig, steps = payload
+    def step(rank, orig, sym, lf):
         if rank not in samples:
-            return orig, steps + 1
-        out[orig] = (samples[rank] + steps) % n
+            return orig
+        out[orig] = (samples[rank] + p) % n
         return None
 
-    cursors = factory.from_items(((r, (r, 0)) for r in ranks), "cursors")
+    cursors = factory.from_items(
+        array(typecode(n * n - 1), (r * n + r for r in ranks)), "cursors")
     directory = _lf_directory(bwt, factory)
-    for _ in range(min(sisa.rate, n)):
+    for p in range(min(sisa.rate, n)):
         if not len(cursors):
             break
-        cursors = _lf_pass(bwt, directory, cursors, step, factory)
+        cursors = _lf_pass(bwt, directory, cursors, step, factory, None, n)
     factory.release(directory)
     if len(cursors):
         raise FormatError("ISA samples do not match the BWT: a cursor "

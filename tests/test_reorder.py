@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from array import array
 from math import ceil
 
 import pytest
@@ -181,11 +183,12 @@ def test_lf_pass_matches_per_rank_lf(tmp_path, rng, sigma):
                 def step(rank, payload, sym, image):
                     calls.append((rank, payload, sym, image))
                     return payload if rank % 2 else None
-                cursors = f.from_items(((r, r) for r in ranks), "cursors")
-                moved = _lf_pass(bwt, table, cursors, step, f)
+                # cursor (rank r, payload r), packed at radix n
+                cursors = f.from_items([r * n + r for r in ranks], "cursors")
+                moved = _lf_pass(bwt, table, cursors, step, f, None, n)
                 case = (capacity, directory, ranks)
                 assert calls == [(r, r, symbols[r], lf[r]) for r in ranks], case
-                assert list(moved.rewind().items()) == \
+                assert [divmod(c, n) for c in moved.rewind().items()] == \
                     sorted((lf[r], r) for r in ranks if r % 2), case
                 f.release(cursors, moved)
             f.release(table)
@@ -235,14 +238,17 @@ def test_lf_pass_gathers_a_pass_that_fits_one_chunk(rng):
     f = StreamFactory(capacity=64)
     table = _lf_directory(bwt, f)
     for ranks in (sorted(rng.sample(range(n), 64)), range(n)):
-        cursors = f.from_items(((r, r) for r in ranks), "cursors")
+        cursors = f.from_items([r * n + r for r in ranks], "cursors")
         opened = f._counter
-        moved = _lf_pass(bwt, table, cursors, lambda r, p, x, image: p, f)
-        if len(ranks) <= 64:  # handed on in memory
+        moved = _lf_pass(bwt, table, cursors, lambda r, p, x, image: p, f,
+                         None, n)
+        if len(ranks) <= 64:  # handed on in memory, as a typed array
             assert f._counter == opened
+            assert isinstance(next(moved.rewind().chunks()), array)
         else:  # one bucket stream per symbol, then the output
             assert f._counter - opened > 1
-        assert list(moved.rewind().items()) == sorted((lf[r], r) for r in ranks)
+        assert [divmod(c, n) for c in moved.rewind().items()] == \
+            sorted((lf[r], r) for r in ranks)
         f.release(cursors, moved)
     f.release(table)
     assert f.streams == [] and f.total_non_sequential() == 0
@@ -401,6 +407,27 @@ def test_walk_writes_no_more_per_value_at_a_higher_rate(tmp_path, rng,
             assert k.decode_all() == list(fx.plcp.values), rate
             assert f.streams == [] and f.total_non_sequential() == 0
     assert 0 < written[1] <= 1.25 * written[0], written
+
+
+def test_walk_heap_stays_a_few_bytes_per_symbol(rng):
+    """A cursor is one integer in a typed array, not a (rank, sample)
+    tuple of two int objects: on memory streams at rate 4 the walk and
+    emit_k peak at most 24 B/symbol of Python heap above their entry
+    (about 64 with tuple cursors)."""
+    n = 2 * 10 ** 4
+    fx = make_fixture(random_text(rng, n, 4), 4)
+    pd = run_rounds_external(fx.bwt, StreamFactory()).pd
+    sisa = fx.sisa(4)
+    f = StreamFactory()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        k = emit_k(position_counts(pd, fx.bwt, sisa, f), n)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert k.decode_all() == list(fx.plcp.values)
+    assert peak <= 24 * n, peak / n
 
 
 @pytest.mark.parametrize("capacity", [3, STREAM_BUFFER_ITEMS])
