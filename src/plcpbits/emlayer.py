@@ -2,7 +2,9 @@
 
 Streams are append-once, read-sequentially containers of small records,
 or of bytes: a stream whose first chunk is ``bytes``-like holds byte
-items, such as one 0/1 byte per rank, and is read back in byte chunks.
+items and is read back in byte chunks.  A *bit stream*, made by
+``StreamFactory.bits``, holds one mark per rank at 8 ranks per byte,
+each chunk packed into one integer (bit 0 its first rank).
 Tests run them in memory; the CLI runs them over temporary files.
 Either way the only operations offered are sequential, so a compliant
 algorithm cannot accidentally perform random access: the one escape
@@ -32,6 +34,24 @@ STREAM_BUFFER_ITEMS = 65536
 
 def _is_bytes(chunk):
     return isinstance(chunk, (bytes, bytearray))
+
+
+# 0/1 bytes to the ASCII digits of int(..., 2), and format(..., "b")'s
+# digits back to 0/1 bytes
+_DIGITS = b"0" + b"1" * 255
+_BITS = bytes(c == ord("1") for c in range(256))
+
+
+def pack(marks):
+    """0/1 bytes as one integer whose bit i is the mark of byte i."""
+    return int(marks.translate(_DIGITS)[::-1], 2) if marks else 0
+
+
+def unpack(word, width):
+    """The low ``width`` bits of ``word`` as 0/1 bytes, bit 0 first."""
+    if not width:
+        return b""
+    return format(word, "b").zfill(width)[::-1].encode().translate(_BITS)
 
 
 class MemoryMeter:
@@ -140,8 +160,12 @@ class EmStream:
         self._backend = backend
         self.name = name
         self.capacity = capacity
+        self.bits = False  # set by StreamFactory.bits
         self._writable = True
         self._buffer = None  # a list, or a bytearray for byte items
+        # a bit stream's ranks not yet flushed, as one word, and the ranks
+        # its backend holds
+        self._word = self._width = self._packed = 0
         self._pos = 0
         self.rewinds = 0
         self.non_sequential = 0
@@ -163,6 +187,9 @@ class EmStream:
             self._buffer = buf[:0]
 
     def append_chunk(self, chunk):
+        if self.bits:
+            self.append_word(pack(chunk), len(chunk))
+            return
         buf = self._buffer
         if buf is None:
             buf = self._buffer = bytearray() if _is_bytes(chunk) else []
@@ -177,6 +204,23 @@ class EmStream:
                 self._backend.append_chunk(buf[i : i + cap])
             del buf[:full]
 
+    def append_word(self, word, width):
+        """Append ``width`` ranks to a bit stream: bit i of ``word`` is the
+        mark of the i-th."""
+        if self._width:
+            word, width = self._word | word << self._width, self._width + width
+        cap = self.capacity
+        while width >= cap:
+            self._put_word(word & ((1 << cap) - 1) if width > cap else word,
+                           cap)
+            word >>= cap
+            width -= cap
+        self._word, self._width = word, width
+
+    def _put_word(self, word, width):
+        self._backend.append_chunk(word.to_bytes((width + 7) >> 3, "little"))
+        self._packed += width
+
     def extend(self, items):
         it = iter(items)
         while True:
@@ -190,7 +234,10 @@ class EmStream:
         if self._writable:
             if self._buffer:
                 self._backend.append_chunk(self._buffer)
+            if self._width:
+                self._put_word(self._word, self._width)
             self._buffer = None
+            self._word = self._width = 0
             self._writable = False
             self._pos = 0
         return self
@@ -216,11 +263,29 @@ class EmStream:
         self._pos = pos
 
     def chunks(self):
-        """Yield buffered chunks from the cursor to the end."""
+        """Yield buffered chunks from the cursor to the end; a bit stream's
+        as 0/1 bytes."""
         self._check_finished("read")
+        if self.bits:
+            for word, width in self.words():
+                yield unpack(word, width)
+            return
         for chunk in self._backend.chunks(self._pos, self.capacity):
             self._pos += len(chunk)
             yield chunk
+
+    def words(self):
+        """Yield a bit stream's chunks from the cursor to the end, each as
+        a pair (word, width): bit i of word is the mark of its i-th rank."""
+        self._check_finished("read")
+        cap = self.capacity
+        size = (cap + 7) >> 3
+        first, skip = divmod(self._pos, cap)
+        for chunk in self._backend.chunks(first * size, size):
+            width = min(cap - skip, self._packed - self._pos)
+            self._pos += width
+            yield int.from_bytes(chunk, "little") >> skip, width
+            skip = 0
 
     def items(self):
         for chunk in self.chunks():
@@ -230,6 +295,8 @@ class EmStream:
         return self.items()
 
     def __len__(self):
+        if self.bits:
+            return self._packed + self._width
         return len(self._backend) + len(self._buffer or ())
 
     def dispose(self):
@@ -277,6 +344,12 @@ class StreamFactory:
             backend = _FileBackend(path, self._spares)
         s = EmStream(backend, name=name, capacity=capacity or self.capacity)
         self.streams.append(s)
+        return s
+
+    def bits(self, name="marks", capacity=None):
+        """A new writable bit stream: one mark per rank, 8 ranks a byte."""
+        s = self.stream(name, capacity)
+        s.bits = True
         return s
 
     def wrap(self, data, name="wrapped"):
@@ -361,15 +434,20 @@ def _bucket_pass(src, key, factory, capacity=None):
     return concat_buckets(buckets, factory, "sorted", capacity)
 
 
-def concat_buckets(buckets, factory, name, capacity=None):
+def concat_buckets(buckets, factory, name, capacity=None, bits=False):
     """One finished stream of the bucket streams of a ``{key: stream}``
     dict, concatenated in key order; each bucket is released once copied.
+    With ``bits``, the buckets and the result are bit streams.
     """
-    out = factory.stream(name, capacity)
+    out = (factory.bits if bits else factory.stream)(name, capacity)
     for k in sorted(buckets):
         bucket = buckets.pop(k).finish()
-        for chunk in bucket.chunks():
-            out.append_chunk(chunk)
+        if bits:
+            for word, width in bucket.words():
+                out.append_word(word, width)
+        else:
+            for chunk in bucket.chunks():
+                out.append_chunk(chunk)
         factory.release(bucket)
     return out.finish()
 

@@ -9,6 +9,8 @@ should describe the same text disagree.
 
 import os
 import struct
+import sys
+from array import array
 from itertools import islice
 from operator import eq
 
@@ -93,7 +95,9 @@ def read_sisa(path):
         if rate < 1:
             raise FormatError("%s: zero sampling rate" % path)
         count = -(-n // rate)
-        ranks = struct.unpack("<%dQ" % count, _read_exact(fh, 8 * count, path))
+        ranks = array("Q", _read_exact(fh, 8 * count, path))
+        if sys.byteorder == "big":
+            ranks.byteswap()
         _expect_end(fh, path)
     # sorted, not marked in a set or in n bytes: the header's n is not
     # bounded by the file's size, the sample count is

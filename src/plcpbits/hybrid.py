@@ -37,8 +37,9 @@ def irreducible_missing(bwt, set_marks):
 
     Those are the unset ranks where the BWT changes symbol (or rank 0).
     Returns them in rank order as pairs ``(r, q)``, q being the last rank
-    before r with r's BWT symbol, or None.  ``set_marks`` is a 0/1 byte
-    stream cut like the BWT's chunks, or a list over ranks.
+    before r with r's BWT symbol, or None.  ``set_marks`` is a bit stream
+    cut like the BWT's chunks, read a chunk at a time as 0/1 bytes, or a
+    list over ranks.
 
     Per chunk, on big integers with one byte per rank, the chunk XOR
     itself shifted by one rank is non-zero at the run heads.  Only the

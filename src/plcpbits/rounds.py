@@ -6,10 +6,10 @@ until the round in which the rank itself does; each active round adds
 one zero bit in front of the rank's one bit in PD.  The in-memory
 strategy walks a pruned interval queue over a wavelet tree.  The
 sequential strategy keeps the round's state as rank-order bit streams,
-one 0/1 byte per rank, and PD as per-rank count lanes, one array per
-chunk; it moves marks only forward through LF, and works each pass a
-whole chunk at a time with byte translation, selection and big-integer
-bit operations, PD's growth included.
+one bit per rank, and PD as per-rank count lanes, one array per chunk;
+it moves marks only forward through LF, and works each pass a whole
+chunk at a time with byte translation, selection and big-integer bit
+operations, PD's growth included.
 """
 
 from array import array
@@ -195,7 +195,7 @@ RoundStats = namedtuple("RoundStats", "starts newly_set active pd_bits seconds")
 @dataclass
 class RoundResult:
     pd: PdBits
-    set_marks: object      # 0/1 byte stream or list over ranks: value set
+    set_marks: object      # bit stream or list over ranks: value set
     rounds: int
     stats: list = field(default_factory=list)  # RoundStats per round
 
@@ -245,15 +245,22 @@ def run_rounds_internal(bwt, max_rounds=None):
 
 
 def _marks(factory, name, n, capacity):
-    """A rank-order byte stream of n zeros."""
-    out = factory.stream(name, capacity)
+    """A rank-order bit stream of n zeros."""
+    out = factory.bits(name, capacity)
     for lo in range(0, n, capacity):
-        out.append_chunk(bytes(min(capacity, n - lo)))
+        out.append_word(0, min(capacity, n - lo))
     return out.finish()
 
 
-# maps a bare a (0xFE) to 0 and an a with a mark (0xFF) to 1
-KEEP_MARK = bytes(c == 0xFF for c in range(256))
+# maps an a with a mark (0xFF) to the digit 1 and every other byte to 0
+MARK_DIGIT = b"0" * 255 + b"1"
+
+
+def _spread(word, ones):
+    """A packed word as a big integer of one byte per rank, 0 or 1: its
+    binary digits read as bytes, the most significant first, and their
+    low bits kept by ``ones``, a 1 in every byte up to its width."""
+    return int.from_bytes(format(word, "b").encode(), "big") & ones
 
 
 def _next_starts(keys, starts, sigma, factory):
@@ -262,36 +269,38 @@ def _next_starts(keys, starts, sigma, factory):
     A rank is *first* when its BWT symbol a occurs there for the first
     time in its interval.  Per chunk and symbol present, on big integers
     with one byte per rank (A: 0xFF where the BWT holds a, D = ~A, B: 1 at
-    the interval starts), the sum T = D + (B & D) + carry carries a one
-    from each interval start across the non-a ranks into the next a,
-    where it stops: that a is first, and so is an a on a start.  The
-    carry out of the chunk continues into the next chunk; it begins at
-    one, because rank 0 begins an interval in every round, marked in
-    ``starts`` or not.  The marks of a are then compacted in rank order
-    by one byte translation: a bare a is 0xFE, a first a 0xFF and every
-    other symbol 0x00, which ``translate(KEEP_MARK, b"\\x00")`` deletes.
-    Appending each symbol's marks to its own stream is the LF mapping; the
-    streams are then concatenated in symbol order.  A BWT of one chunk
-    yields the marks in symbol order already, so they go straight to the
-    next starts, with no stream per symbol.  The OR of all symbols'
-    marks, translated without deleting, is the first marks in rank order:
-    first[r] = next_starts[LF(r)].
+    the interval starts, their packed word spread), the sum
+    T = D + (B & D) + carry carries a one from each interval start across
+    the non-a ranks into the next a, where it stops: that a is first, and
+    so is an a on a start.  The carry out of the chunk continues into the
+    next chunk; it begins at one, because rank 0 begins an interval in
+    every round, marked in ``starts`` or not.  The marks of a are then
+    compacted and packed by one byte translation, read from the last rank
+    down: a bare a (0xFE) becomes the digit 0, a first a (0xFF) the digit
+    1, and every other symbol (0x00) is deleted, so ``int(digits, 2)`` is
+    a's marks, one bit per rank.  Appending each symbol's marks to its own
+    bit stream is the LF mapping; the streams are then concatenated in
+    symbol order.  A BWT of one chunk yields the marks in symbol order
+    already, so they go straight to the next starts, with no stream per
+    symbol.  The OR of all symbols' marks, translated without deleting,
+    is the first marks in rank order: first[r] = next_starts[LF(r)].
     """
     # per symbol a, the byte table that maps a to 0xFF and all else to 0
     tables = [bytes(a) + b"\xff" + bytes(255 - a) for a in range(sigma)]
     carry = [1] * sigma
+    ones = int.from_bytes(b"\x01" * min(len(keys), keys.capacity), "little")
+    high = 0xFE * ones
     if len(keys) <= keys.capacity:
-        nxt = factory.stream("starts", keys.capacity)
+        nxt = factory.bits("starts", keys.capacity)
         buckets = defaultdict(lambda: nxt)
     else:
         nxt = None
-        buckets = defaultdict(lambda: factory.stream("bucket"))
-    first = factory.stream("first", keys.capacity)
-    for chunk, st in zip(keys.chunks(), starts.rewind().chunks()):
-        width = 8 * len(chunk)
+        buckets = defaultdict(lambda: factory.bits("bucket"))
+    first = factory.bits("first", keys.capacity)
+    for chunk, (st, size) in zip(keys.chunks(), starts.rewind().words()):
+        width = 8 * size
         mask = (1 << width) - 1
-        high = int.from_bytes(b"\xfe" * len(chunk), "little")
-        b = int.from_bytes(st, "little")
+        b = _spread(st, ones)
         marks = 0
         for a in range(sigma):
             if a not in chunk:
@@ -304,13 +313,14 @@ def _next_starts(keys, starts, sigma, factory):
             carry[a] = t >> width
             marked = at & (high | t | b)
             marks |= marked
-            part = marked.to_bytes(len(chunk), "little").translate(
-                KEEP_MARK, b"\x00")
-            buckets[a].append_chunk(part)
-        first.append_chunk(marks.to_bytes(len(chunk), "little").translate(
-            KEEP_MARK))
+            digits = marked.to_bytes(size, "big").translate(MARK_DIGIT,
+                                                            b"\x00")
+            buckets[a].append_word(int(digits, 2), len(digits))
+        first.append_word(int(marks.to_bytes(size, "big").translate(
+            MARK_DIGIT), 2), size)
     if nxt is None:
-        nxt = concat_buckets(buckets, factory, "starts", keys.capacity)
+        nxt = concat_buckets(buckets, factory, "starts", keys.capacity,
+                             bits=True)
     return nxt.finish(), first.finish()
 
 
@@ -321,33 +331,34 @@ def _active(new, old, first, first_prev, active, act_next, tally):
     rank r turns active when its LF image is newly set, which is
     first[r] and not first_prev[r], unless r itself was set before this
     round (``old``: a rank set in this same round still gains its zero
-    bit).  The marks are yielded as big integers, one byte per rank.  The
-    next active marks, without the set ranks, go to ``act_next``;
-    ``tally`` counts the starts, the newly set and the active ranks.
+    bit).  All five streams are read as packed words, one bit per rank;
+    the marks are yielded spread to big integers of one byte per rank,
+    for ``_grow``.  The next active marks, without the set ranks, go to
+    ``act_next``; ``tally`` counts the starts, the newly set and the
+    active ranks.
     """
-    chunks = zip(new.rewind().chunks(), old.rewind().chunks(),
-                 first.rewind().chunks(), first_prev.rewind().chunks(),
-                 active.rewind().chunks())
-    for nc, oc, fc, pc, ac in chunks:
-        now, was = int.from_bytes(nc, "little"), int.from_bytes(oc, "little")
-        a = int.from_bytes(ac, "little") | (
-            int.from_bytes(fc, "little") & ~int.from_bytes(pc, "little")
-            & ~was)
+    ones = int.from_bytes(b"\x01" * min(len(new), new.capacity), "little")
+    words = zip(new.rewind().words(), old.rewind().words(),
+                first.rewind().words(), first_prev.rewind().words(),
+                active.rewind().words())
+    for (now, width), (was, _), (fc, _), (pc, _), (ac, _) in words:
+        a = ac | (fc & ~pc & ~was)
         tally[0] += now.bit_count()
         tally[1] += (now & ~was).bit_count()
         tally[2] += a.bit_count()
-        act_next.append_chunk((a & ~now).to_bytes(len(nc), "little"))
-        yield a
+        act_next.append_word(a & ~now, width)
+        yield _spread(a, ones)
 
 
 def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     """Sequential round builder over rank-order bit streams.
 
-    The state is four streams: the interval starts, the previous round's
-    first marks, the active marks and PD's count lanes.  After k rounds
-    the starts are the ranks that begin an interval of equal length-k
-    prefixes, which are the ranks of LCP below k: the set marks (none
-    before round 0).  Per round, two passes, both chunk-wise:
+    The state is four streams: three bit streams of one bit per rank, the
+    interval starts, the previous round's first marks and the active
+    marks, and PD's count lanes.  After k rounds the starts are the ranks
+    that begin an interval of equal length-k prefixes, which are the ranks
+    of LCP below k: the set marks (none before round 0).  Per round, two
+    passes, both chunk-wise:
 
     - the first marks, and the next starts as their LF images
       (``_next_starts``);
@@ -388,7 +399,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
 
         nxt, first_next = _next_starts(bwt.stream(factory), starts, sigma,
                                        factory)
-        act_next = factory.stream("active", cap)
+        act_next = factory.bits("active", cap)
         lanes = factory.stream("pd", capacity=1)
         tally = [0, 0, 0]
         for marks, counts in zip(_active(nxt, starts, first_next, first,

@@ -9,11 +9,10 @@ import struct
 from bisect import bisect_right
 from itertools import accumulate
 
+from .emlayer import pack
 from .errors import DiffBoundViolation, OutOfRange, TruncatedCode
 
 _WORD = 64
-# maps a 0/1 byte (any non-zero byte) to its binary digit
-_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 
 
 class GammaStream:
@@ -90,8 +89,8 @@ class RsBitVector:
 
     def __init__(self, bits):
         raw = bytes(bits)  # one 0/1 byte per bit
-        value = int(raw[::-1].translate(_DIGITS), 2) if raw else 0
-        self._load(value.to_bytes((len(raw) + 7) // 8, "little"), len(raw))
+        self._load(pack(raw).to_bytes((len(raw) + 7) // 8, "little"),
+                   len(raw))
 
     @classmethod
     def from_packed(cls, packed, n):

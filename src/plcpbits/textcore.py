@@ -6,11 +6,13 @@ dense rank alphabet 0..sigma-1; a non-circular text ends in a unique
 minimal terminator (rank 0).
 """
 
+from array import array
 from dataclasses import dataclass, field
 from operator import add
 
 from .errors import (AlphabetTooLarge, CircularPowerInput, LengthMismatch,
                      OutOfRange)
+from .rounds import typecode
 
 
 @dataclass(frozen=True)
@@ -135,14 +137,16 @@ class Bwt:
 
 @dataclass(frozen=True)
 class SampledIsa:
-    """ISA values at positions 0, rate, 2*rate, ..."""
+    """ISA values at positions 0, rate, 2*rate, ..., held in an array of
+    the narrowest type that holds n - 1 (``rounds.typecode``)."""
 
     rate: int
     n: int
-    ranks: tuple = field(default=())
+    ranks: array = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(self.ranks))
+        object.__setattr__(self, "ranks",
+                           array(typecode(self.n - 1), self.ranks))
 
     def __len__(self):
         return len(self.ranks)

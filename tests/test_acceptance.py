@@ -188,7 +188,7 @@ def test_criterion_07_inverse_sort_identity():
         lf = [0] * n
         for i, (_, r) in enumerate(order.items()):
             lf[r] = i
-        marks = f.stream("starts")
+        marks = f.bits("starts")
         marks.append_chunk(starts)
         nxt, first = _next_starts(f.wrap(bytes(keys)), marks.finish(),
                                   sigma, f)

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import banana
-from plcpbits.emlayer import StreamFactory, em_lsd_sort
+from plcpbits.emlayer import StreamFactory, em_lsd_sort, pack, unpack
 from plcpbits.errors import PlcpError
 
 
@@ -109,6 +109,46 @@ def test_file_backend_reuses_released_files(tmp_path):
     assert path.stat().st_size == 0
     f.cleanup()  # also drops the emptied files of a directory it does not own
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 8, 64])
+def test_bit_streams_round_trip(rng, tmp_path, capacity):
+    """A bit stream gives back the 0/1 bytes it was handed, as bytes or
+    as packed words, in chunks of ``capacity`` ranks, whether it was
+    written as bytes or as words; on temp files each chunk takes
+    (capacity + 7) // 8 bytes."""
+    for length in [*range(21), 65]:
+        rand = [rng.randrange(2) for _ in range(length)]
+        for marks in ([0] * length, [1] * length, rand[:-1] + [1],
+                      rand[:-1] + [0]):
+            marks = bytes(marks[:length])
+            word = pack(marks)
+            assert word == int("".join(map(str, reversed(marks))) or "0", 2)
+            assert unpack(word, length) == marks
+            for directory in (None, str(tmp_path)):
+                f = StreamFactory(directory, capacity=capacity)
+                by_bytes, by_words = f.bits("a"), f.bits("b")
+                cuts = sorted(rng.sample(range(length + 1),
+                                         min(3, length + 1)))
+                for lo, hi in zip([0, *cuts], [*cuts, length]):
+                    by_bytes.append_chunk(marks[lo:hi])
+                    by_words.append_word(pack(marks[lo:hi]), hi - lo)
+                widths = [min(capacity, length - lo)
+                          for lo in range(0, length, capacity)]
+                for s in (by_bytes.finish(), by_words.finish()):
+                    assert len(s) == length
+                    assert b"".join(s.chunks()) == marks
+                    words = list(s.rewind().words())
+                    assert [w for _, w in words] == widths
+                    assert [unpack(*w) for w in words] == \
+                        [marks[lo : lo + capacity]
+                         for lo in range(0, length, capacity)]
+                    assert list(s.rewind().items()) == list(marks)
+                if directory:
+                    sizes = [p.stat().st_size for p in tmp_path.iterdir()]
+                    assert sizes == [sum((w + 7) // 8 for w in widths)] * 2
+                f.release(by_bytes, by_words)
+                f.cleanup()
 
 
 def test_meter_tracks_peaks():

@@ -1,3 +1,4 @@
+import os
 import random
 from array import array
 from itertools import compress
@@ -5,7 +6,7 @@ from itertools import compress
 import pytest
 
 from conftest import abbab, banana, make_fixture, random_text
-from plcpbits import StreamFactory
+from plcpbits import StreamFactory, emlayer
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import NotIncreasing, OutOfRange
 from plcpbits.reorder import reorder_pd
@@ -205,6 +206,50 @@ def test_pd_on_disk_takes_about_a_byte_per_rank(tmp_path, rng):
         f.release(r.pd._bits, r.set_marks)
 
 
+@pytest.mark.parametrize("n, capacity",
+                         [(3001, 64), (700, 3), (2000, STREAM_BUFFER_ITEMS)])
+def test_mark_streams_on_disk_take_a_bit_per_rank(tmp_path, monkeypatch, n,
+                                                  capacity):
+    """On temp files, once a round is done, each of its starts, first and
+    active streams holds at most ceil(n / 8) bytes plus one per chunk;
+    above one buffer, so do the round's per-symbol bucket streams
+    together, plus one byte per symbol."""
+    fx = make_fixture(random_text(random.Random(n), n, 4), 4)
+    bound = -(-n // 8) + -(-n // capacity)
+    released = []  # sizes of the bucket files of the round under way
+    dispose = emlayer._FileBackend.dispose
+
+    def measured(backend):
+        if backend.path and os.path.basename(backend.path).startswith(
+                "bucket"):
+            released.append(os.path.getsize(backend.path))
+        dispose(backend)
+    monkeypatch.setattr(emlayer._FileBackend, "dispose", measured)
+    buckets = []
+
+    def stop(stats):
+        sizes = {}
+        for name in os.listdir(tmp_path):
+            kind = name.rsplit("-", 1)[0]
+            sizes.setdefault(kind, []).append(
+                os.path.getsize(os.path.join(tmp_path, name)))
+        for kind in ("starts", "first", "active"):
+            assert 0 < max(sizes[kind]) <= bound, (kind, sizes[kind])
+        buckets.append(sum(released))
+        released.clear()
+        return False
+
+    with StreamFactory(str(tmp_path), capacity=capacity) as f:
+        r = run_rounds_external(fx.bwt, f, stop=stop)
+        assert r.pd.counts() == expected_pd_counts(fx)
+        assert len(buckets) == r.rounds
+        if n > capacity:
+            assert all(0 < b <= bound + 4 for b in buckets), buckets
+        else:
+            assert not any(buckets)
+        f.release(r.pd._bits, r.set_marks)
+
+
 def reference_next_starts(keys, starts, sigma):
     """Per rank: a rank is first when its symbol is new in its interval;
     the first marks move to their LF images by one ``compress`` per symbol.
@@ -232,7 +277,7 @@ def test_next_starts_match_per_rank_reference(rng, sigma):
             for head in (1, 0):
                 starts = bytes([head] + rest)
                 f = StreamFactory(capacity=capacity)
-                marks = f.stream("starts")
+                marks = f.bits("starts")
                 marks.append_chunk(starts)
                 out, first = _next_starts(f.wrap(bytes(keys)), marks.finish(),
                                           sigma, f)
