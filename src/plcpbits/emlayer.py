@@ -1,11 +1,12 @@
 """Simulated external memory.
 
-Streams are append-once, read-sequentially containers of small records,
-or of bytes: a stream whose first chunk is ``bytes``-like holds byte
-items and is read back in byte chunks.  A *bit stream*, made by
-``StreamFactory.bits``, holds one mark per rank at 8 ranks per byte,
-each chunk packed into one integer (bit 0 its first rank).
-Tests run them in memory; the CLI runs them over temporary files.
+Streams are append-once, read-sequentially containers of unsigned
+integers in chunks of one format, ``bytes`` or a typed ``array``: items
+gathered in a list become the narrowest array that holds them
+(``typecode``).  A *bit stream*, made by ``StreamFactory.bits``, holds
+one mark per rank, each chunk packed into one integer (bit 0 its first
+rank) and stored as bytes.  Tests run streams in memory; the CLI runs
+them over temporary files, each chunk's raw bytes after the other.
 Either way the only operations offered are sequential, so a compliant
 algorithm cannot accidentally perform random access: the one escape
 hatch (``seek``) is counted and asserted zero after every run.
@@ -17,13 +18,11 @@ buffer are handed on in memory, wrapped as a finished stream
 """
 
 import os
-import pickle
 import shutil
 import tempfile
 from array import array
 from collections import defaultdict
 from itertools import islice
-from operator import itemgetter
 
 from .errors import StreamStateError
 
@@ -32,8 +31,9 @@ from .errors import StreamStateError
 STREAM_BUFFER_ITEMS = 65536
 
 
-def _is_bytes(chunk):
-    return isinstance(chunk, (bytes, bytearray))
+def typecode(top):
+    """The narrowest unsigned array type that holds ``top``."""
+    return next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
 
 
 # 0/1 bytes to the ASCII digits of int(..., 2), and format(..., "b")'s
@@ -69,43 +69,47 @@ class MemoryMeter:
 
 
 class _MemoryBackend:
-    """Items in one in-memory sequence: a ``bytearray`` for byte items."""
+    """The chunks a stream is given, kept as they are; or one wrapped
+    sequence, cut up as it is read."""
 
     def __init__(self, data=None):
-        self.data = data
+        self.pieces = [] if data is None else [data]
 
     def append_chunk(self, chunk):
-        if self.data is None:
-            self.data = bytearray() if _is_bytes(chunk) else []
-        self.data.extend(chunk)
+        self.pieces.append(chunk)
 
     def chunks(self, start, capacity):
-        data = self.data or ()
-        for i in range(start, len(data), capacity):
-            yield data[i : i + capacity]
+        for piece in self.pieces:
+            if not start and len(piece) <= capacity:
+                yield piece
+                continue
+            for i in range(start, len(piece), capacity):
+                yield piece[i : i + capacity]
+            start = max(0, start - len(piece))
 
     def __len__(self):
-        return len(self.data or ())
+        return sum(map(len, self.pieces))
 
     def dispose(self):
-        self.data = None
+        self.pieces = []
 
 
 class _FileBackend:
-    """Chunk file: byte chunks are written as they are, others pickled.
+    """Chunk file: each chunk's raw bytes, ``itemsize * len`` of them,
+    one after the other.
 
-    A stream's first chunk decides which; every chunk but the last holds
-    exactly the stream's capacity, and a read takes one chunk's bytes,
-    whose end offsets are kept, by one ``os.pread``.  The file is open
-    only while a chunk is written or read, so the many bucket streams of
-    a sort hold no file buffers while they fill, and a suspended reader
-    holds no file: a walk reads all its passes' streams side by side,
-    more of them than a process may open.  A disposed file is emptied
-    and put on ``spares``, the factory's list, and the next new stream
-    renames it rather than creating a file: on an ext4 virtual disk,
-    creating one took 0.2-0.8 ms and renaming it 0.03 ms.  Opening it
-    empty once more keeps ext4 from writing the new stream's data to disk
-    at its next close, as it does after a truncation.
+    Each chunk's end offset is kept with its array type (None for
+    bytes); a read takes one chunk's bytes by one ``os.pread`` and
+    rebuilds the array from them.  The file is open only while a chunk
+    is written or read, as a raw descriptor, so the many bucket streams
+    of a sort hold no file buffers while they fill, and a suspended
+    reader holds no file: a walk reads all its passes' streams side by
+    side, more of them than a process may open.  A disposed file is
+    emptied and put on ``spares``, the factory's list, and the next new
+    stream renames it rather than creating a file: on an ext4 virtual
+    disk, creating one took 0.2-0.8 ms and renaming it 0.03 ms.  Opening
+    it empty once more keeps ext4 from writing the new stream's data to
+    disk at its next close, as it does after a truncation.
     """
 
     def __init__(self, path, spares):
@@ -113,33 +117,32 @@ class _FileBackend:
         self._spares = spares
         if spares:
             os.replace(spares.pop(), path)
-        open(path, "wb").close()
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
         self._count = 0
-        self._ends = []  # the byte offset at which each chunk ends
-        self._raw = None
+        self._index = [(0, None)]  # per chunk: the offset it ends at, its type
 
     def append_chunk(self, chunk):
-        if self._raw is None:
-            self._raw = _is_bytes(chunk)
-        with open(self.path, "ab") as fh:
-            if self._raw:
-                fh.write(chunk)
-            else:
-                pickle.dump(chunk, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            self._ends.append(fh.tell())
+        data = memoryview(chunk).cast("B")
+        end = self._index[-1][0] + len(data)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        self._index.append((end, getattr(chunk, "typecode", None)))
         self._count += len(chunk)
 
     def chunks(self, start, capacity):
         first, skip = divmod(start, capacity)
-        offsets = [0, *self._ends]
-        for lo, hi in zip(offsets[first:], offsets[first + 1 :]):
+        index = self._index[first:]
+        for (lo, _), (hi, code) in zip(index, index[1:]):
             fd = os.open(self.path, os.O_RDONLY)
             try:
                 chunk = os.pread(fd, hi - lo, lo)
             finally:
                 os.close(fd)
-            if not self._raw:
-                chunk = pickle.loads(chunk)
+            chunk = array(code, chunk) if code else chunk
             yield chunk[skip:] if skip else chunk
             skip = 0
 
@@ -154,7 +157,8 @@ class _FileBackend:
 
 
 class EmStream:
-    """A write-once stream of records with sequential access only."""
+    """A write-once stream of unsigned integers, or of bytes, with
+    sequential access only."""
 
     def __init__(self, backend, name="", capacity=STREAM_BUFFER_ITEMS):
         self._backend = backend
@@ -162,7 +166,7 @@ class EmStream:
         self.capacity = capacity
         self.bits = False  # set by StreamFactory.bits
         self._writable = True
-        self._buffer = None  # a list, or a bytearray for byte items
+        self._buffer = None  # unflushed: a list, a bytearray or a held chunk
         # a bit stream's ranks not yet flushed, as one word, and the ranks
         # its backend holds
         self._word = self._width = self._packed = 0
@@ -174,35 +178,44 @@ class EmStream:
     #
     # The backend receives chunks of exactly ``capacity`` items (the last
     # one may be shorter), so streams of equal length and capacity can be
-    # read side by side chunk by chunk.  The first write decides the item
-    # type: a ``bytes``-like chunk makes a byte stream.
+    # read side by side chunk by chunk.  A chunk is ``bytes`` or an
+    # ``array``: a list becomes the narrowest array that holds its items.
+
+    def _put(self, chunk):
+        if isinstance(chunk, bytearray):
+            chunk = bytes(chunk)
+        elif not isinstance(chunk, (bytes, array)):
+            chunk = array(typecode(max(chunk)), chunk)
+        self._backend.append_chunk(chunk)
+
+    def _own(self):
+        """The write buffer as a list, or a bytearray if it holds bytes."""
+        buf = self._buffer
+        if not isinstance(buf, (list, bytearray)):
+            kind = bytearray if isinstance(buf, bytes) else list
+            buf = self._buffer = kind(buf or ())
+        return buf
 
     def append(self, item):
-        buf = self._buffer
-        if buf is None:
-            buf = self._buffer = []
+        buf = self._buffer if type(self._buffer) is list else self._own()
         buf.append(item)
         if len(buf) >= self.capacity:
-            self._backend.append_chunk(buf)
+            self._put(buf)
             self._buffer = buf[:0]
 
     def append_chunk(self, chunk):
         if self.bits:
             self.append_word(pack(chunk), len(chunk))
             return
-        buf = self._buffer
-        if buf is None:
-            buf = self._buffer = bytearray() if _is_bytes(chunk) else []
-        cap = self.capacity
-        if not buf and len(chunk) == cap:
-            self._backend.append_chunk(chunk)
-            return
-        buf.extend(chunk)
-        if len(buf) >= cap:
-            full = len(buf) - len(buf) % cap
-            for i in range(0, full, cap):
-                self._backend.append_chunk(buf[i : i + cap])
-            del buf[:full]
+        if self._buffer:
+            self._own().extend(chunk)
+            chunk = self._buffer
+        cap, size = self.capacity, len(chunk)
+        full = size - size % cap
+        for i in range(0, full, cap):
+            self._put(chunk[i : i + cap] if size > cap else chunk)
+        if full or chunk is not self._buffer:
+            self._buffer = chunk[full:]  # held as it is until more comes
 
     def append_word(self, word, width):
         """Append ``width`` ranks to a bit stream: bit i of ``word`` is the
@@ -222,18 +235,17 @@ class EmStream:
         self._packed += width
 
     def extend(self, items):
+        if isinstance(items, array):
+            return self.append_chunk(items)
         it = iter(items)
-        while True:
-            chunk = list(islice(it, self.capacity))
-            if not chunk:
-                break
+        for chunk in iter(lambda: list(islice(it, self.capacity)), []):
             self.append_chunk(chunk)
 
     def finish(self):
         """Seal the stream and position the read cursor at the start."""
         if self._writable:
             if self._buffer:
-                self._backend.append_chunk(self._buffer)
+                self._put(self._buffer)
             if self._width:
                 self._put_word(self._word, self._width)
             self._buffer = None
@@ -361,15 +373,15 @@ class StreamFactory:
 
     def from_items(self, items, name="tmp"):
         """A finished stream of ``items``.  Items that fit one buffer are
-        handed on in memory: a typed array as it is, others as a wrapped
-        list; more go to a new stream, read from ``items`` one buffer at a
-        time."""
+        handed on in memory, wrapped as a typed array: an array as it is,
+        others in the narrowest that holds them; more go to a new stream,
+        read from ``items`` one buffer at a time."""
         if isinstance(items, array) and len(items) <= self.capacity:
             return self.wrap(items, name)
         items = iter(items)
         head = list(islice(items, self.capacity + 1))
         if len(head) <= self.capacity:
-            return self.wrap(head, name)
+            return self.wrap(array(typecode(max(head, default=0)), head), name)
         s = self.stream(name)
         s.extend(head)
         s.extend(items)
@@ -452,8 +464,9 @@ def concat_buckets(buckets, factory, name, capacity=None, bits=False):
     return out.finish()
 
 
-def em_lsd_sort(stream, key_index, key_bits, factory, capacity=None):
-    """Stable LSD radix sort of tuple records by an integer component.
+def em_lsd_sort(stream, shift, key_bits, factory, capacity=None):
+    """Stable LSD radix sort of integers by their ``key_bits`` bits above
+    ``shift``, ``item >> shift & (2**key_bits - 1)``.
 
     One bucket pass per 8-bit digit of the key, least significant first.
     A stream of one chunk is read into memory by any pass, so it is
@@ -461,17 +474,16 @@ def em_lsd_sort(stream, key_index, key_bits, factory, capacity=None):
     and handed on by ``StreamFactory.from_items``; else the passes write
     chunks of ``capacity`` items, by default the factory's.
     """
-    key = itemgetter(key_index)
+    mask = (1 << key_bits) - 1
     stream.rewind()
     if len(stream) <= stream.capacity:
-        return factory.from_items(sorted(stream.items(), key=key), "sorted")
+        return factory.from_items(
+            sorted(stream.items(), key=lambda item: item >> shift & mask),
+            "sorted")
     cur = stream
-    for shift in range(0, max(1, key_bits), DIGIT_BITS):
-        if key_bits <= DIGIT_BITS:
-            digit = key
-        else:
-            def digit(item, shift=shift):
-                return key(item) >> shift & (BUCKETS - 1)
+    for low in range(0, max(1, key_bits), DIGIT_BITS):
+        def digit(item, at=shift + low, bits=mask >> low & (BUCKETS - 1)):
+            return item >> at & bits
         nxt = _bucket_pass(cur, digit, factory, capacity)
         if cur is not stream:
             factory.release(cur)

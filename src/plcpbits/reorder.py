@@ -7,10 +7,10 @@ and takes the value at its rank on every step, until it has covered its
 window: the positions from its sample down to, but not including, the
 next sample below.  An LF pass moves every cursor one step and is
 strictly sequential: it visits the cursors in rank order alongside the
-BWT, a column of values (PD's count lanes, one array per BWT chunk, or
-the BWT itself) and the BWT's occurrence directory, sampled symbol
-counts (Ferragina and Manzini's FM-index) built once per walk, so a
-cursor's LF value costs one lookup and one count within a block.  Moved
+BWT, a column of values (PD's counts, cut like the BWT, or the BWT
+itself) and the BWT's occurrence directory, sampled symbol counts
+(Ferragina and Manzini's FM-index) built once per walk, so a cursor's
+LF value costs one lookup and one count within a block.  Moved
 cursors are grouped by BWT symbol; the groups, concatenated in symbol
 order, hold the next pass's cursors in rank order again.
 
@@ -37,12 +37,12 @@ from collections import defaultdict
 from functools import partial
 from itertools import chain, islice, repeat
 from math import ceil
-from operator import add, floordiv, itemgetter, mod, mul
+from operator import add, floordiv, mod, mul, rshift
 
 from . import emlayer
-from .emlayer import concat_buckets, em_lsd_sort
+from .emlayer import concat_buckets, em_lsd_sort, typecode
 from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
-from .rounds import typecode, unary_code
+from .rounds import unary_code
 from .succinct import PlcpBits, RsBitVector
 
 
@@ -51,21 +51,20 @@ def _block(sigma):
 
 
 def _lf_directory(bwt, factory):
-    """The BWT's sampled occurrence counts, one record per BWT chunk.
+    """The BWT's sampled occurrence counts, one chunk of rows per BWT
+    chunk.
 
-    A record ``(base, rows)`` holds ``base[a]``, D[a] plus the a's before
-    the chunk, and for every block of ``_block(sigma)`` positions the
-    sigma counts of the chunk's symbols before the block, stored as
-    narrow as the chunk capacity allows: about a byte per symbol at most.
-    One record at a time is in memory, metered as ``lf_counters``.
+    For every block of ``_block(sigma)`` positions, a row holds the sigma
+    counts of the chunk's symbols before the block, stored as narrow as
+    the chunk capacity allows: about a byte per symbol at most.  One
+    chunk's rows at a time are in memory, metered as ``lf_counters``.
     """
     sigma = bwt.sigma
     syms = range(sigma)
     view = bwt.stream(factory)
     width = typecode(view.capacity - 1)
     block = _block(sigma)
-    out = factory.stream("directory", capacity=1)
-    base = bwt.d_array[:sigma]
+    out = factory.stream("directory", ceil(view.capacity / block) * sigma)
     for chunk in view.chunks():
         rows = array(width)
         row = [0] * sigma
@@ -73,9 +72,8 @@ def _lf_directory(bwt, factory):
             rows.extend(row)
             row = list(map(add, row, map(chunk.count, syms, repeat(lo),
                                          repeat(lo + block))))
-        out.append((array("Q", base), rows))
+        out.append_chunk(rows)
         factory.meter.note("lf_counters", sigma + len(rows))
-        base = list(map(add, base, row))
     return out.finish()
 
 
@@ -86,17 +84,18 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
     A cursor is one integer, ``rank * radix + payload`` with the payload
     below ``radix``, so cursors in rank order are in ascending order.
     ``step(rank, payload, x, lf)``, with ``x`` the value at ``rank`` in
-    ``column`` (one array per BWT chunk) or, if it is None, the BWT
+    ``column`` (a stream cut like the BWT) or, if it is None, the BWT
     symbol, and ``lf`` = LF(rank), returns the cursor's payload at rank
-    ``lf``, or None to retire it.  LF(rank) is the ``_lf_directory``
-    record's counts plus the symbol's count within the rank's block.  A moved cursor,
-    ``lf * radix + payload``, joins the group of its symbol; LF keeps the
-    order of ranks that share one, so the groups concatenated in symbol
-    order hold the moved cursors in rank order.  If the cursors fit one
-    buffer, the groups are typed arrays wide enough for ``n * radix - 1``,
-    metered as ``walk_cursors``, whose concatenation is handed on in
-    memory (``from_items``); else they are streams, concatenated into a
-    new one.
+    ``lf``, or None to retire it.  LF(rank) is D[a] plus the a's before
+    the chunk, carried forward by each chunk's last ``_lf_directory`` row
+    and last block, plus the rank's row and the a's within its block.  A
+    moved cursor, ``lf * radix + payload``, joins the group of its
+    symbol; LF keeps the order of ranks that share one, so the groups
+    concatenated in symbol order hold the moved cursors in rank order.  If
+    the cursors fit one buffer, the groups are typed arrays wide enough
+    for ``n * radix - 1``, metered as ``walk_cursors``, whose
+    concatenation is handed on in memory (``from_items``); else they are
+    streams, concatenated into a new one.
     """
     sigma = bwt.sigma
     block = _block(sigma)
@@ -104,9 +103,11 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
     width = typecode(bwt.n * radix - 1)
     buckets = defaultdict(partial(array, width) if gather
                           else lambda: factory.stream("bucket"))
-    cols = repeat(None) if column is None else column.rewind().items()
+    cols = repeat(None) if column is None else column.rewind().chunks()
     records = zip(directory.rewind().chunks(), bwt.stream(factory).chunks(),
                   cols)
+    base = bwt.d_array[:sigma]
+    rows, chunk = [0] * sigma, b""  # nothing before the first chunk
     start = end = 0
     for cursor in cursors.rewind().items():
         rank, payload = divmod(cursor, radix)
@@ -115,9 +116,11 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
             if record is None:
                 raise OutOfRange("cursor rank %d is not below %d"
                                  % (rank, bwt.n))
-            [(base, rows)], chunk, col = record
+            base = list(map(add, base, rows[-sigma:]))  # the chunk passed
+            for a in chunk[(len(chunk) - 1) // block * block :]:
+                base[a] += 1
+            rows, chunk, col = record
             start, end = end, end + len(chunk)
-            base = base.tolist()
             col = chunk if col is None else col
         off = rank - start
         sym = chunk[off]
@@ -153,9 +156,11 @@ def _walk(bwt, sisa, column, factory, find=()):
     one 0, at rank 0 and position n - 1.  Otherwise: FormatError.
 
     A pass puts its values in sample order, in m slots, sample 0's last:
-    in a list if its cursors fit one buffer, else as pairs sorted by
-    ``em_lsd_sort``.  Lists are held if n values and m cursors fit one
-    buffer, else each goes to a stream of 1 / passes of a buffer a chunk.
+    in a list of zeros if its cursors fit one buffer; else as integers,
+    each value shifted above the bits of m and its sample (m for sample
+    0) below, sorted by sample by ``em_lsd_sort``.  A list is held as the
+    narrowest typed array if n values and m cursors fit one buffer, else
+    each goes to a stream of 1 / passes of a buffer a chunk.
     Passes rate - 1, ..., 0 of sample s >= 1 are positions (s - 1) * rate
     + 1, ..., s * rate: text order is a zip of the passes, last first.
     """
@@ -168,11 +173,12 @@ def _walk(bwt, sisa, column, factory, find=()):
     ranks, cap, passes = sisa.ranks, factory.capacity, min(rate, n)
     m = len(ranks)
     tail = n - (m - 1) * rate  # window of the sample at 0
-    spill = m > cap  # a pass's values go to a stream of pairs
+    spill = m > cap  # a pass's values go to a stream of integers
     whole = n + m <= cap  # every pass's values stay in memory
     chunk = max(1, cap // passes)  # of a pass's stream
+    low = m.bit_length()  # a spilled value's sample bits
     find, found, first = {*find, ranks[0], ranks[-1], 0}, {}, None
-    kept = []  # each pass's values: lists if whole, else streams
+    kept = []  # each pass's values: arrays if whole, else streams
 
     def step(rank, sample, value, lf):
         nonlocal first
@@ -184,7 +190,7 @@ def _walk(bwt, sisa, column, factory, find=()):
             if not position:
                 first = value
         if spill:
-            values.append((sample or m, value))
+            values.append(value << low | (sample or m))
         else:
             values[sample - 1] = value
         if p < (rate if sample else tail) - 1:
@@ -202,15 +208,14 @@ def _walk(bwt, sisa, column, factory, find=()):
         "cursors")
     directory = _lf_directory(bwt, factory)
     for p in range(passes):
-        values = factory.stream("values") if spill else [None] * m
+        values = factory.stream("values") if spill else [0] * m
         cursors = _lf_pass(bwt, directory, cursors, step, factory, column, m)
         if spill:
-            values.extend([(m, None)] * (p >= tail))  # sample 0 retired
-            kept.append(em_lsd_sort(values.finish(), 0, m.bit_length(),
-                                    factory, chunk))
+            values.extend([m] * (p >= tail))  # sample 0 retired
+            kept.append(em_lsd_sort(values.finish(), 0, low, factory, chunk))
             factory.release(values)
         elif whole:
-            kept.append(values)
+            kept.append(array(typecode(max(values)), values))
         else:
             kept.append(factory.stream("values", chunk))
             kept[-1].append_chunk(values)
@@ -224,8 +229,8 @@ def _walk(bwt, sisa, column, factory, find=()):
         factory.meter.note("pass_values", n if whole else m)
 
     def in_position_order():
-        rows = zip(*[p if whole else map(itemgetter(1), p.items()) if spill
-                     else p.items() for p in reversed(kept)])
+        rows = zip(*[p if whole else map(rshift, p.items(), repeat(low))
+                     if spill else p.items() for p in reversed(kept)])
         try:
             yield first
             yield from chain.from_iterable(islice(rows, m - 1))
@@ -239,8 +244,8 @@ def _walk(bwt, sisa, column, factory, find=()):
 def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
-    The walk's column holds one array per BWT chunk: PD's counts cut like
-    the BWT (``PdBits.column``), or with ranks to ``find`` a new stream.
+    The walk's column is a stream cut like the BWT: PD's counts
+    (``PdBits.column``), or with ranks to ``find`` a new stream.
     Returns the walk's iterator of n counts, count i belonging to text
     position i, to be read once (see ``_walk``).  With ranks to ``find``,
     a value is ``count * sigma + symbol``, so the walk also gives the
@@ -251,20 +256,14 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
     if pd.n != bwt.n:
         raise LengthMismatch("PD has %d ranks, the BWT %d" % (pd.n, bwt.n))
     view = bwt.stream(factory)
+    factory.meter.note("count_column", min(view.capacity, pd.n))
     if not find:
         column = pd.column(view.capacity, factory)
-        factory.meter.note("count_column", min(view.capacity, pd.n))
     else:
         sigma = bwt.sigma
-        pd_counts = pd.iter_counts()
-        column = factory.stream("column", capacity=1)
-        for chunk in view.chunks():
-            values = list(islice(pd_counts, len(chunk)))
-            factory.meter.note("count_column", len(values))
-            column.append(array(typecode(max(values) * sigma + sigma - 1),
-                                map(add, map(mul, values, repeat(sigma)),
-                                    chunk)))
-        del pd_counts, values  # a lane and a chunk, not needed by the walk
+        column = factory.stream("column", view.capacity)
+        column.extend(map(add, map(mul, pd.iter_counts(), repeat(sigma)),
+                          view.items()))
         column.finish()
     values, found = _walk(bwt, sisa, column, factory, find)
     if column is not pd._bits:

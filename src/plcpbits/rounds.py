@@ -15,7 +15,7 @@ operations, PD's growth included.
 from array import array
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from operator import add
 from time import perf_counter
 
@@ -98,11 +98,6 @@ def unary_code(counts):
         yield "1".join([ZEROS.get(c) or "0" * c for c in batch]) + "1"
 
 
-def typecode(top):
-    """The narrowest unsigned array type that holds ``top``."""
-    return next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
-
-
 # the next wider array type, for a count lane that passes its maximum
 WIDER = {"B": "H", "H": "I", "I": "Q"}
 
@@ -132,40 +127,37 @@ def _grow(lanes, marks):
 class PdBits:
     """Bit vector with one 1 bit per rank; zeros precede their rank's 1.
 
-    PD is held as its per-rank zero counts, in lanes: a capacity-1 stream
-    of one array per chunk of ``cut`` ranks, each of type ``B`` until a
-    count passes 255, then widened.  Its length in bits is n plus the
+    PD is held as its per-rank zero counts: a finished stream of the
+    counts, whose chunks are its lanes, each an array of type ``B`` until
+    a count passes 255, then widened.  Its length in bits is n plus the
     counts.
     """
 
-    def __init__(self, lanes, n, cut):
-        self._bits = lanes
-        self.n = n
-        self.cut = cut
+    def __init__(self, counts):
+        self._bits = counts
+        self.n = len(counts)
 
     @classmethod
     def from_counts(cls, counts, factory=None):
         """Per-rank zero counts as PD, cut at the factory's capacity."""
         factory = factory or emlayer.StreamFactory()
-        return cls(*_cut(counts, factory.capacity, factory),
-                   factory.capacity)
+        return cls(_cut(counts, factory.capacity, factory))
 
     def lanes(self):
-        return self._bits.rewind().items()
+        return self._bits.rewind().chunks()
 
     def column(self, capacity, factory):
-        """PD's counts as a finished stream of one array per ``capacity``
-        ranks: its own lanes if they are cut so, else a new stream."""
-        if self.cut == capacity:
-            return self._bits
-        return _cut(self.iter_counts(), capacity, factory)[0]
+        """PD's counts as a finished stream cut at ``capacity`` ranks: its
+        own if it is cut so, else a new stream."""
+        return (self._bits if self._bits.capacity == capacity
+                else _cut(self.iter_counts(), capacity, factory))
 
     def counts(self):
         """Zero-bit count in front of each rank's one bit."""
         return list(self.iter_counts())
 
     def iter_counts(self):
-        return chain.from_iterable(self.lanes())
+        return self._bits.rewind().items()
 
     def bit_string(self):
         return "".join(unary_code(self.iter_counts()))
@@ -175,15 +167,11 @@ class PdBits:
 
 
 def _cut(counts, capacity, factory):
-    """Counts as a finished stream of arrays of ``capacity`` counts each,
-    each of the narrowest type that holds its counts, and their number."""
-    out = factory.stream("pd", capacity=1)
-    it = iter(counts)
-    n = 0
-    for batch in iter(lambda: list(islice(it, capacity)), []):
-        out.append(array(typecode(max(batch)), batch))
-        n += len(batch)
-    return out.finish(), n
+    """Counts as a finished stream cut at ``capacity`` counts, each chunk
+    an array of the narrowest type that holds its counts."""
+    out = factory.stream("pd", capacity)
+    out.extend(counts)
+    return out.finish()
 
 
 # one external round: interval starts, ranks newly set, active ranks, PD
@@ -386,7 +374,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     starts = _marks(factory, "starts", n, cap)
     first = _marks(factory, "first", n, cap)
     active = _marks(factory, "active", n, cap)
-    pd = PdBits(_cut(bytes(n), cap, factory)[0], n, cap)
+    pd = PdBits(_cut(array("B", bytes(n)), cap, factory))
     bits = n  # PD's length: n plus every round's active ranks
     set_count = 0
     stats = []
@@ -400,14 +388,14 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
         nxt, first_next = _next_starts(bwt.stream(factory), starts, sigma,
                                        factory)
         act_next = factory.bits("active", cap)
-        lanes = factory.stream("pd", capacity=1)
+        lanes = factory.stream("pd", cap)
         tally = [0, 0, 0]
         for marks, counts in zip(_active(nxt, starts, first_next, first,
                                          active, act_next, tally),
                                  pd.lanes()):
-            lanes.append(_grow(counts, marks))
+            lanes.append_chunk(_grow(counts, marks))
         factory.release(pd._bits, starts, first, active)
-        pd = PdBits(lanes.finish(), n, cap)
+        pd = PdBits(lanes.finish())
         starts, first = nxt, first_next
         active = act_next.finish()
         set_count += tally[1]

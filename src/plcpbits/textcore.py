@@ -10,9 +10,9 @@ from array import array
 from dataclasses import dataclass, field
 from operator import add
 
+from .emlayer import StreamFactory, typecode
 from .errors import (AlphabetTooLarge, CircularPowerInput, LengthMismatch,
                      OutOfRange)
-from .rounds import typecode
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,6 @@ class Bwt:
         """
         if self._held and (self._stream is None or
                            factory not in (None, self._factory)):
-            from .emlayer import StreamFactory
             self._factory = factory or self._factory or StreamFactory()
             self._stream = self._factory.wrap(self._symbols, name="bwt")
         return self._stream.rewind()
@@ -138,7 +137,7 @@ class Bwt:
 @dataclass(frozen=True)
 class SampledIsa:
     """ISA values at positions 0, rate, 2*rate, ..., held in an array of
-    the narrowest type that holds n - 1 (``rounds.typecode``)."""
+    the narrowest type that holds n - 1 (``emlayer.typecode``)."""
 
     rate: int
     n: int

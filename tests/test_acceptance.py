@@ -183,11 +183,13 @@ def test_criterion_07_inverse_sort_identity():
         keys = [rng.randrange(sigma) for _ in range(n)]
         starts = bytes(rng.random() < 0.3 for _ in range(n))
         f = StreamFactory(capacity=16)
-        # LF(r) is r's place in the stable sort of the keys
-        order = em_lsd_sort(f.wrap(list(zip(keys, range(n)))), 0, 4, f)
+        # LF(r) is r's place in the stable sort of the keys, each packed
+        # above its rank's 6 bits
+        order = em_lsd_sort(f.wrap([k << 6 | r for r, k in enumerate(keys)]),
+                            6, 4, f)
         lf = [0] * n
-        for i, (_, r) in enumerate(order.items()):
-            lf[r] = i
+        for i, item in enumerate(order.items()):
+            lf[item & 63] = i
         marks = f.bits("starts")
         marks.append_chunk(starts)
         nxt, first = _next_starts(f.wrap(bytes(keys)), marks.finish(),

@@ -1,6 +1,9 @@
+from array import array
+
 import pytest
 
 from conftest import banana
+from plcpbits import emlayer
 from plcpbits.emlayer import StreamFactory, em_lsd_sort, pack, unpack
 from plcpbits.errors import PlcpError
 
@@ -39,29 +42,41 @@ def test_seek_counts_as_non_sequential():
     assert f.total_non_sequential() == 1 and f.max_rewinds() == 1
 
 
+def packed(pairs, shift):
+    """(key, payload) pairs as integers, the key above ``shift`` bits."""
+    return [key << shift | payload for key, payload in pairs]
+
+
+def pairs(items, shift):
+    return [(item >> shift, item & ((1 << shift) - 1)) for item in items]
+
+
 def test_file_backend(tmp_path):
     f = StreamFactory(directory=str(tmp_path), capacity=3)
-    s = f.from_items([(1, "a"), (0, "b"), (1, "c"), (0, "d")])
-    assert list(s.items()) == [(1, "a"), (0, "b"), (1, "c"), (0, "d")]
-    out = em_lsd_sort(s.rewind(), 0, 1, f)
-    assert list(out.items()) == [(0, "b"), (0, "d"), (1, "a"), (1, "c")]
+    items = packed([(1, ord("a")), (0, ord("b")), (1, ord("c")),
+                    (0, ord("d"))], 8)
+    s = f.from_items(items)
+    assert list(s.items()) == items
+    out = em_lsd_sort(s.rewind(), 8, 1, f)
+    assert pairs(out.items(), 8) == [(0, ord("b")), (0, ord("d")),
+                                     (1, ord("a")), (1, ord("c"))]
     f.cleanup()
 
 
 def test_stable_sort_examples():
     f = StreamFactory()
-    pairs = [(2, "x"), (1, "y"), (2, "z"), (0, "w")]
-    out = em_lsd_sort(f.wrap(pairs), 0, 2, f)
-    assert list(out.items()) == [(0, "w"), (1, "y"), (2, "x"), (2, "z")]
-    done = [(0, "a"), (1, "b"), (2, "c")]
-    assert list(em_lsd_sort(f.wrap(done), 0, 2, f).items()) == done
+    items = packed([(2, 24), (1, 25), (2, 26), (0, 23)], 5)
+    out = em_lsd_sort(f.wrap(items), 5, 2, f)
+    assert pairs(out.items(), 5) == [(0, 23), (1, 25), (2, 24), (2, 26)]
+    done = packed([(0, 1), (1, 2), (2, 3)], 5)
+    assert list(em_lsd_sort(f.wrap(done), 5, 2, f).items()) == done
 
 
 def test_stable_sort_banana_ranks():
     fx = banana()
     f = StreamFactory()
-    pairs = list(zip(fx.bwt.to_list(), range(7)))
-    out = list(em_lsd_sort(f.wrap(pairs), 0, 2, f).items())
+    items = packed(zip(fx.bwt.to_list(), range(7)), 3)
+    out = pairs(em_lsd_sort(f.wrap(items), 3, 2, f).items(), 3)
     assert [sym for sym, _ in out] == sorted(fx.bwt.to_list())
     # payloads within a symbol keep rank order
     for sym in range(4):
@@ -72,8 +87,12 @@ def test_stable_sort_banana_ranks():
 def test_lsd_sort_is_stable(rng):
     f = StreamFactory(capacity=16)
     items = [(rng.randrange(200), i) for i in range(300)]
-    out = list(em_lsd_sort(f.wrap(list(items)), 0, 8, f).items())
-    assert out == sorted(items, key=lambda t: t[0])
+    out = em_lsd_sort(f.wrap(packed(items, 9)), 9, 8, f)
+    assert pairs(out.items(), 9) == sorted(items, key=lambda t: t[0])
+    # the key below other bits, as a spilled walk packs its values
+    low = [i << 8 | key for key, i in items]
+    out = list(em_lsd_sort(f.wrap(low), 0, 8, f).items())
+    assert out == sorted(low, key=lambda item: item & 255)
 
 
 @pytest.mark.parametrize("capacity", [7, 4096])
@@ -85,8 +104,8 @@ def test_lsd_sort_one_chunk_matches_bucket_passes(rng, capacity):
     opened = []
     stream = f.stream
     f.stream = lambda *args: opened.append(args) or stream(*args)
-    out = em_lsd_sort(f.from_items(items), 0, 12, f)
-    assert list(out.items()) == sorted(items, key=lambda t: t[0])
+    out = em_lsd_sort(f.from_items(packed(items, 9)), 9, 12, f)
+    assert pairs(out.items(), 9) == sorted(items, key=lambda t: t[0])
     # one chunk in and out is handed on in memory; more chunks open the
     # input, one bucket per digit value and the output
     assert (len(opened) == 0) == (capacity > len(items))
@@ -100,11 +119,11 @@ def test_file_backend_reuses_released_files(tmp_path):
     f.release(old)
     f.release(old)  # a second release hands nothing over
     new = f.stream("new")  # from_items would hand one item on in memory
-    new.append(b"\x01")
+    new.append(1)
     new.finish()
     (path,) = tmp_path.iterdir()
     assert path.name.startswith("new") and path.stat().st_ino == inode
-    assert list(new.items()) == [b"\x01"]
+    assert list(new.items()) == [1]
     f.release(new)
     assert path.stat().st_size == 0
     f.cleanup()  # also drops the emptied files of a directory it does not own
@@ -149,6 +168,52 @@ def test_bit_streams_round_trip(rng, tmp_path, capacity):
                     assert sizes == [sum((w + 7) // 8 for w in widths)] * 2
                 f.release(by_bytes, by_words)
                 f.cleanup()
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_chunks_are_bytes_or_typed_arrays(tmp_path, backend):
+    """Every chunk comes back as bytes or an unsigned array: items gathered
+    in a list as the narrowest array that holds them, an array or bytes
+    handed in as one piece cut as it was given.  On temp files a stream
+    holds exactly itemsize * len bytes a chunk."""
+    assert not hasattr(emlayer, "pickle")
+    directory = str(tmp_path) if backend == "file" else None
+    f = StreamFactory(directory, capacity=4)
+    top = {"B": 255, "H": 65535, "I": 2 ** 32 - 1, "Q": 2 ** 64 - 1}
+    written = {}  # stream name: the chunks it should give back
+    for code, most in top.items():
+        items = [x for x in (most, 0, 1, most // 3, 2 ** 32, 7) if x <= most]
+        cuts = [items[i : i + 4] for i in range(0, len(items), 4)]
+        as_list = f.stream("list" + code)
+        as_list.extend(items)
+        written[as_list] = [array(emlayer.typecode(max(c)), c) for c in cuts]
+        as_array = f.stream("array" + code)
+        as_array.append_chunk(array(code, items))
+        written[as_array] = [array(code, c) for c in cuts]
+    # lanes that widen midway, as PD's do once a count passes 255
+    widening = f.stream("widening")
+    for lane in (array("B", [1, 2, 3, 255]), array("H", [256, 0, 3, 9]),
+                 array("H", [65535])):
+        widening.append_chunk(lane)
+    written[widening] = [array("B", [1, 2, 3, 255]),
+                         array("H", [256, 0, 3, 9]), array("H", [65535])]
+    raw = f.stream("bytes")
+    raw.append_chunk(b"\x00\x01\xff")
+    raw.append_chunk(b"\x07\x08")
+    written[raw] = [b"\x00\x01\xff\x07", b"\x08"]
+    for s, chunks in written.items():
+        s.finish()
+        got = list(s.chunks())
+        assert [(type(c), getattr(c, "typecode", None), list(c))
+                for c in got] == [(type(c), getattr(c, "typecode", None),
+                                   list(c)) for c in chunks], s.name
+        assert list(s.rewind().items()) == [x for c in chunks for x in c]
+        if directory:
+            (path,) = tmp_path.glob(s.name + "-*")
+            assert path.stat().st_size == sum(
+                len(c) * getattr(c, "itemsize", 1) for c in chunks), s.name
+    f.release(*written)
+    f.cleanup()
 
 
 def test_meter_tracks_peaks():

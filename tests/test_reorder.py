@@ -199,10 +199,9 @@ def test_lf_pass_matches_per_rank_lf(tmp_path, rng, sigma):
 def test_lf_directory_takes_about_a_byte_per_symbol(rng, sigma):
     n = STREAM_BUFFER_ITEMS + 4321
     f = StreamFactory()
-    records = list(_lf_directory(_random_bwt(rng, n, sigma), f).items())
+    records = list(_lf_directory(_random_bwt(rng, n, sigma), f).chunks())
     assert len(records) == ceil(n / STREAM_BUFFER_ITEMS)
-    size = sum(len(counts) * counts.itemsize
-               for record in records for counts in record)
+    size = sum(len(rows) * rows.itemsize for rows in records)
     assert size <= n + 8 * sigma * len(records)
 
 
@@ -361,6 +360,27 @@ def test_walk_closed_early_frees_its_streams(tmp_path, rng):
         assert f.streams == []
 
 
+def test_file_streams_leave_no_descriptor_open(tmp_path, rng):
+    """The file backend writes and reads through raw descriptors, which
+    no ResourceWarning reports: a build on temp files, and a walk closed
+    early, leave the process's open descriptors as they found them."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    fx = make_fixture(random_text(rng, 600, 4), 4)
+    pd = run_rounds_internal(fx.bwt).pd
+    before = len(os.listdir("/proc/self/fd"))
+    for strategy in ("external", "hybrid"):
+        with StreamFactory(str(tmp_path), capacity=64) as f:
+            k = build_plcp(fx.bwt, fx.sisa(8), strategy, factory=f)
+        assert k.decode_all() == list(fx.plcp.values)
+        assert len(os.listdir("/proc/self/fd")) == before, strategy
+    with StreamFactory(str(tmp_path), capacity=64) as f:
+        counts = position_counts(pd, fx.bwt, fx.sisa(8), f)
+        next(counts)
+        counts.close()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_walk_reads_more_passes_than_files_may_be_open(tmp_path, rng):
     """The read-out reads the rate passes' streams side by side; on the
     file backend each opens its file only while it reads a chunk, so a
@@ -446,13 +466,13 @@ def test_count_column_holds_counts_above_a_byte(tmp_path, rng, capacity):
 
 @pytest.fixture
 def fused_columns(monkeypatch):
-    """The column records of every walk that finds ranks."""
+    """The column chunks of every walk that finds ranks."""
     records = []
     walk = reorder._walk
 
     def recording(bwt, sisa, column, factory, find=()):
         if find:
-            records.extend(column.rewind().items())
+            records.extend(column.rewind().chunks())
         return walk(bwt, sisa, column, factory, find)
     monkeypatch.setattr(reorder, "_walk", recording)
     return records

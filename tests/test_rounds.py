@@ -192,8 +192,8 @@ def test_grow_widens_only_a_lane_that_passes_its_maximum():
 
 
 def test_pd_on_disk_takes_about_a_byte_per_rank(tmp_path, rng):
-    """The file backend keeps PD as byte lanes: n bytes plus a little per
-    chunk, where unary PD took n plus the sum of the counts."""
+    """The file backend keeps PD as byte lanes written raw: exactly n
+    bytes, where unary PD took n plus the sum of the counts."""
     n = 5000
     fx = make_fixture(random_text(rng, n, 4), 4)
     with StreamFactory(str(tmp_path)) as f:
@@ -201,7 +201,7 @@ def test_pd_on_disk_takes_about_a_byte_per_rank(tmp_path, rng):
         assert r.rounds == max(fx.lcp.values) + 1
         chunks = -(-n // f.capacity)
         on_disk = sum(p.stat().st_size for p in tmp_path.glob("pd-*"))
-        assert n < on_disk <= n + 128 * chunks
+        assert on_disk == n
         assert sum(r.pd.counts()) > 128 * chunks
         f.release(r.pd._bits, r.set_marks)
 
