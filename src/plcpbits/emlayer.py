@@ -22,7 +22,7 @@ import shutil
 import tempfile
 from array import array
 from collections import defaultdict
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import StreamStateError
 
@@ -300,8 +300,9 @@ class EmStream:
             skip = 0
 
     def items(self):
-        for chunk in self.chunks():
-            yield from chunk
+        """The items from the cursor to the end, flattened from
+        ``chunks`` without a Python step per item."""
+        return chain.from_iterable(self.chunks())
 
     def __iter__(self):
         return self.items()
