@@ -5,8 +5,10 @@ integers in chunks of one format, ``bytes`` or a typed ``array``: items
 gathered in a list become the narrowest array that holds them
 (``typecode``).  A *bit stream*, made by ``StreamFactory.bits``, holds
 one mark per rank, each chunk packed into one integer (bit 0 its first
-rank) and stored as bytes.  Tests run streams in memory; the CLI runs
-them over temporary files, each chunk's raw bytes after the other.
+rank) and stored as bytes; counts can be held as their bit planes, plane
+j the packed word of every count's bit j (``to_planes``, ``from_planes``).
+Tests run streams in memory; the CLI runs them over temporary files,
+each chunk's raw bytes after the other.
 Either way the only operations offered are sequential, so a compliant
 algorithm cannot accidentally perform random access: the one escape
 hatch (``seek``) is counted and asserted zero after every run.
@@ -22,7 +24,8 @@ import shutil
 import tempfile
 from array import array
 from collections import defaultdict
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import add, lshift
 
 from .errors import StreamStateError
 
@@ -52,6 +55,34 @@ def unpack(word, width):
     if not width:
         return b""
     return format(word, "b").zfill(width)[::-1].encode().translate(_BITS)
+
+
+def spread(word, ones):
+    """A packed word as a big integer of one byte per rank, 0 or 1: its
+    binary digits read as bytes, the most significant first, and their
+    low bits kept by ``ones``, a 1 in every byte up to its width."""
+    return int.from_bytes(format(word, "b").encode(), "big") & ones
+
+
+def to_planes(counts):
+    """Counts as their bit planes: plane j is a packed word whose bit i is
+    bit j of count i, as many planes as the largest count has bits."""
+    return [pack(bytes([c >> j & 1 for c in counts]))
+            for j in range(max(counts, default=0).bit_length())]
+
+
+def from_planes(planes, size):
+    """The ``size`` counts of bit planes, as the narrowest typed array: up
+    to 8 planes spread to one byte per rank and summed, Σ spread(p_j)
+    << j; more, element-wise."""
+    if len(planes) <= 8:
+        ones = int.from_bytes(b"\x01" * size, "little")
+        return array("B", sum(spread(p, ones) << j for j, p in
+                              enumerate(planes)).to_bytes(size, "little"))
+    counts = repeat(0, size)
+    for j, p in enumerate(planes):
+        counts = map(add, counts, map(lshift, unpack(p, size), repeat(j)))
+    return array(typecode((1 << len(planes)) - 1), counts)
 
 
 class MemoryMeter:
@@ -216,6 +247,12 @@ class EmStream:
             self._put(chunk[i : i + cap] if size > cap else chunk)
         if full or chunk is not self._buffer:
             self._buffer = chunk[full:]  # held as it is until more comes
+
+    def append_whole(self, chunk):
+        """Append ``chunk`` as one chunk, neither cut nor merged, for a
+        stream whose chunks differ in length: ``chunks()`` yields it whole
+        while it is no longer than the capacity."""
+        self._put(chunk)
 
     def append_word(self, word, width):
         """Append ``width`` ranks to a bit stream: bit i of ``word`` is the
@@ -399,7 +436,10 @@ class StreamFactory:
                    [s.rewinds for s in self.streams + self._borrowed])
 
     def release(self, *streams):
+        """Dispose of streams, skipping None (a stream never made)."""
         for s in streams:
+            if s is None:
+                continue
             for owned in (self.streams, self._borrowed):
                 if s in owned:
                     owned.remove(s)

@@ -7,8 +7,8 @@ and takes the value at its rank on every step, until it has covered its
 window: the positions from its sample down to, but not including, the
 next sample below.  An LF pass moves every cursor one step and is
 strictly sequential: it visits the cursors in rank order alongside the
-BWT, a column of values (PD's counts, cut like the BWT, or the BWT
-itself) and the BWT's occurrence directory, sampled symbol counts
+BWT, a column of values (PD's counts, unsliced once from its bit planes
+and cut like the BWT, or the BWT itself) and the BWT's occurrence directory, sampled symbol counts
 (Ferragina and Manzini's FM-index) built once per walk, so a cursor's
 LF value costs one lookup and one count within a block.  Moved
 cursors are grouped by BWT symbol; the groups, concatenated in symbol
@@ -244,8 +244,9 @@ def _walk(bwt, sisa, column, factory, find=()):
 def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
-    The walk's column is a stream cut like the BWT: PD's counts
-    (``PdBits.column``), or with ranks to ``find`` a new stream.
+    The walk's column is a stream cut like the BWT: PD's counts,
+    unsliced once from its bit planes and held in memory if they fit one
+    buffer (``PdBits.column``), or with ranks to ``find`` a new stream.
     Returns the walk's iterator of n counts, count i belonging to text
     position i, to be read once (see ``_walk``).  With ranks to ``find``,
     a value is ``count * sigma + symbol``, so the walk also gives the
@@ -266,8 +267,7 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
                           view.items()))
         column.finish()
     values, found = _walk(bwt, sisa, column, factory, find)
-    if column is not pd._bits:
-        factory.release(column)
+    factory.release(column)
     if not find:
         return values
     counts = factory.stream("counts")

@@ -6,21 +6,20 @@ until the round in which the rank itself does; each active round adds
 one zero bit in front of the rank's one bit in PD.  The in-memory
 strategy walks a pruned interval queue over a wavelet tree.  The
 sequential strategy keeps the round's state as rank-order bit streams,
-one bit per rank, and PD as per-rank count lanes, one array per chunk;
-it moves marks only forward through LF, and works each pass a whole
-chunk at a time with byte translation, selection and big-integer bit
-operations, PD's growth included.
+one bit per rank, and PD as bit-plane counters; it moves marks only
+forward through LF, and works each pass a whole chunk at a time with byte
+translation, selection and big-integer bit operations, PD's growth the
+carry-save add of Harley-Seal popcounts (Mula, Kurz and Lemire, 2018).
 """
 
-from array import array
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import add
 from time import perf_counter
 
 from . import emlayer
-from .emlayer import concat_buckets
+from .emlayer import concat_buckets, from_planes, spread, to_planes
 from .errors import NotIncreasing, OutOfRange
 from .succinct import GammaStream
 
@@ -98,80 +97,91 @@ def unary_code(counts):
         yield "1".join([ZEROS.get(c) or "0" * c for c in batch]) + "1"
 
 
-# the next wider array type, for a count lane that passes its maximum
-WIDER = {"B": "H", "H": "I", "I": "Q"}
-
-
-def _grow(lanes, marks):
-    """One chunk's count lanes plus one at every rank whose byte of the
-    big integer ``marks`` is 1.
-
-    While no byte lane is full, that is one big-integer add with no carry
-    between lanes.  Otherwise the add is element-wise, into the next
-    wider type if a lane passes its type's maximum.  A count grows
-    by at most one per round, so that takes at least 255 rounds.
-    """
-    size = len(lanes)
-    if lanes.typecode == "B":
-        raw = lanes.tobytes()
-        if b"\xff" not in raw:
-            return array("B", (int.from_bytes(raw, "little")
-                               + marks).to_bytes(size, "little"))
-    grown = list(map(add, lanes, marks.to_bytes(size, "little")))
-    try:
-        return array(lanes.typecode, grown)
-    except OverflowError:
-        return array(WIDER[lanes.typecode], grown)
+def _grow(planes, marks):
+    """Bit planes plus one at the ranks marked in the packed word ``marks``:
+    a ripple-carry add, one plane more on a carry out of the top plane."""
+    grown = []
+    for p in planes:
+        grown.append(p ^ marks)
+        marks &= p
+    return grown + [marks] * (marks > 0)
 
 
 class PdBits:
     """Bit vector with one 1 bit per rank; zeros precede their rank's 1.
 
-    PD is held as its per-rank zero counts: a finished stream of the
-    counts, whose chunks are its lanes, each an array of type ``B`` until
-    a count passes 255, then widened.  Its length in bits is n plus the
-    counts.
+    PD is held as its n per-rank zero counts, ``capacity`` ranks a chunk,
+    each chunk as its bit planes: plane j is a packed word whose bit i is
+    bit j of rank i's count, as many planes as the largest count has bits.
+    A stream holds each chunk as one ``bytes`` chunk, its planes back to
+    back, ``(size + 7) >> 3`` bytes each; with no stream every count is 0.
+    Its length in bits is n plus the counts.
     """
 
-    def __init__(self, counts):
-        self._bits = counts
-        self.n = len(counts)
+    def __init__(self, planes, n, capacity):
+        self._bits = planes
+        self.n = n
+        self.capacity = capacity
 
     @classmethod
     def from_counts(cls, counts, factory=None):
         """Per-rank zero counts as PD, cut at the factory's capacity."""
         factory = factory or emlayer.StreamFactory()
-        return cls(_cut(counts, factory.capacity, factory))
+        counts, cap = list(counts), factory.capacity
+        chunks = range(0, len(counts), cap)
+        return cls(None, len(counts), cap).written(
+            factory, (to_planes(counts[lo : lo + cap]) for lo in chunks))
+
+    def written(self, factory, chunks):
+        """PD of the same ranks from each chunk's bit planes, on a new
+        stream that gives a chunk back whole up to 64 planes."""
+        out = factory.stream("pd", ((self.capacity + 7) >> 3) << 6)
+        for planes, size in zip(chunks, self._sizes()):
+            out.append_whole(b"".join(p.to_bytes((size + 7) >> 3, "little")
+                                      for p in planes))
+        return PdBits(out.finish(), self.n, self.capacity)
+
+    def _sizes(self):
+        return (min(self.capacity, self.n - lo)
+                for lo in range(0, self.n, self.capacity))
+
+    def chunks(self):
+        """Each chunk's bit planes, big integers."""
+        raw = (repeat(b"") if self._bits is None
+               else self._bits.rewind().chunks())
+        for chunk, size in zip(raw, self._sizes()):
+            step = (size + 7) >> 3
+            yield [int.from_bytes(chunk[j : j + step], "little")
+                   for j in range(0, len(chunk), step)]
 
     def lanes(self):
-        return self._bits.rewind().chunks()
+        """Each chunk's counts, unsliced one chunk at a time."""
+        return map(from_planes, self.chunks(), self._sizes())
 
     def column(self, capacity, factory):
-        """PD's counts as a finished stream cut at ``capacity`` ranks: its
-        own if it is cut so, else a new stream."""
-        return (self._bits if self._bits.capacity == capacity
-                else _cut(self.iter_counts(), capacity, factory))
+        """The walk's column, PD's counts cut at ``capacity`` ranks: in
+        memory if they fit one buffer (``StreamFactory.from_items``)."""
+        lanes = self.lanes()
+        if self.n <= min(capacity, factory.capacity, self.capacity):
+            return factory.from_items(next(lanes), "column")
+        out = factory.stream("column", capacity)
+        for lane in lanes:
+            out.append_chunk(lane)
+        return out.finish()
 
     def counts(self):
         """Zero-bit count in front of each rank's one bit."""
         return list(self.iter_counts())
 
     def iter_counts(self):
-        return self._bits.rewind().items()
+        return chain.from_iterable(self.lanes())
 
     def bit_string(self):
         return "".join(unary_code(self.iter_counts()))
 
     def __len__(self):
-        return self.n + sum(map(sum, self.lanes()))
-
-
-def _cut(counts, capacity, factory):
-    """Counts as a finished stream cut at ``capacity`` counts, each chunk
-    an array of the narrowest type that holds its counts."""
-    out = factory.stream("pd", capacity)
-    out.extend(counts)
-    return out.finish()
+        return self.n + sum(p.bit_count() << j for planes in self.chunks()
+                            for j, p in enumerate(planes))
 
 
 # one external round: interval starts, ranks newly set, active ranks, PD
@@ -244,13 +254,6 @@ def _marks(factory, name, n, capacity):
 MARK_DIGIT = b"0" * 255 + b"1"
 
 
-def _spread(word, ones):
-    """A packed word as a big integer of one byte per rank, 0 or 1: its
-    binary digits read as bytes, the most significant first, and their
-    low bits kept by ``ones``, a 1 in every byte up to its width."""
-    return int.from_bytes(format(word, "b").encode(), "big") & ones
-
-
 def _next_starts(keys, starts, sigma, factory):
     """The next round's interval starts, and this round's first marks.
 
@@ -288,7 +291,7 @@ def _next_starts(keys, starts, sigma, factory):
     for chunk, (st, size) in zip(keys.chunks(), starts.rewind().words()):
         width = 8 * size
         mask = (1 << width) - 1
-        b = _spread(st, ones)
+        b = spread(st, ones)
         marks = 0
         for a in range(sigma):
             if a not in chunk:
@@ -319,13 +322,11 @@ def _active(new, old, first, first_prev, active, act_next, tally):
     rank r turns active when its LF image is newly set, which is
     first[r] and not first_prev[r], unless r itself was set before this
     round (``old``: a rank set in this same round still gains its zero
-    bit).  All five streams are read as packed words, one bit per rank;
-    the marks are yielded spread to big integers of one byte per rank,
-    for ``_grow``.  The next active marks, without the set ranks, go to
-    ``act_next``; ``tally`` counts the starts, the newly set and the
-    active ranks.
+    bit).  All five streams are read as packed words, one bit per rank,
+    and the marks are yielded as packed words, for ``_grow``.  The next
+    active marks, without the set ranks, go to ``act_next``; ``tally``
+    counts the starts, the newly set and the active ranks.
     """
-    ones = int.from_bytes(b"\x01" * min(len(new), new.capacity), "little")
     words = zip(new.rewind().words(), old.rewind().words(),
                 first.rewind().words(), first_prev.rewind().words(),
                 active.rewind().words())
@@ -335,7 +336,7 @@ def _active(new, old, first, first_prev, active, act_next, tally):
         tally[1] += (now & ~was).bit_count()
         tally[2] += a.bit_count()
         act_next.append_word(a & ~now, width)
-        yield _spread(a, ones)
+        yield a
 
 
 def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
@@ -343,7 +344,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
 
     The state is four streams: three bit streams of one bit per rank, the
     interval starts, the previous round's first marks and the active
-    marks, and PD's count lanes.  After k rounds the starts are the ranks
+    marks, and PD's bit planes.  After k rounds the starts are the ranks
     that begin an interval of equal length-k prefixes, which are the ranks
     of LCP below k: the set marks (none before round 0).  Per round, two
     passes, both chunk-wise:
@@ -353,14 +354,14 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     - the active marks (``_active``): the newly set ranks are the new
       starts not old; a rank turns active when its LF image is newly set,
       unless it was set before this round; the set ranks leave the active
-      set.  Every active rank gains a zero bit in PD: its count lane grows
-      by one, in one big-integer add per chunk (``_grow``).
+      set.  Every active rank gains a zero bit in PD: its count grows by
+      one, in a ripple-carry add of the marks to the planes (``_grow``).
 
     Marks move only forward through LF: the LF image of rank r is a new
     start exactly when r is first, and was an old start exactly when r
     was first in the round before.
 
-    Besides stream buffers and one chunk of PD's lanes, a round keeps one
+    Besides stream buffers and one chunk of PD's planes, a round keeps one
     carry of the first marks per symbol in memory.  Each round appends its
     ``RoundStats`` to ``stats``, then ``stop(stats)`` may end the rounds.
     The set marks are returned, released by the caller; every other
@@ -374,7 +375,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     starts = _marks(factory, "starts", n, cap)
     first = _marks(factory, "first", n, cap)
     active = _marks(factory, "active", n, cap)
-    pd = PdBits(_cut(array("B", bytes(n)), cap, factory))
+    pd = PdBits(None, n, cap)  # no planes: every count 0
     bits = n  # PD's length: n plus every round's active ranks
     set_count = 0
     stats = []
@@ -388,14 +389,12 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
         nxt, first_next = _next_starts(bwt.stream(factory), starts, sigma,
                                        factory)
         act_next = factory.bits("active", cap)
-        lanes = factory.stream("pd", cap)
         tally = [0, 0, 0]
-        for marks, counts in zip(_active(nxt, starts, first_next, first,
-                                         active, act_next, tally),
-                                 pd.lanes()):
-            lanes.append_chunk(_grow(counts, marks))
+        marks = _active(nxt, starts, first_next, first, active, act_next,
+                        tally)
+        grown = pd.written(factory, map(_grow, pd.chunks(), marks))
         factory.release(pd._bits, starts, first, active)
-        pd = PdBits(lanes.finish())
+        pd = grown
         starts, first = nxt, first_next
         active = act_next.finish()
         set_count += tally[1]

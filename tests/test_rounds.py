@@ -1,13 +1,14 @@
 import os
 import random
-from array import array
 from itertools import compress
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import abbab, banana, make_fixture, random_text
 from plcpbits import StreamFactory, emlayer
-from plcpbits.emlayer import STREAM_BUFFER_ITEMS
+from plcpbits.emlayer import STREAM_BUFFER_ITEMS, from_planes, to_planes
 from plcpbits.errors import NotIncreasing, OutOfRange
 from plcpbits.reorder import reorder_pd
 from plcpbits.rounds import (IntervalList, PdBits, _grow, _next_starts,
@@ -181,19 +182,24 @@ def test_count_lanes_widen_past_a_byte(tmp_path, k):
             assert f.streams == [] and f.total_non_sequential() == 0
 
 
-def test_grow_widens_only_a_lane_that_passes_its_maximum():
-    marks = int.from_bytes(b"\x01\x01\x00", "little")
-    assert _grow(array("B", [254, 3, 255]), marks) == array("B", [255, 4, 255])
-    assert _grow(array("B", [255, 3, 0]), marks) == array("H", [256, 4, 0])
-    assert _grow(array("H", [65534, 0, 65535]), marks) == \
-        array("H", [65535, 1, 65535])
-    grown = _grow(array("H", [65535, 0, 7]), marks)
-    assert grown == array("I", [65536, 1, 7]) and grown.typecode == "I"
+def test_grow_adds_a_plane_exactly_on_a_carry_out_of_the_top():
+    """The plane add at the counts where a typed lane would widen."""
+    marks = 0b011  # ranks 0 and 1
+
+    def grown(counts):
+        planes = _grow(to_planes(counts), marks)
+        lanes = from_planes(planes, 3)
+        return list(lanes), lanes.typecode, len(planes)
+    assert grown([254, 3, 255]) == ([255, 4, 255], "B", 8)
+    assert grown([255, 3, 0]) == ([256, 4, 0], "H", 9)
+    assert grown([65534, 0, 65535]) == ([65535, 1, 65535], "H", 16)
+    assert grown([65535, 0, 7]) == ([65536, 1, 7], "I", 17)
 
 
-def test_pd_on_disk_takes_about_a_byte_per_rank(tmp_path, rng):
-    """The file backend keeps PD as byte lanes written raw: exactly n
-    bytes, where unary PD took n plus the sum of the counts."""
+def test_pd_on_disk_takes_at_most_half_a_byte_per_rank(tmp_path, rng):
+    """The file backend keeps PD as bit planes: random σ=4 text needs at
+    most 4 planes, so PD takes at most n/2 bytes plus one per chunk,
+    where byte lanes took n and unary PD n plus the sum of the counts."""
     n = 5000
     fx = make_fixture(random_text(rng, n, 4), 4)
     with StreamFactory(str(tmp_path)) as f:
@@ -201,9 +207,43 @@ def test_pd_on_disk_takes_about_a_byte_per_rank(tmp_path, rng):
         assert r.rounds == max(fx.lcp.values) + 1
         chunks = -(-n // f.capacity)
         on_disk = sum(p.stat().st_size for p in tmp_path.glob("pd-*"))
-        assert on_disk == n
+        assert 0 < on_disk <= n // 2 + chunks
         assert sum(r.pd.counts()) > 128 * chunks
         f.release(r.pd._bits, r.set_marks)
+
+
+# counts that cross a byte and two bytes, among small ones
+COUNTS = st.lists(st.one_of(st.integers(0, 3), st.sampled_from(
+    [254, 255, 256, 65534, 65535, 65536])), min_size=1, max_size=40)
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 8, STREAM_BUFFER_ITEMS])
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@settings(max_examples=30, deadline=None)
+@given(counts=COUNTS, marks=st.integers(0, (1 << 41) - 1))
+@example(counts=[65535] * 8 + [1], marks=(1 << 9) - 1)  # 17 planes a chunk
+def test_bit_planes_hold_counts_and_grow_by_carry_save(backend, capacity,
+                                                       counts, marks):
+    """PD from counts gives them back, and the carry-save grow adds one
+    at exactly the marked ranks, with one plane more in a chunk exactly
+    when a carry leaves its top plane.  A last chunk is short, and a
+    full chunk of more than 8 planes comes back whole."""
+    if capacity > 1 and len(counts) % capacity == 0:
+        counts.append(1)
+    n = len(counts)
+    marks &= (1 << n) - 1
+    want = [c + (marks >> i & 1) for i, c in enumerate(counts)]
+    with (StreamFactory.tempdir(capacity) if backend == "file"
+          else StreamFactory(capacity=capacity)) as f:
+        pd = PdBits.from_counts(counts, f)
+        assert pd.counts() == counts and len(pd) == n + sum(counts)
+        chunks = range(0, n, capacity)
+        grown = pd.written(f, map(_grow, pd.chunks(), (
+            marks >> lo & (1 << capacity) - 1 for lo in chunks)))
+        assert grown.counts() == want and len(grown) == n + sum(want)
+        for lo, planes in zip(chunks, grown.chunks()):
+            assert len(planes) == max(want[lo : lo + capacity]).bit_length()
+        f.release(pd._bits, grown._bits)
 
 
 @pytest.mark.parametrize("n, capacity",
