@@ -88,10 +88,10 @@ def _verify(text, plcp):
         )
     sa = build_suffix_array(text)
     expected = permute_lcp(kasai_lcp(text, sa), invert_sa(sa))
+    got = plcp.decode_all()
     for i in range(len(text)):
-        got = plcp.decode(i)
-        if got != expected[i]:
-            raise VerificationFailed(i, expected[i], got)
+        if got[i] != expected[i]:
+            raise VerificationFailed(i, expected[i], got[i])
 
 
 def cmd_build(args):
@@ -117,10 +117,10 @@ def cmd_build(args):
 def cmd_decode(args):
     plcp, _sigma, _circ = formats.read_plcp(args.plcp)
     if args.all:
-        positions = range(plcp.n)
+        values = plcp.decode_all()
     else:
-        positions = [int(p) for p in args.positions.split(",")]
-    print(" ".join(str(plcp.decode(p)) for p in positions))
+        values = [plcp.decode(int(p)) for p in args.positions.split(",")]
+    print(" ".join(map(str, values)))
     return EXIT_OK
 
 

@@ -242,12 +242,17 @@ def run_rounds_internal(bwt, max_rounds=None):
     return RoundResult(pd, list(s_set), rounds)
 
 
-def _marks(factory, name, n, capacity):
-    """A rank-order bit stream of n zeros."""
-    out = factory.bits(name, capacity)
-    for lo in range(0, n, capacity):
-        out.append_word(0, min(capacity, n - lo))
-    return out.finish()
+class _Zeros(emlayer.EmStream):
+    """n zero marks read as a finished bit stream, never written or
+    opened: the rounds' state before round 0."""
+
+    def __init__(self, n, capacity):
+        super().__init__(emlayer._MemoryBackend(), "zeros", capacity)
+        self.bits, self._writable, self._packed = True, False, n
+
+    def words(self):
+        cap, n = self.capacity, self._packed
+        return ((0, min(cap, n - lo)) for lo in range(0, n, cap))
 
 
 # maps an a with a mark (0xFF) to the digit 1 and every other byte to 0
@@ -372,9 +377,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     sigma = bwt.sigma
     cap = bwt.stream(factory).capacity
 
-    starts = _marks(factory, "starts", n, cap)
-    first = _marks(factory, "first", n, cap)
-    active = _marks(factory, "active", n, cap)
+    starts = first = active = _Zeros(n, cap)
     pd = PdBits(None, n, cap)  # no planes: every count 0
     bits = n  # PD's length: n plus every round's active ranks
     set_count = 0

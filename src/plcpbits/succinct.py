@@ -1,18 +1,39 @@
 """Succinct primitives.
 
 Elias gamma coding (shifted so zero is encodable), a rank/select bit
-vector, the 2n-bit PLCP codec and a level-ordered wavelet tree used by
-the in-memory round builder.
+vector whose select finds the word by bisection and the bit within it by
+broadword select (Vigna, 2008), the 2n-bit PLCP codec and a
+level-ordered wavelet tree used by the in-memory round builder.
 """
 
 import struct
 from bisect import bisect_right
 from itertools import accumulate
+from operator import sub
 
 from .emlayer import pack
 from .errors import DiffBoundViolation, OutOfRange, TruncatedCode
 
 _WORD = 64
+L8 = 0x0101010101010101  # one in every byte lane
+H8 = L8 << 7  # every lane's high bit
+# SEL8[8 * b + r]: the position of the r-th one bit of the byte b (a
+# stable sort puts b's one bits first, in order)
+SEL8 = bytes(i for b in range(256)
+             for i in sorted(range(8), key=lambda i: ~b >> i & 1))
+
+
+def _select_in_word(w, r):
+    """Position of the r-th one bit (0-based) of the 64-bit word w, in a
+    fixed number of steps (Vigna's broadword select): SWAR byte popcounts,
+    their inclusive prefix sums s by one multiply, the target byte b as
+    the count of lanes of s at most r (each lane stays below 128, so no
+    borrow crosses lanes), then one table read within byte b."""
+    s = w - (w >> 1 & 0x5555555555555555)
+    s = (s & 0x3333333333333333) + (s >> 2 & 0x3333333333333333)
+    s = (s + (s >> 4) & 0x0F0F0F0F0F0F0F0F) * L8 & 0xFFFFFFFFFFFFFFFF
+    b = 8 * (((r * L8 | H8) - s & H8).bit_count())
+    return b + SEL8[(w >> b & 0xFF) << 3 | r - (s << 8 >> b & 0xFF)]
 
 
 class GammaStream:
@@ -84,7 +105,9 @@ class RsBitVector:
 
     The bits are packed least-significant-bit first into 64-bit words.
     Rank uses per-word cumulative one counts; select binary-searches the
-    cumulative table and scans one word.
+    cumulative table for the word, then finds the bit within it by
+    broadword select (``_select_in_word``), in the same number of steps
+    wherever the bit lies.
     """
 
     def __init__(self, bits):
@@ -141,39 +164,19 @@ class RsBitVector:
         if not 0 <= j < self.ones:
             raise OutOfRange("select1 argument %d out of range" % j)
         w = bisect_right(self._ranks, j) - 1
-        word = self._words[w]
-        remaining = j - self._ranks[w]
-        pos = w * _WORD
-        while True:
-            if word & 1:
-                if remaining == 0:
-                    return pos
-                remaining -= 1
-            word >>= 1
-            pos += 1
+        return w * _WORD + _select_in_word(self._words[w], j - self._ranks[w])
 
     def select0(self, j):
+        """Index of the (j+1)-th zero bit (0-indexed)."""
         zeros = self.n - self.ones
         if not 0 <= j < zeros:
             raise OutOfRange("select0 argument %d out of range" % j)
-        lo, hi = 0, len(self._words)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid * _WORD - self._ranks[mid] <= j:
-                lo = mid + 1
-            else:
-                hi = mid
-        w = lo - 1
-        word = self._words[w]
-        remaining = j - (w * _WORD - self._ranks[w])
+        w = bisect_right(range(len(self._words)), j,
+                         key=lambda m: m * _WORD - self._ranks[m]) - 1
         pos = w * _WORD
-        while True:
-            if not word & 1 and pos < self.n:
-                if remaining == 0:
-                    return pos
-                remaining -= 1
-            word >>= 1
-            pos += 1
+        # the word's zeros as one bits, none past n
+        word = ~self._words[w] & ((1 << min(_WORD, self.n - pos)) - 1)
+        return pos + _select_in_word(word, j - (pos - self._ranks[w]))
 
     def bit_string(self):
         return "".join(str(self.get(i)) for i in range(self.n))
@@ -201,7 +204,15 @@ class PlcpBits:
         return self.decode(i)
 
     def decode_all(self):
-        return [self.decode(i) for i in range(self.n)]
+        """Every value in one scan of K: the j-th one bit of K has z zeros
+        before it, so value j before the shift is z - j - 1."""
+        n, k, s = self.n, self.k, self.shift
+        if k.ones < n:
+            raise OutOfRange("%d values from %d one bits" % (n, k.ones))
+        bits = format(int.from_bytes(k.packed(), "little"), "b").zfill(k.n)
+        zeros = accumulate(map(len, bits[::-1].split("1")[:n]))
+        vk = list(map(sub, zeros, range(1, n + 1)))
+        return vk[n - s:] + vk[:n - s]
 
     def bit_string(self):
         return self.k.bit_string()

@@ -1,13 +1,15 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import banana, make_fixture, random_text
+from conftest import abbab, banana, make_fixture, random_text
+from plcpbits import build_plcp
 from plcpbits.errors import DiffBoundViolation, OutOfRange, TruncatedCode
-from plcpbits.succinct import (GammaStream, RsBitVector, WaveletTree,
-                               plcp_encode)
+from plcpbits.succinct import (GammaStream, PlcpBits, RsBitVector,
+                               WaveletTree, _select_in_word, plcp_encode)
 
 
 def test_gamma_codewords():
@@ -55,6 +57,92 @@ def test_rank_select_consistency(bits):
         else:
             assert v.select0(v.rank0(i)) == i
     assert v.rank1(len(bits)) == ones
+
+
+words = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sets(st.integers(0, 63)).map(lambda s: sum(1 << i for i in s)))
+
+
+@given(words)
+def test_select_in_word_matches_a_scan(word):
+    ones = [i for i in range(64) if word >> i & 1]
+    assert [_select_in_word(word, r) for r in range(len(ones))] == ones
+
+
+def test_select_in_word_edge_words():
+    full = 2**64 - 1
+    assert _select_in_word(full, 0) == 0
+    assert _select_in_word(full, 63) == 63
+    assert _select_in_word(1 << 63, 0) == 63
+    assert _select_in_word(1, 0) == 0
+    for bit in range(8):
+        per_byte = 0x0101010101010101 << bit
+        assert [_select_in_word(per_byte, r) for r in range(8)] == \
+            [8 * b + bit for b in range(8)]
+    assert [_select_in_word(0xFF << 56, r) for r in range(8)] == \
+        list(range(56, 64))
+
+
+@pytest.mark.parametrize("n", [1, 7, 63, 65, 100, 191])
+def test_select0_ignores_the_bits_past_n(n, rng):
+    """The last word is partly filled: its complement has ones past n,
+    which select0 must not count."""
+    patterns = [[1] * (n - 1) + [0], [0] * n, [1] * n,
+                [rng.getrandbits(1) for _ in range(n)]]
+    for bits in patterns:
+        v = RsBitVector(bits)
+        zeros = [i for i, b in enumerate(bits) if not b]
+        assert [v.select0(j) for j in range(len(zeros))] == zeros
+        with pytest.raises(OutOfRange):
+            v.select0(len(zeros))
+
+
+def line_events(call):
+    """The number of line events traced while ``call()`` runs."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_select_takes_as_many_steps_wherever_the_bit_lies():
+    ones, zeros = RsBitVector([1] * 64), RsBitVector([0] * 64)
+    assert line_events(lambda: ones.select1(0)) == \
+        line_events(lambda: ones.select1(63))
+    assert line_events(lambda: zeros.select0(0)) == \
+        line_events(lambda: zeros.select0(63))
+
+
+def test_decode_all_matches_decode(rng):
+    cases = [build_plcp(abbab().bwt, abbab().sisa(1), "external")]
+    for symbols in ([0, 1], [1, 0, 1, 1, 0, 1, 1, 1]):
+        fx = make_fixture(symbols, 2, circular=True)
+        cases.append(build_plcp(fx.bwt, fx.sisa(1), "external"))
+    for n in (2, 9, 40):
+        cases.append(plcp_encode(make_fixture(random_text(rng, n, 4), 4).plcp))
+    for _ in range(200):
+        n = rng.choice([1, 2, rng.randrange(3, 150)])
+        length = n + rng.randrange(2 * n + 9)  # often not a multiple of 8
+        ones = set(rng.sample(range(length), n))
+        bits = [int(i in ones) for i in range(length)]
+        cases.append(PlcpBits(bits, n, shift=rng.randrange(n)))
+    assert any(k.shift for k in cases[:3])
+    assert any(k.n == 1 for k in cases) and any(k.k.n % 8 for k in cases)
+    for k in cases:
+        assert k.decode_all() == [k.decode(i) for i in range(k.n)]
+    with pytest.raises(OutOfRange):  # as decode(1) would
+        PlcpBits([0, 1, 0], 2).decode_all()
 
 
 def test_plcp_encode_examples():
