@@ -23,7 +23,6 @@ import os
 import shutil
 import tempfile
 from array import array
-from collections import defaultdict
 from itertools import chain, islice, repeat
 from operator import add, lshift
 
@@ -132,15 +131,16 @@ class _FileBackend:
     Each chunk's end offset is kept with its array type (None for
     bytes); a read takes one chunk's bytes by one ``os.pread`` and
     rebuilds the array from them.  The file is open only while a chunk
-    is written or read, as a raw descriptor, so the many bucket streams
-    of a sort hold no file buffers while they fill, and a suspended
-    reader holds no file: a walk reads all its passes' streams side by
-    side, more of them than a process may open.  A disposed file is
-    emptied and put on ``spares``, the factory's list, and the next new
-    stream renames it rather than creating a file: on an ext4 virtual
-    disk, creating one took 0.2-0.8 ms and renaming it 0.03 ms.  Opening
-    it empty once more keeps ext4 from writing the new stream's data to
-    disk at its next close, as it does after a truncation.
+    is written or read, as a raw descriptor, so the many bucket and
+    block streams of an LF pass hold no file buffers while they fill,
+    and a suspended reader holds no file: a walk reads all its passes'
+    streams side by side, more of them than a process may open.  A
+    disposed file is emptied and put on ``spares``, the factory's list,
+    and the next new stream renames it rather than creating a file: on
+    an ext4 virtual disk, creating one took 0.2-0.8 ms and renaming it
+    0.03 ms.  Opening it empty once more keeps ext4 from writing the new
+    stream's data to disk at its next close, as it does after a
+    truncation.
     """
 
     def __init__(self, path, spares):
@@ -462,71 +462,14 @@ class StreamFactory:
         return False
 
 
-# A bucket pass distributes by one 8-bit digit, into at most 2**8 buckets.
-DIGIT_BITS = 8
-BUCKETS = 1 << DIGIT_BITS
-
-
-def _bucket_pass(src, key, factory, capacity=None):
-    """One stable bucket pass: the items of ``src`` grouped by ``key(item)``.
-
-    Keys lie below BUCKETS.  Each chunk is split into per-key lists, which
-    are appended to one stream per key and dropped before the next chunk
-    is read; the key streams are then concatenated in key order.
-    """
-    buckets = {}
-    for chunk in src.chunks():
-        parts = defaultdict(list)
-        for item in chunk:
-            parts[key(item)].append(item)
-        for k, part in parts.items():
-            if k not in buckets:
-                buckets[k] = factory.stream("bucket")
-            buckets[k].append_chunk(part)
-        del parts
-    return concat_buckets(buckets, factory, "sorted", capacity)
-
-
-def concat_buckets(buckets, factory, name, capacity=None, bits=False):
-    """One finished stream of the bucket streams of a ``{key: stream}``
-    dict, concatenated in key order; each bucket is released once copied.
-    With ``bits``, the buckets and the result are bit streams.
-    """
-    out = (factory.bits if bits else factory.stream)(name, capacity)
+def concat_buckets(buckets, factory, name, capacity=None):
+    """One finished bit stream of the bit streams of a ``{key: stream}``
+    dict, concatenated in key order and re-cut to ``capacity`` ranks a
+    chunk; each bucket is released once copied."""
+    out = factory.bits(name, capacity)
     for k in sorted(buckets):
         bucket = buckets.pop(k).finish()
-        if bits:
-            for word, width in bucket.words():
-                out.append_word(word, width)
-        else:
-            for chunk in bucket.chunks():
-                out.append_chunk(chunk)
+        for word, width in bucket.words():
+            out.append_word(word, width)
         factory.release(bucket)
     return out.finish()
-
-
-def em_lsd_sort(stream, shift, key_bits, factory, capacity=None):
-    """Stable LSD radix sort of integers by their ``key_bits`` bits above
-    ``shift``, ``item >> shift & (2**key_bits - 1)``.
-
-    One bucket pass per 8-bit digit of the key, least significant first.
-    A stream of one chunk is read into memory by any pass, so it is
-    sorted there in one step, without a bucket stream per digit value,
-    and handed on by ``StreamFactory.from_items``; else the passes write
-    chunks of ``capacity`` items, by default the factory's.
-    """
-    mask = (1 << key_bits) - 1
-    stream.rewind()
-    if len(stream) <= stream.capacity:
-        return factory.from_items(
-            sorted(stream.items(), key=lambda item: item >> shift & mask),
-            "sorted")
-    cur = stream
-    for low in range(0, max(1, key_bits), DIGIT_BITS):
-        def digit(item, at=shift + low, bits=mask >> low & (BUCKETS - 1)):
-            return item >> at & bits
-        nxt = _bucket_pass(cur, digit, factory, capacity)
-        if cur is not stream:
-            factory.release(cur)
-        cur = nxt
-    return cur

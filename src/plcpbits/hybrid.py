@@ -112,7 +112,9 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     n = bwt.n
     stop = stop_rule(n, min(sisa.rate, n)) if adaptive else None
     result = run_rounds_external(bwt, factory, cutoff_rounds, stop)
-    missing = irreducible_missing(bwt, result.set_marks)
+    # rounds that set every rank leave nothing missing, so nothing to scan
+    unset = n - sum(s.newly_set for s in result.stats)
+    missing = irreducible_missing(bwt, result.set_marks) if unset else []
     factory.release(result.set_marks)
     find = {x for r, q in missing for x in (r - 1, r, q)} - {None, -1}
     walked = position_counts(result.pd, bwt, sisa, factory, find)

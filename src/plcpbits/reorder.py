@@ -11,18 +11,19 @@ BWT, a column of values (PD's counts, unsliced once from its bit planes
 and cut like the BWT, or the BWT itself) and the BWT's occurrence directory, sampled symbol counts
 (Ferragina and Manzini's FM-index) built once per walk, so a cursor's
 LF value costs one lookup and one count within a block.  Moved
-cursors are grouped by BWT symbol; the groups, concatenated in symbol
-order, hold the next pass's cursors in rank order again.
+cursors are grouped by BWT symbol; the groups, read in symbol order,
+hold the next pass's cursors in rank order again.
 
 A cursor is one integer, its rank times a radix plus a payload (the
 walk's sample, or the rank a position search started from), so rank
 order is integer order; a pass's cursors sit in typed arrays, 4 bytes
 each while n times the radix stays below 2**32, or, above one buffer,
-in streams of the same integers.  A cursor carries no values: a pass
-puts its values in sample order, and text order is a zip of the passes.
+in one bucket stream per symbol of the same integers, handed on to the
+next pass as they are.  A cursor carries no values: a pass puts its
+values in sample order, and text order is a zip of the passes.
 What fits one stream buffer is handed on in memory, so a walk whose n
 values and ceil(n / rate) cursors fit one buffer writes no cursor,
-bucket, value or sorted stream.
+bucket, block or value stream.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
 text symbol one position back, reconstructs the text for verification
@@ -37,10 +38,10 @@ from collections import defaultdict
 from functools import partial
 from itertools import chain, islice, repeat
 from math import ceil
-from operator import add, floordiv, mod, mul, rshift
+from operator import add, floordiv, mod, mul
 
 from . import emlayer
-from .emlayer import concat_buckets, em_lsd_sort, typecode
+from .emlayer import typecode
 from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
 from .rounds import unary_code
 from .succinct import PlcpBits, RsBitVector
@@ -78,28 +79,28 @@ def _lf_directory(bwt, factory):
 
 
 def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
-    """Move every cursor of a finished stream one LF step, releasing the
-    stream.
+    """Move every cursor one LF step, releasing the streams it read.
 
-    A cursor is one integer, ``rank * radix + payload`` with the payload
-    below ``radix``, so cursors in rank order are in ascending order.
-    ``step(rank, payload, x, lf)``, with ``x`` the value at ``rank`` in
-    ``column`` (a stream cut like the BWT) or, if it is None, the BWT
-    symbol, and ``lf`` = LF(rank), returns the cursor's payload at rank
-    ``lf``, or None to retire it.  LF(rank) is D[a] plus the a's before
-    the chunk, carried forward by each chunk's last ``_lf_directory`` row
-    and last block, plus the rank's row and the a's within its block.  A
-    moved cursor, ``lf * radix + payload``, joins the group of its
-    symbol; LF keeps the order of ranks that share one, so the groups
-    concatenated in symbol order hold the moved cursors in rank order.  If
-    the cursors fit one buffer, the groups are typed arrays wide enough
-    for ``n * radix - 1``, metered as ``walk_cursors``, whose
-    concatenation is handed on in memory (``from_items``); else they are
-    streams, concatenated into a new one.
+    A pass's cursors are a list of finished streams, read one after the
+    other in rank order.  A cursor is one integer, ``rank * radix +
+    payload`` with the payload below ``radix``, so cursors in rank order
+    are in ascending order.  ``step(rank, payload, x, lf)``, with ``x``
+    the value at ``rank`` in ``column`` (a stream cut like the BWT) or,
+    if it is None, the BWT symbol, and ``lf`` = LF(rank), returns the
+    cursor's payload at rank ``lf``, or None to retire it.  LF(rank) is
+    D[a] plus the a's before the chunk, carried forward by each chunk's
+    last ``_lf_directory`` row and last block, plus the rank's row and
+    the a's within its block.  A moved cursor, ``lf * radix + payload``,
+    joins the group of its symbol; LF keeps the order of ranks that share
+    one, so the groups in symbol order hold the moved cursors in rank
+    order.  If the cursors fit one buffer, the groups are typed arrays
+    wide enough for ``n * radix - 1``, metered as ``walk_cursors``, and
+    handed on concatenated, as one ``from_items`` stream; else they are
+    bucket streams, handed on as they are.
     """
     sigma = bwt.sigma
     block = _block(sigma)
-    gather = len(cursors) <= factory.capacity
+    gather = sum(map(len, cursors)) <= factory.capacity
     width = typecode(bwt.n * radix - 1)
     buckets = defaultdict(partial(array, width) if gather
                           else lambda: factory.stream("bucket"))
@@ -109,7 +110,7 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
     base = bwt.d_array[:sigma]
     rows, chunk = [0] * sigma, b""  # nothing before the first chunk
     start = end = 0
-    for cursor in cursors.rewind().items():
+    for cursor in chain.from_iterable(c.rewind().items() for c in cursors):
         rank, payload = divmod(cursor, radix)
         while rank >= end:
             record = next(records, None)
@@ -130,14 +131,14 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
         payload = step(rank, payload, col[off], lf)
         if payload is not None:
             buckets[sym].append(lf * radix + payload)
-    factory.release(cursors)
+    factory.release(*cursors)
     if not gather:
-        return concat_buckets(buckets, factory, "cursors")
+        return [buckets.pop(sym).finish() for sym in sorted(buckets)]
     moved = array(width)
     for sym in sorted(buckets):
         moved.extend(buckets.pop(sym))
     factory.meter.note("walk_cursors", len(moved))
-    return factory.from_items(moved, "cursors")
+    return [factory.from_items(moved, "cursors")]
 
 
 def _walk(bwt, sisa, column, factory, find=()):
@@ -155,12 +156,17 @@ def _walk(bwt, sisa, column, factory, find=()):
     and rank 0, always found, must be met once; a linear BWT must hold
     one 0, at rank 0 and position n - 1.  Otherwise: FormatError.
 
-    A pass puts its values in sample order, in m slots, sample 0's last:
-    in a list of zeros if its cursors fit one buffer; else as integers,
-    each value shifted above the bits of m and its sample (m for sample
-    0) below, sorted by sample by ``em_lsd_sort``.  A list is held as the
-    narrowest typed array if n values and m cursors fit one buffer, else
-    each goes to a stream of 1 / passes of a buffer a chunk.
+    A pass puts its values in sample order, in m slots, sample s's in
+    slot (s - 1) mod m: in a list of m zeros if its cursors fit one
+    buffer; else tagged with their slots within blocks of ``cap`` slots,
+    ``value << b | slot % cap`` (b the bits of cap - 1), in the ``block``
+    stream of ``slot // cap``, each block read back after the pass into a
+    list of at most ``cap`` zeros (metered as ``pass_values``).  The
+    ceil(m / cap) block streams take 1 / ceil(m / cap) of a buffer a
+    chunk, so their write buffers fit one buffer while m <= cap**2, about
+    4 * 10**9 cursors at the default capacity.  A pass's list is held as
+    the narrowest typed array if n values and m cursors fit one buffer,
+    else its lists go to a stream of 1 / passes of a buffer a chunk.
     Passes rate - 1, ..., 0 of sample s >= 1 are positions (s - 1) * rate
     + 1, ..., s * rate: text order is a zip of the passes, last first.
     """
@@ -173,10 +179,11 @@ def _walk(bwt, sisa, column, factory, find=()):
     ranks, cap, passes = sisa.ranks, factory.capacity, min(rate, n)
     m = len(ranks)
     tail = n - (m - 1) * rate  # window of the sample at 0
-    spill = m > cap  # a pass's values go to a stream of integers
+    spill = m > cap  # a pass's values go to block streams
     whole = n + m <= cap  # every pass's values stay in memory
     chunk = max(1, cap // passes)  # of a pass's stream
-    low = m.bit_length()  # a spilled value's sample bits
+    low = (cap - 1).bit_length()  # a spilled value's slot bits
+    firsts = range(0, m, cap)  # each block's first slot
     find, found, first = {*find, ranks[0], ranks[-1], 0}, {}, None
     kept = []  # each pass's values: arrays if whole, else streams
 
@@ -190,7 +197,8 @@ def _walk(bwt, sisa, column, factory, find=()):
             if not position:
                 first = value
         if spill:
-            values.append(value << low | (sample or m))
+            block, slot = divmod((sample or m) - 1, cap)
+            values[block].append(value << low | slot)
         else:
             values[sample - 1] = value
         if p < (rate if sample else tail) - 1:
@@ -201,26 +209,35 @@ def _walk(bwt, sisa, column, factory, find=()):
                               % (sample, lf, ranks[sample - 1]))
         return None
 
+    def placed(blocks):
+        """The values of each block stream in turn, placed by slot."""
+        mask = (1 << low) - 1
+        for lo, block in zip(firsts, blocks):
+            row = [0] * min(cap, m - lo)
+            for item in block.finish().items():
+                row[item & mask] = item >> low
+            factory.release(block)
+            factory.meter.note("pass_values", len(row))
+            yield row
+
     # sample s's cursor: ranks[s] * m + s
-    cursors = factory.from_items(
+    cursors = [factory.from_items(
         array(typecode(n * m - 1),
               sorted(map(add, map(mul, ranks, repeat(m)), range(m)))),
-        "cursors")
+        "cursors")]
     directory = _lf_directory(bwt, factory)
     for p in range(passes):
-        values = factory.stream("values") if spill else [0] * m
+        values = ([factory.stream("block", max(1, cap // len(firsts)))
+                   for _ in firsts] if spill else [0] * m)
         cursors = _lf_pass(bwt, directory, cursors, step, factory, column, m)
-        if spill:
-            values.extend([m] * (p >= tail))  # sample 0 retired
-            kept.append(em_lsd_sort(values.finish(), 0, low, factory, chunk))
-            factory.release(values)
-        elif whole:
+        if whole:
             kept.append(array(typecode(max(values)), values))
-        else:
-            kept.append(factory.stream("values", chunk))
-            kept[-1].append_chunk(values)
-            kept[-1].finish()
-    factory.release(cursors, directory)
+            continue
+        kept.append(factory.stream("values", chunk))
+        for row in placed(values) if spill else [values]:
+            kept[-1].append_chunk(row)
+        kept[-1].finish()
+    factory.release(*cursors, directory)
     if len(found) < len(find):
         raise FormatError("the walk misses rank %d" % min(find - found.keys()))
     if not bwt.circular and found[0] != n - 1:
@@ -229,8 +246,7 @@ def _walk(bwt, sisa, column, factory, find=()):
         factory.meter.note("pass_values", n if whole else m)
 
     def in_position_order():
-        rows = zip(*[p if whole else map(rshift, p.items(), repeat(low))
-                     if spill else p.items() for p in reversed(kept)])
+        rows = zip(*[p if whole else p.items() for p in reversed(kept)])
         try:
             yield first
             yield from chain.from_iterable(islice(rows, m - 1))
@@ -331,16 +347,16 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
         out[orig] = (samples[rank] + p) % n
         return None
 
-    cursors = factory.from_items(
-        array(typecode(n * n - 1), (r * n + r for r in ranks)), "cursors")
+    cursors = [factory.from_items(
+        array(typecode(n * n - 1), (r * n + r for r in ranks)), "cursors")]
     directory = _lf_directory(bwt, factory)
     for p in range(min(sisa.rate, n)):
-        if not len(cursors):
+        if not any(map(len, cursors)):
             break
         cursors = _lf_pass(bwt, directory, cursors, step, factory, None, n)
     factory.release(directory)
-    if len(cursors):
+    if any(map(len, cursors)):
         raise FormatError("ISA samples do not match the BWT: a cursor "
                           "meets no sample")
-    factory.release(cursors)
+    factory.release(*cursors)
     return out

@@ -315,8 +315,7 @@ def _next_starts(keys, starts, sigma, factory):
         first.append_word(int(marks.to_bytes(size, "big").translate(
             MARK_DIGIT), 2), size)
     if nxt is None:
-        nxt = concat_buckets(buckets, factory, "starts", keys.capacity,
-                             bits=True)
+        nxt = concat_buckets(buckets, factory, "starts", keys.capacity)
     return nxt.finish(), first.finish()
 
 

@@ -179,7 +179,9 @@ class RsBitVector:
         return pos + _select_in_word(word, j - (pos - self._ranks[w]))
 
     def bit_string(self):
-        return "".join(str(self.get(i)) for i in range(self.n))
+        """The bits as 0/1 text, bit 0 first, by one scan."""
+        word = int.from_bytes(self.packed(), "little")
+        return format(word, "b").zfill(self.n)[::-1] if self.n else ""
 
 
 class PlcpBits:

@@ -19,7 +19,6 @@ from plcpbits import (StreamFactory, build_circular_plcp, build_plcp,
                       reorder_pd, run_rounds_external, run_rounds_internal,
                       shrink_bwt)
 from plcpbits.succinct import GammaStream
-from plcpbits.emlayer import em_lsd_sort
 from plcpbits.rounds import _next_starts
 from plcpbits.textcore import Text, brute_period
 
@@ -183,13 +182,10 @@ def test_criterion_07_inverse_sort_identity():
         keys = [rng.randrange(sigma) for _ in range(n)]
         starts = bytes(rng.random() < 0.3 for _ in range(n))
         f = StreamFactory(capacity=16)
-        # LF(r) is r's place in the stable sort of the keys, each packed
-        # above its rank's 6 bits
-        order = em_lsd_sort(f.wrap([k << 6 | r for r, k in enumerate(keys)]),
-                            6, 4, f)
+        # LF(r) is r's place in the stable sort of the keys
         lf = [0] * n
-        for i, item in enumerate(order.items()):
-            lf[item & 63] = i
+        for i, r in enumerate(sorted(range(n), key=keys.__getitem__)):
+            lf[r] = i
         marks = f.bits("starts")
         marks.append_chunk(starts)
         nxt, first = _next_starts(f.wrap(bytes(keys)), marks.finish(),

@@ -2,9 +2,8 @@ from array import array
 
 import pytest
 
-from conftest import banana
 from plcpbits import emlayer
-from plcpbits.emlayer import StreamFactory, em_lsd_sort, pack, unpack
+from plcpbits.emlayer import StreamFactory, pack, unpack
 from plcpbits.errors import PlcpError
 
 
@@ -42,73 +41,13 @@ def test_seek_counts_as_non_sequential():
     assert f.total_non_sequential() == 1 and f.max_rewinds() == 1
 
 
-def packed(pairs, shift):
-    """(key, payload) pairs as integers, the key above ``shift`` bits."""
-    return [key << shift | payload for key, payload in pairs]
-
-
-def pairs(items, shift):
-    return [(item >> shift, item & ((1 << shift) - 1)) for item in items]
-
-
 def test_file_backend(tmp_path):
     f = StreamFactory(directory=str(tmp_path), capacity=3)
-    items = packed([(1, ord("a")), (0, ord("b")), (1, ord("c")),
-                    (0, ord("d"))], 8)
+    items = [1 << 8 | ord("a"), ord("b"), 1 << 8 | ord("c"), ord("d")]
     s = f.from_items(items)
     assert list(s.items()) == items
-    out = em_lsd_sort(s.rewind(), 8, 1, f)
-    assert pairs(out.items(), 8) == [(0, ord("b")), (0, ord("d")),
-                                     (1, ord("a")), (1, ord("c"))]
+    assert list(s.rewind().items()) == items
     f.cleanup()
-
-
-def test_stable_sort_examples():
-    f = StreamFactory()
-    items = packed([(2, 24), (1, 25), (2, 26), (0, 23)], 5)
-    out = em_lsd_sort(f.wrap(items), 5, 2, f)
-    assert pairs(out.items(), 5) == [(0, 23), (1, 25), (2, 24), (2, 26)]
-    done = packed([(0, 1), (1, 2), (2, 3)], 5)
-    assert list(em_lsd_sort(f.wrap(done), 5, 2, f).items()) == done
-
-
-def test_stable_sort_banana_ranks():
-    fx = banana()
-    f = StreamFactory()
-    items = packed(zip(fx.bwt.to_list(), range(7)), 3)
-    out = pairs(em_lsd_sort(f.wrap(items), 3, 2, f).items(), 3)
-    assert [sym for sym, _ in out] == sorted(fx.bwt.to_list())
-    # payloads within a symbol keep rank order
-    for sym in range(4):
-        payloads = [r for s, r in out if s == sym]
-        assert payloads == sorted(payloads)
-
-
-def test_lsd_sort_is_stable(rng):
-    f = StreamFactory(capacity=16)
-    items = [(rng.randrange(200), i) for i in range(300)]
-    out = em_lsd_sort(f.wrap(packed(items, 9)), 9, 8, f)
-    assert pairs(out.items(), 9) == sorted(items, key=lambda t: t[0])
-    # the key below other bits, as a spilled walk packs its values
-    low = [i << 8 | key for key, i in items]
-    out = list(em_lsd_sort(f.wrap(low), 0, 8, f).items())
-    assert out == sorted(low, key=lambda item: item & 255)
-
-
-@pytest.mark.parametrize("capacity", [7, 4096])
-def test_lsd_sort_one_chunk_matches_bucket_passes(rng, capacity):
-    # 12-bit keys take two bucket passes over several chunks, or one
-    # in-memory sort when the stream is a single chunk
-    items = [(rng.randrange(1 << 12), i) for i in range(500)]
-    f = StreamFactory(capacity=capacity)
-    opened = []
-    stream = f.stream
-    f.stream = lambda *args: opened.append(args) or stream(*args)
-    out = em_lsd_sort(f.from_items(packed(items, 9)), 9, 12, f)
-    assert pairs(out.items(), 9) == sorted(items, key=lambda t: t[0])
-    # one chunk in and out is handed on in memory; more chunks open the
-    # input, one bucket per digit value and the output
-    assert (len(opened) == 0) == (capacity > len(items))
 
 
 def test_file_backend_reuses_released_files(tmp_path):

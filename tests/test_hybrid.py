@@ -213,6 +213,21 @@ def test_full_cutoff_skips_kernel(monkeypatch):
     assert k.bit_string() == "01000011110101"
 
 
+def test_rounds_that_set_every_rank_skip_the_missing_scan(monkeypatch, rng):
+    """Once the rounds have set all n ranks none can be missing, so the
+    hybrid does not scan the BWT's run heads for them: on random text the
+    default stop rule never fires, and a full cutoff ends no round early."""
+    def unreachable(bwt, set_marks):
+        raise AssertionError("no rank is missing, so nothing to scan")
+    monkeypatch.setattr(hybrid, "irreducible_missing", unreachable)
+    for n in (300, 2000):
+        fx = make_fixture(random_text(rng, n, 4), 4)
+        for cutoff in (None, n):
+            k = build_plcp(fx.bwt, fx.sisa(4), "hybrid", cutoff=cutoff,
+                           factory=StreamFactory())
+            assert k.decode_all() == list(fx.plcp.values), (n, cutoff)
+
+
 def test_irreducible_sum_sanity(rng):
     # total irreducible LCP mass stays within the 2n log2 n envelope
     import math

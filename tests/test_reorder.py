@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 from array import array
+from collections import Counter
 from math import ceil
 
 import pytest
@@ -183,14 +184,18 @@ def test_lf_pass_matches_per_rank_lf(tmp_path, rng, sigma):
                 def step(rank, payload, sym, image):
                     calls.append((rank, payload, sym, image))
                     return payload if rank % 2 else None
-                # cursor (rank r, payload r), packed at radix n
-                cursors = f.from_items([r * n + r for r in ranks], "cursors")
+                # cursor (rank r, payload r), packed at radix n, in two
+                # streams read one after the other
+                cut = len(ranks) // 2
+                cursors = [f.from_items([r * n + r for r in part], "cursors")
+                           for part in (ranks[:cut], ranks[cut:])]
                 moved = _lf_pass(bwt, table, cursors, step, f, None, n)
                 case = (capacity, directory, ranks)
                 assert calls == [(r, r, symbols[r], lf[r]) for r in ranks], case
-                assert [divmod(c, n) for c in moved.rewind().items()] == \
+                assert [divmod(c, n) for s in moved
+                        for c in s.rewind().items()] == \
                     sorted((lf[r], r) for r in ranks if r % 2), case
-                f.release(cursors, moved)
+                f.release(*cursors, *moved)
             f.release(table)
             assert f.streams == [] and f.total_non_sequential() == 0
 
@@ -237,18 +242,18 @@ def test_lf_pass_gathers_a_pass_that_fits_one_chunk(rng):
     f = StreamFactory(capacity=64)
     table = _lf_directory(bwt, f)
     for ranks in (sorted(rng.sample(range(n), 64)), range(n)):
-        cursors = f.from_items([r * n + r for r in ranks], "cursors")
+        cursors = [f.from_items([r * n + r for r in ranks], "cursors")]
         opened = f._counter
         moved = _lf_pass(bwt, table, cursors, lambda r, p, x, image: p, f,
                          None, n)
         if len(ranks) <= 64:  # handed on in memory, as a typed array
-            assert f._counter == opened
-            assert isinstance(next(moved.rewind().chunks()), array)
-        else:  # one bucket stream per symbol, then the output
-            assert f._counter - opened > 1
-        assert [divmod(c, n) for c in moved.rewind().items()] == \
+            assert f._counter == opened and len(moved) == 1
+            assert isinstance(next(moved[0].rewind().chunks()), array)
+        else:  # one bucket stream per symbol, handed on uncopied
+            assert f._counter - opened == len(moved) > 1
+        assert [divmod(c, n) for s in moved for c in s.rewind().items()] == \
             sorted((lf[r], r) for r in ranks)
-        f.release(cursors, moved)
+        f.release(*cursors, *moved)
     f.release(table)
     assert f.streams == [] and f.total_non_sequential() == 0
 
@@ -257,10 +262,10 @@ def test_lf_pass_gathers_a_pass_that_fits_one_chunk(rng):
 def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
                                                    circular):
     """On temp files, a walk whose n values and n / rate cursors fit one
-    buffer opens no cursor, value or sorted stream, nor the rounds a
+    buffer opens no cursor, value or block stream, nor the rounds a
     bucket stream: what fits one buffer is handed on in memory.  One item
     less, or n, and the values go to streams; at capacities 3 and 64 the same
-    builds open value and bucket streams, and cursor and sorted streams
+    builds open value and bucket streams, and cursor and block streams
     when a pass's cursors span chunks."""
     names = []
     stream = StreamFactory.stream
@@ -269,7 +274,7 @@ def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
         names.append(name)
         return stream(factory, name, capacity)
     monkeypatch.setattr(StreamFactory, "stream", recorded)
-    spilled = {"bucket", "cursors", "values", "sorted"}
+    spilled = {"bucket", "cursors", "values", "block"}
     if circular:
         fx = make_fixture([rng.randrange(4) for _ in range(2000)], 4, True)
     else:
@@ -294,7 +299,7 @@ def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
                     assert "values" in names, case
                 else:
                     expected = (spilled if m > capacity
-                                else spilled - {"cursors", "sorted"})
+                                else spilled - {"cursors", "block"})
                     assert spilled & {*names} == expected, case
 
 
@@ -302,14 +307,18 @@ def test_walk_buffers_do_not_exceed_the_capacity(rng):
     n = 1000
     fx = make_fixture(random_text(rng, n, 4), 4)
     pd = run_rounds_internal(fx.bwt).pd
-    f = StreamFactory(capacity=64)
-    # 10 cursors: early passes fit one chunk, later ones do not
-    k = reorder_pd(pd, fx.bwt, fx.sisa(100), factory=f)
-    assert k.decode_all() == list(fx.plcp.values)
-    peaks = f.meter.peaks
-    assert peaks["walk_cursors"] > 0 and peaks["count_column"] > 0
-    assert 0 < peaks["pass_values"] <= 64, peaks
-    assert max(peaks.values()) <= 64, peaks
+    # rate 100, 10 cursors: each pass's values fit one list of m slots;
+    # rate 4, 250 cursors: every pass spills, and its values are placed
+    # one block of 64 slots at a time
+    for rate in (100, 4):
+        f = StreamFactory(capacity=64)
+        k = reorder_pd(pd, fx.bwt, fx.sisa(rate), factory=f)
+        assert k.decode_all() == list(fx.plcp.values), rate
+        peaks = f.meter.peaks
+        assert peaks["count_column"] > 0, rate
+        assert ("walk_cursors" in peaks) == (rate == 100), rate
+        assert 0 < peaks["pass_values"] <= 64, (rate, peaks)
+        assert max(peaks.values()) <= 64, (rate, peaks)
 
 
 @pytest.mark.parametrize("capacity", [128, 512])
@@ -427,6 +436,31 @@ def test_walk_writes_no_more_per_value_at_a_higher_rate(tmp_path, rng,
             assert k.decode_all() == list(fx.plcp.values), rate
             assert f.streams == [] and f.total_non_sequential() == 0
     assert 0 < written[1] <= 1.25 * written[0], written
+
+
+def test_spilled_walk_places_its_values_by_slot(tmp_path, rng, monkeypatch):
+    """A walk whose cursors span chunks places each pass's values by
+    slot, one block of ``capacity`` slots at a time, and sorts nothing:
+    on temp files its block and value streams take at most 4 bytes a
+    value."""
+    n = 8000
+    fx = make_fixture(random_text(rng, n, 5), 5)
+    written = Counter()  # bytes written per stream name
+    append_chunk = emlayer._FileBackend.append_chunk
+
+    def counted(backend, chunk):
+        size = os.path.getsize(backend.path)
+        append_chunk(backend, chunk)
+        name = os.path.basename(backend.path).rsplit("-", 1)[0]
+        written[name] += os.path.getsize(backend.path) - size
+    monkeypatch.setattr(emlayer._FileBackend, "append_chunk", counted)
+    with StreamFactory(str(tmp_path), capacity=256) as f:
+        k = build_plcp(fx.bwt, fx.sisa(4), "external", factory=f)
+        assert k.decode_all() == list(fx.plcp.values)
+        assert f.streams == [] and f.total_non_sequential() == 0
+    assert written["cursors"] > 0 and written["block"] > 0, written
+    assert "sorted" not in written, written
+    assert written["values"] + written["block"] <= 4 * n, written
 
 
 def test_walk_heap_stays_a_few_bytes_per_symbol(rng):

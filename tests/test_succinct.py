@@ -2,7 +2,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import abbab, banana, make_fixture, random_text
@@ -45,8 +45,11 @@ def test_gamma_truncated():
 
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
+@example([])
+@example([1, 0, 0] * 43)  # 129 bits: a last word of one bit
 def test_rank_select_consistency(bits):
     v = RsBitVector(bits)
+    assert v.bit_string() == "".join(str(v.get(i)) for i in range(len(bits)))
     ones = 0
     for i, b in enumerate(bits):
         assert v.rank1(i) == ones
