@@ -13,7 +13,8 @@ each rank's BWT symbol too, so it also gives the text and the positions
 whose suffixes the kernel, ``KERNELS["direct"]``, compares; its counts
 then replace the missing ranks' partial counts, left by the rounds cut
 short, as ``emit_k`` reads them.  The kernel is semi-external: it holds
-the whole text, n symbols, noted with the meter under ``hybrid_text``.
+the whole text, n symbols as n bytes, noted with the meter under
+``hybrid_text``.
 """
 
 from itertools import compress, count

@@ -96,14 +96,15 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
     order.  If the cursors fit one buffer, the groups are typed arrays
     wide enough for ``n * radix - 1``, metered as ``walk_cursors``, and
     handed on concatenated, as one ``from_items`` stream; else they are
-    bucket streams, handed on as they are.
+    bucket streams of 1 / sigma of a buffer a chunk, so that their write
+    buffers fit one buffer together, handed on as they are.
     """
     sigma = bwt.sigma
     block = _block(sigma)
     gather = sum(map(len, cursors)) <= factory.capacity
     width = typecode(bwt.n * radix - 1)
-    buckets = defaultdict(partial(array, width) if gather
-                          else lambda: factory.stream("bucket"))
+    buckets = defaultdict(partial(array, width) if gather else partial(
+        factory.stream, "bucket", max(1, factory.capacity // sigma)))
     cols = repeat(None) if column is None else column.rewind().chunks()
     records = zip(directory.rewind().chunks(), bwt.stream(factory).chunks(),
                   cols)
@@ -257,6 +258,15 @@ def _walk(bwt, sisa, column, factory, find=()):
     return in_position_order(), found
 
 
+def _narrow(items, size):
+    """Ints, ``size`` at a time, each batch the narrowest typed array that
+    holds it: read into the widest type, "Q", and copied."""
+    for wide in iter(lambda: array("Q", islice(items, size)), array("Q")):
+        narrow = array(typecode(max(wide)), wide)
+        del wide  # not held while the caller reads the narrow copy
+        yield narrow
+
+
 def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
@@ -267,7 +277,9 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
     position i, to be read once (see ``_walk``).  With ranks to ``find``,
     a value is ``count * sigma + symbol``, so the walk also gives the
     text, as ``reconstruct_text`` does: returns a finished stream of the
-    counts, the text and a dict of the ranks' text positions.
+    counts, the text as bytes and a dict of the ranks' text positions.
+    The fused column and the counts are made a buffer at a time, each
+    chunk the narrowest typed array that holds it.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
@@ -279,20 +291,23 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
     else:
         sigma = bwt.sigma
         column = factory.stream("column", view.capacity)
-        column.extend(map(add, map(mul, pd.iter_counts(), repeat(sigma)),
-                          view.items()))
+        fused = map(add, map(mul, pd.iter_counts(), repeat(sigma)),
+                    view.items())
+        for chunk in _narrow(fused, view.capacity):
+            column.append_chunk(chunk)
         column.finish()
     values, found = _walk(bwt, sisa, column, factory, find)
     factory.release(column)
     if not find:
         return values
     counts = factory.stream("counts")
-    text = []
-    for batch in iter(lambda: list(islice(values, counts.capacity)), []):
-        text.extend(map(mod, batch, repeat(sigma)))
-        counts.append_chunk(list(map(floordiv, batch, repeat(sigma))))
+    text = bytearray()
+    for batch in _narrow(values, counts.capacity):
+        text += bytes(map(mod, batch, repeat(sigma)))
+        counts.append_chunk(array(typecode(max(batch) // sigma),
+                                  map(floordiv, batch, repeat(sigma))))
     text.append(text.pop(0))
-    return counts.finish(), text, found
+    return counts.finish(), bytes(text), found
 
 
 def emit_k(counts, n, shift=0):

@@ -17,17 +17,25 @@ from .errors import (AlphabetTooLarge, CircularPowerInput, LengthMismatch,
 
 @dataclass(frozen=True)
 class Text:
-    symbols: tuple
+    """Symbols over 0..sigma-1, taken from any iterable of ints and held
+    as bytes, one per symbol, as ``Bwt`` holds its own: sigma is at most
+    256."""
+
+    symbols: bytes
     sigma: int
     circular: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        n = len(self.symbols)
-        if n == 0:
+        symbols = self.symbols
+        if not isinstance(symbols, bytes):
+            symbols = tuple(symbols)
+        if not symbols:
             raise OutOfRange("empty text")
-        if any(c < 0 or c >= self.sigma for c in self.symbols):
+        if min(symbols) < 0 or max(symbols) >= self.sigma:
             raise OutOfRange("symbol outside alphabet 0..%d" % (self.sigma - 1))
+        if self.sigma > 256:
+            raise AlphabetTooLarge("one byte per symbol caps sigma at 256")
+        object.__setattr__(self, "symbols", bytes(symbols))
         if not self.circular:
             if self.symbols[-1] != 0 or self.symbols.count(0) != 1:
                 raise OutOfRange("non-circular text must end in a unique 0")

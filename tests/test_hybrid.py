@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -270,6 +271,25 @@ def near_copies(rng, unit_length, copies=8, mutations=3):
             copy[pos] = copy[pos] % 4 + 1
         body += copy
     return body + [0]
+
+
+def test_hybrid_heap_on_near_copies():
+    """On 8 near-copies of one unit, n about 10**4, the kernel's text is a
+    byte a symbol, and the walk's read-out and fused column are typed
+    arrays, a buffer at a time: a memory-stream hybrid build peaks at
+    most 30 B/symbol of Python heap above its entry (about 46 with the
+    text as a tuple of ints and the read-out in lists)."""
+    fx = make_fixture(near_copies(random.Random(1), 1250), 5)
+    sisa = fx.sisa(16)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        k = build_plcp(fx.bwt, sisa, "hybrid", factory=StreamFactory())
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert k.bit_string() == fx.k_bits()
+    assert peak <= 30 * fx.n, peak / fx.n
 
 
 def full_rounds(fx):

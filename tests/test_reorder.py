@@ -134,7 +134,7 @@ def test_text_walk_finds_positions(tmp_path, rng):
                     case = (list(fx.text.symbols), capacity, directory, rate)
                     counts, text, positions = position_counts(
                         pd, fx.bwt, fx.sisa(rate), f, find=range(n))
-                    assert text == list(fx.text.symbols), case
+                    assert text == fx.text.symbols, case
                     assert positions == dict(enumerate(fx.sa)), case
                     plain = position_counts(pd, fx.bwt, fx.sisa(rate), f)
                     assert list(counts) == list(plain), case
@@ -301,6 +301,36 @@ def test_output_that_fits_one_buffer_is_handed_on(tmp_path, rng, monkeypatch,
                     expected = (spilled if m > capacity
                                 else spilled - {"cursors", "block"})
                     assert spilled & {*names} == expected, case
+
+
+def test_spilled_lf_pass_buckets_fill_one_buffer(rng, monkeypatch):
+    """A pass whose cursors spill goes to sigma bucket streams of
+    capacity // sigma items a chunk, so their write buffers hold at most
+    one buffer of cursors together."""
+    chunks = {}  # bucket stream: its chunk sizes
+    stream, put = StreamFactory.stream, emlayer.EmStream._put
+
+    def opened(factory, name="tmp", capacity=None):
+        s = stream(factory, name, capacity)
+        if name == "bucket":
+            chunks[s] = []
+        return s
+
+    def recorded(s, chunk):
+        if s in chunks:
+            chunks[s].append(len(chunk))
+        put(s, chunk)
+    monkeypatch.setattr(StreamFactory, "stream", opened)
+    monkeypatch.setattr(emlayer.EmStream, "_put", recorded)
+    fx = make_fixture(random_text(rng, 400, 4), 4)
+    pd = run_rounds_internal(fx.bwt).pd
+    f = StreamFactory(capacity=64)
+    k = reorder_pd(pd, fx.bwt, fx.sisa(2), factory=f)  # m = 200 cursors
+    assert k.bit_string() == fx.k_bits()
+    assert f.streams == [] and f.total_non_sequential() == 0
+    sizes = [size for sizes in chunks.values() for size in sizes]
+    assert len(chunks) >= 4 and sizes, chunks
+    assert max(sizes) <= 64 // 4, sizes
 
 
 def test_walk_buffers_do_not_exceed_the_capacity(rng):
@@ -513,6 +543,29 @@ def fused_columns(monkeypatch):
 
 
 @pytest.mark.parametrize("capacity", [3, STREAM_BUFFER_ITEMS])
+def test_text_walk_reads_out_bytes_and_typed_arrays(tmp_path, rng,
+                                                   fused_columns, capacity):
+    """With ranks to find, the fused column and the counts come as typed
+    arrays, a buffer at a time, and the text as bytes."""
+    fx = make_fixture(random_text(rng, 300, 5), 5)
+    pd = run_rounds_internal(fx.bwt).pd
+    for directory in (None, str(tmp_path)):
+        f = StreamFactory(directory, capacity=capacity)
+        fused_columns.clear()
+        counts, text, _ = position_counts(pd, fx.bwt, fx.sisa(7), f,
+                                          find=range(fx.n))
+        assert isinstance(text, bytes) and text == fx.text.symbols
+        chunks = list(counts.rewind().chunks())
+        for chunk in fused_columns + chunks:
+            assert isinstance(chunk, array) and len(chunk) <= capacity
+        assert len(fused_columns) == ceil(fx.n / capacity)
+        assert emit_k(counts.rewind().items(), fx.n).bit_string() == \
+            fx.k_bits()
+        f.release(counts)
+        assert f.streams == [] and f.total_non_sequential() == 0
+
+
+@pytest.mark.parametrize("capacity", [3, STREAM_BUFFER_ITEMS])
 def test_fused_column_switches_to_four_bytes(tmp_path, rng, fused_columns,
                                              capacity):
     """With ranks to find, a column value is count * 256 + symbol at
@@ -530,7 +583,7 @@ def test_fused_column_switches_to_four_bytes(tmp_path, rng, fused_columns,
         counts, text, positions = position_counts(pd, fx.bwt, fx.sisa(7), f,
                                                   find=range(fx.n))
         assert emit_k(counts, fx.n).decode_all() == list(fx.plcp.values)
-        assert text == list(fx.text.symbols)
+        assert text == fx.text.symbols
         assert positions == dict(enumerate(fx.sa))
         assert max(map(max, fused_columns)) > 65535
         assert "I" in {record.typecode for record in fused_columns}

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import abbab, banana, make_fixture, random_text
 from plcpbits import Text, build_suffix_array, invert_sa, sample_isa
-from plcpbits.errors import CircularPowerInput, OutOfRange, RateMismatch
+from plcpbits.errors import (AlphabetTooLarge, CircularPowerInput,
+                             OutOfRange, RateMismatch)
 from plcpbits.textcore import SuffixArray, brute_period, naive_lcp_pair
 
 
@@ -53,6 +54,24 @@ def test_text_validation():
         Text([5, 0], 3)  # symbol out of alphabet
     with pytest.raises(OutOfRange):
         Text([], 1)
+
+
+def test_text_holds_one_byte_per_symbol():
+    """Any iterable of ints becomes bytes; the symbols are checked before
+    sigma, so an out-of-range symbol is OutOfRange even above 256."""
+    for symbols in ([2, 1, 3, 1, 3, 1, 0], iter([2, 1, 3, 1, 3, 1, 0]),
+                    bytes([2, 1, 3, 1, 3, 1, 0])):
+        text = Text(symbols, 4)
+        assert text.symbols == b"\x02\x01\x03\x01\x03\x01\x00"
+        assert isinstance(text.symbols, bytes) and len(text) == 7
+    assert Text([255, 0], 256).at(0) == 255
+    for symbols, sigma in (([], 300), (iter([]), 2), ([-1, 0], 2),
+                           ([-1, 0], 300), ([2, 0], 2), ([300, 0], 300),
+                           ([256, 0], 256)):
+        with pytest.raises(OutOfRange):
+            Text(symbols, sigma)
+    with pytest.raises(AlphabetTooLarge):
+        Text([5, 0], 257)
 
 
 def test_invert_sa_examples():
