@@ -7,9 +7,12 @@ one zero bit in front of the rank's one bit in PD.  The in-memory
 strategy walks a pruned interval queue over a wavelet tree.  The
 sequential strategy keeps the round's state as rank-order bit streams,
 one bit per rank, and PD as bit-plane counters; it moves marks only
-forward through LF, and works each pass a whole chunk at a time with byte
-translation, selection and big-integer bit operations, PD's growth the
-carry-save add of Harley-Seal popcounts (Mula, Kurz and Lemire, 2018).
+forward through LF, and works each pass a whole chunk at a time on packed
+words of one bit per rank.  A symbol's ranks are an AND of the chunk's
+bit planes, gathered by an 8x8 bit-matrix transpose; its first marks are
+a carry add over them; their LF-forward is one byte translation of a key
+of symbol·2 + mark a rank; and PD grows by the carry-save add of
+Harley-Seal popcounts (Mula, Kurz and Lemire, 2018).
 """
 
 from collections import defaultdict, namedtuple
@@ -255,37 +258,115 @@ class _Zeros(emlayer.EmStream):
         return ((0, min(cap, n - lo)) for lo in range(0, n, cap))
 
 
-# maps an a with a mark (0xFF) to the digit 1 and every other byte to 0
-MARK_DIGIT = b"0" * 255 + b"1"
+# the bytes of a segment of _planes, which keeps the transpose's masks
+# and temporaries small; per delta swap of the transpose, its distance
+# and its mask, the bits that move, in every 64-bit lane of a segment
+SEGMENT = 8192
+SWAPS = [(shift, int.from_bytes(mask.to_bytes(8, "little") * (SEGMENT >> 3),
+                                "little"))
+         for shift, mask in ((7, 0x00AA00AA00AA00AA),
+                             (14, 0x0000CCCC0000CCCC),
+                             (28, 0x00000000F0F0F0F0))]
+# a key byte's mark, its low bit, as an ASCII digit for int(digits, 2)
+DIGIT = b"01" * 128
+# per symbol a below 128, every key byte but a's two, 2a and 2a + 1
+OTHERS = [bytes(range(2 * a)) + bytes(range(2 * a + 2, 256))
+          for a in range(128)]
+# a byte's low 7 bits; per top bit h, the bytes whose top bit is not h
+LOW7 = bytes(range(128)) * 2
+HALVES = (bytes(range(128, 256)), bytes(range(128)))
+
+
+def _planes(chunk, count):
+    """The low ``count`` bit planes of a chunk of bytes: plane j is the
+    packed word whose bit i is bit j of byte i.
+
+    A segment of the chunk is one big integer, each 8 bytes of it a 64-bit
+    lane, an 8x8 bit matrix that three delta swaps transpose (Warren,
+    *Hacker's Delight*, 7-3), so that byte j of a lane holds bit j of its
+    8 bytes: plane j's bytes are every 8th from j.
+    """
+    view = memoryview(chunk)
+    parts = [[] for _ in range(count)]
+    for lo in range(0, len(chunk), SEGMENT):
+        x = int.from_bytes(view[lo : lo + SEGMENT], "little")
+        for shift, mask in SWAPS:
+            t = (x ^ x >> shift) & mask
+            x ^= t ^ t << shift
+        raw = x.to_bytes(-(-min(SEGMENT, len(chunk) - lo) >> 3) << 3,
+                         "little")
+        for j, part in enumerate(parts):
+            part.append(raw[j::8])
+    return [int.from_bytes(b"".join(part), "little") for part in parts]
+
+
+def _masks(planes, word, value=0):
+    """Each value of the planes that some rank of ``word`` holds, in value
+    order, with the packed word of those ranks: ANDs of the planes or
+    their complements, top plane first and depth first, so one word a
+    plane is alive."""
+    if not word:
+        return
+    if not planes:
+        yield value, word
+        return
+    *low, top = planes
+    high = word & top
+    yield from _masks(low, word ^ high, value << 1)
+    yield from _masks(low, high, value << 1 | 1)
+
+
+def _key(values, marks, ones, size):
+    """Each rank's value·2 + mark, one byte, highest rank first: ``values``
+    one byte a rank, rank 0 lowest, and ``marks`` packed."""
+    return (values << 1 | spread(marks, ones)).to_bytes(size, "big")
+
+
+def _keys(chunk, planes, marks, ones):
+    """The chunk's key, symbol·2 + mark a rank: one key for symbols below
+    128; above, one for the symbols of either top bit, each in rank order,
+    split by two translate-deletes of a top·2 + mark key."""
+    size = len(chunk)
+    if len(planes) < 8:
+        return [_key(int.from_bytes(chunk, "little"), marks, ones, size)]
+    tops = _key(spread(planes[7], ones), marks, ones, size)
+    rev = chunk[::-1]
+    keys = []
+    for half, other in enumerate(HALVES):
+        low = rev.translate(LOW7, other)
+        digits = tops.translate(DIGIT, OTHERS[half]) or b"0"
+        keys.append(_key(int.from_bytes(low, "big"), int(digits, 2), ones,
+                         len(low)))
+    return keys
 
 
 def _next_starts(keys, starts, sigma, factory):
     """The next round's interval starts, and this round's first marks.
 
     A rank is *first* when its BWT symbol a occurs there for the first
-    time in its interval.  Per chunk and symbol present, on big integers
-    with one byte per rank (A: 0xFF where the BWT holds a, D = ~A, B: 1 at
-    the interval starts, their packed word spread), the sum
-    T = D + (B & D) + carry carries a one from each interval start across
-    the non-a ranks into the next a, where it stops: that a is first, and
-    so is an a on a start.  The carry out of the chunk continues into the
-    next chunk; it begins at one, because rank 0 begins an interval in
-    every round, marked in ``starts`` or not.  The marks of a are then
-    compacted and packed by one byte translation, read from the last rank
-    down: a bare a (0xFE) becomes the digit 0, a first a (0xFF) the digit
-    1, and every other symbol (0x00) is deleted, so ``int(digits, 2)`` is
-    a's marks, one bit per rank.  Appending each symbol's marks to its own
-    bit stream is the LF mapping; the streams are then concatenated in
-    symbol order.  A BWT of one chunk yields the marks in symbol order
-    already, so they go straight to the next starts, with no stream per
-    symbol.  The OR of all symbols' marks, translated without deleting,
-    is the first marks in rank order: first[r] = next_starts[LF(r)].
+    time in its interval.  Per chunk, on packed words of one bit per rank,
+    B the interval starts as ``words`` reads them and A the ranks of
+    symbol a, an AND of the chunk's bit planes (``_planes``, ``_masks``),
+    with D = ~A the sum T = D + (B & D) + carry carries a one from each
+    interval start across the non-a ranks into the next a, where it
+    stops: that a is first, and so is an a on a start, A & (T | B).  The
+    carry out of the chunk continues a's carry into the next chunk; it
+    begins at one, because rank 0 begins an interval in every round,
+    marked in ``starts`` or not.  The OR of all symbols' first marks is
+    the chunk's first word, first[r] = next_starts[LF(r)].
+
+    The LF-forward of the marks is one translate-delete per symbol of the
+    chunk's key, a byte symbol·2 + mark a rank, highest rank first
+    (``_keys``): it deletes the other symbols' bytes and maps a's to the
+    digits of its marks, so ``int(digits, 2)`` is a's marks, one bit per
+    rank.  Appending each symbol's marks to its own bit stream is the LF
+    mapping; the streams are then concatenated in symbol order.  A BWT of
+    one chunk yields the marks in symbol order already, so they go
+    straight to the next starts, with no stream per symbol.
     """
-    # per symbol a, the byte table that maps a to 0xFF and all else to 0
-    tables = [bytes(a) + b"\xff" + bytes(255 - a) for a in range(sigma)]
     carry = [1] * sigma
+    count = max(1, (sigma - 1).bit_length())
     ones = int.from_bytes(b"\x01" * min(len(keys), keys.capacity), "little")
-    high = 0xFE * ones
     if len(keys) <= keys.capacity:
         nxt = factory.bits("starts", keys.capacity)
         buckets = defaultdict(lambda: nxt)
@@ -293,27 +374,25 @@ def _next_starts(keys, starts, sigma, factory):
         nxt = None
         buckets = defaultdict(lambda: factory.bits("bucket"))
     first = factory.bits("first", keys.capacity)
-    for chunk, (st, size) in zip(keys.chunks(), starts.rewind().words()):
-        width = 8 * size
-        mask = (1 << width) - 1
-        b = spread(st, ones)
-        marks = 0
-        for a in range(sigma):
-            if a not in chunk:
-                if b:
-                    carry[a] = 1
-                continue
-            at = int.from_bytes(chunk.translate(tables[a]), "little")
+    for chunk, (b, size) in zip(keys.chunks(), starts.rewind().words()):
+        mask = (1 << size) - 1
+        planes = _planes(chunk, count)
+        word = 0
+        present = []
+        for a, at in _masks(planes, mask):
             d = mask ^ at
             t = d + (b & d) + carry[a]
-            carry[a] = t >> width
-            marked = at & (high | t | b)
-            marks |= marked
-            digits = marked.to_bytes(size, "big").translate(MARK_DIGIT,
-                                                            b"\x00")
+            word |= at & (t | b)
+            present.append((a, t >> size))
+        if b:  # a start carries into the next a of every symbol absent
+            carry = [1] * sigma
+        for a, out in present:
+            carry[a] = out
+        first.append_word(word, size)
+        keyed = _keys(chunk, planes, word, ones)
+        for a, _ in present:
+            digits = keyed[a >> 7].translate(DIGIT, OTHERS[a & 127])
             buckets[a].append_word(int(digits, 2), len(digits))
-        first.append_word(int(marks.to_bytes(size, "big").translate(
-            MARK_DIGIT), 2), size)
     if nxt is None:
         nxt = concat_buckets(buckets, factory, "starts", keys.capacity)
     return nxt.finish(), first.finish()

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from itertools import compress
 
 import pytest
@@ -327,3 +328,56 @@ def test_next_starts_match_per_rank_reference(rng, sigma):
                 for stream in (out, first):
                     assert [len(c) for c in stream.rewind().chunks()] == \
                         [len(c) for c in marks.rewind().chunks()]
+
+
+def packed_next_starts(keys, starts, sigma, capacity):
+    """``_next_starts`` on the 0/1 ``starts``, as 0/1 bytes."""
+    f = StreamFactory(capacity=capacity)
+    marks = f.bits("starts")
+    marks.append_chunk(starts)
+    out, first = _next_starts(f.wrap(bytes(keys)), marks.finish(), sigma, f)
+    return bytes(out.rewind().items()), bytes(first.rewind().items())
+
+
+@pytest.mark.parametrize("sigma", [127, 128, 129, 200])
+def test_next_starts_across_chunk_and_key_byte_edges(rng, sigma):
+    """The packed-word kernel where its words and keys have edges: at
+    σ=128 the key byte symbol·2 + mark is full, above it the key splits
+    by the symbol's top bit; chunks of 7 ranks, and an odd n, end chunks
+    off a byte of packed marks; and in chunks of 7 most symbols are
+    absent, so their carries cross chunks."""
+    for capacity in (7, 64, 1000):
+        for density in (0.0, 0.05, 0.5, 1.0):
+            n = 2 * rng.randrange(500, 1500) + 1
+            keys = [rng.randrange(sigma) for _ in range(n)]
+            rest = [rng.random() < density for _ in range(n - 1)]
+            want = reference_next_starts(keys, bytes([1] + rest), sigma)
+            # rank 0 begins an interval, marked in the starts or not
+            for head in (1, 0):
+                got = packed_next_starts(keys, bytes([head] + rest), sigma,
+                                         capacity)
+                assert got == want, (n, capacity, density, head)
+
+
+@pytest.mark.parametrize("sigma", [5, 64])
+def test_next_starts_heap_stays_under_9_bytes_per_rank(sigma):
+    """The kernel works on packed words of one bit per rank and on one
+    byte-per-rank key: over one chunk of 2^15 ranks it peaks at most
+    9 B/rank of Python heap above its entry, where whole-chunk big
+    integers of one byte per rank took 12-13."""
+    n = 1 << 15
+    rng = random.Random(sigma)
+    f = StreamFactory(capacity=n)
+    marks = f.bits("starts")
+    marks.append_chunk(bytes(rng.random() < 0.3 for _ in range(n)))
+    marks.finish()
+    keys = f.wrap(bytes(rng.randrange(sigma) for _ in range(n)))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out, first = _next_starts(keys, marks, sigma, f)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(first) == n
+    assert peak <= 9 * n, peak / n
