@@ -1,5 +1,11 @@
 """The build strategy switch, and circular (terminator-free) input.
 
+Both strategies build on one path: the sequential rounds, then one LF
+walk from the sampled ISA, as ``hybrid.hybrid_pd`` runs them.  The
+``external`` strategy runs the rounds until every rank is set; the
+``hybrid`` one cuts them short, and its kernel computes the ranks they
+leave.
+
 For a primitive circular string the machinery of the linear case carries
 over; the counts become purely differential, so the emitted bit vector
 is rotated to start right after a position of PLCP zero and the rotation
@@ -16,8 +22,7 @@ from math import gcd
 from . import emlayer
 from .errors import CircularPowerInput, NotAPower, OutOfRange, UnknownStrategy
 from .hybrid import hybrid_pd
-from .reorder import annotate_positions, emit_k, reorder_pd
-from .rounds import run_rounds_external, run_rounds_internal
+from .reorder import annotate_positions, emit_k
 from .textcore import Bwt
 
 
@@ -72,19 +77,20 @@ def rank_to_position(bwt, sisa, rank):
     return annotate_positions(bwt, sisa, [rank])[rank]
 
 
-STRATEGIES = ("internal", "external", "hybrid")
+STRATEGIES = ("external", "hybrid")
 
 
 def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None):
-    """2n-bit PLCP vector of ``bwt`` by one of three strategies.
+    """2n-bit PLCP vector of ``bwt`` by one of two strategies.
 
-    ``internal`` runs the wavelet-tree rounds, ``external`` the sort-based
-    rounds, ``hybrid`` the sort-based rounds cut after ``cutoff`` rounds
-    plus the sparse kernel.  Without a cutoff the hybrid's rounds stop by
-    ``hybrid.stop_rule``, capped at 3*ceil(log2 n); the other strategies
-    take no cutoff.  A circular input must be primitive; its vector
-    starts at the text position right after rank 0's, whose LCP is zero,
-    and that rotation is recorded as the shift.
+    Either runs ``hybrid_pd``'s rounds and walk.  ``external`` bounds the
+    rounds by n + 1, which valid input never reaches, so they set every
+    rank and the kernel has nothing to do.  ``hybrid`` cuts them after
+    ``cutoff`` rounds; without one they stop by ``hybrid.stop_rule``,
+    capped at 3*ceil(log2 n).  Only the hybrid takes a cutoff.  A
+    circular input must be primitive; its vector starts at the text
+    position right after rank 0's, whose LCP is zero, and that rotation
+    is recorded as the shift.
     """
     if strategy not in STRATEGIES:
         raise UnknownStrategy("unknown strategy %r" % strategy)
@@ -94,6 +100,9 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None):
         raise OutOfRange("cutoff %d is negative" % cutoff)
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
+    adaptive = strategy == "hybrid" and cutoff is None
+    if cutoff is None:
+        cutoff = 3 * max(1, (n - 1).bit_length()) if adaptive else n + 1
     shift = 0
     if bwt.circular:
         if n <= 1:
@@ -103,24 +112,5 @@ def build_plcp(bwt, sisa, strategy, cutoff=None, factory=None):
                 "circular input is a proper power; shrink it first"
             )
         shift = (rank_to_position(bwt, sisa, 0) + 1) % n
-
-    if strategy == "hybrid":
-        cap = 3 * max(1, (n - 1).bit_length())
-        counts = hybrid_pd(bwt, sisa, cap if cutoff is None else cutoff,
-                           factory=factory, adaptive=cutoff is None)
-        return emit_k(counts, n, shift=shift)
-    if strategy == "internal":
-        pd = run_rounds_internal(bwt).pd
-    else:
-        result = run_rounds_external(bwt, factory)
-        factory.release(result.set_marks)
-        pd = result.pd
-    k = reorder_pd(pd, bwt, sisa, factory=factory, shift=shift)
-    factory.release(pd._bits)
-    return k
-
-
-def build_circular_plcp(bwt, sisa, factory=None, strategy="external",
-                        cutoff=None):
-    """Rotated 2n-bit PLCP vector of a primitive circular string."""
-    return build_plcp(bwt, sisa, strategy, cutoff=cutoff, factory=factory)
+    counts = hybrid_pd(bwt, sisa, cutoff, factory=factory, adaptive=adaptive)
+    return emit_k(counts, n, shift=shift)

@@ -6,7 +6,7 @@ gathered in a list become the narrowest array that holds them
 (``typecode``).  A *bit stream*, made by ``StreamFactory.bits``, holds
 one mark per rank, each chunk packed into one integer (bit 0 its first
 rank) and stored as bytes; counts can be held as their bit planes, plane
-j the packed word of every count's bit j (``to_planes``, ``from_planes``).
+j the packed word of every count's bit j (``from_planes`` reads them).
 Tests run streams in memory; the CLI runs them over temporary files,
 each chunk's raw bytes after the other.
 Either way the only operations offered are sequential, so a compliant
@@ -61,13 +61,6 @@ def spread(word, ones):
     binary digits read as bytes, the most significant first, and their
     low bits kept by ``ones``, a 1 in every byte up to its width."""
     return int.from_bytes(format(word, "b").encode(), "big") & ones
-
-
-def to_planes(counts):
-    """Counts as their bit planes: plane j is a packed word whose bit i is
-    bit j of count i, as many planes as the largest count has bits."""
-    return [pack(bytes([c >> j & 1 for c in counts]))
-            for j in range(max(counts, default=0).bit_length())]
 
 
 def from_planes(planes, size):

@@ -46,7 +46,7 @@ class StreamStateError(PlcpError):
 
 
 class UnknownStrategy(OutOfRange, ValueError):
-    """Build strategy name outside internal, external and hybrid."""
+    """Build strategy name other than external and hybrid."""
 
 
 class AlphabetTooLarge(PlcpError):

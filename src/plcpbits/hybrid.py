@@ -3,10 +3,12 @@
 The round machinery is cheap while many ranks receive values per round
 and wasteful afterwards.  The hybrid strategy stops it after a cutoff, or
 once ``stop_rule`` prices the kernel below the rounds still to come, and
-computes the missing counts directly: only missing *irreducible* ranks
-(rank 0 or a BWT symbol change) need work, every other missing rank
-provably contributes zero bits.  PD needs no cleaning: at a reducible
-rank r, BWT[r] = BWT[r - 1], so LF(r - 1) = LF(r) - 1 and LCP[LF(r)] =
+computes the missing counts directly.  The external strategy is the same
+build with rounds that run until every rank is set: nothing is missing,
+and the kernel never runs.  Only missing *irreducible* ranks (rank 0 or
+a BWT symbol change) need work; every other missing rank provably
+contributes zero bits.  PD needs no cleaning: at a reducible rank r,
+BWT[r] = BWT[r - 1], so LF(r - 1) = LF(r) - 1 and LCP[LF(r)] =
 LCP[r] + 1; r is set a round before LF(r), is never active, and its
 count is 0.  The one LF walk that puts PD's counts in text order carries
 each rank's BWT symbol too, so it also gives the text and the positions
@@ -39,8 +41,7 @@ def irreducible_missing(bwt, set_marks):
     Those are the unset ranks where the BWT changes symbol (or rank 0).
     Returns them in rank order as pairs ``(r, q)``, q being the last rank
     before r with r's BWT symbol, or None.  ``set_marks`` is a bit stream
-    cut like the BWT's chunks, read a chunk at a time as 0/1 bytes, or a
-    list over ranks.
+    cut like the BWT's chunks, read a chunk at a time as 0/1 bytes.
 
     Per chunk, on big integers with one byte per rank, the chunk XOR
     itself shifted by one rank is non-zero at the run heads.  Only the
@@ -48,18 +49,11 @@ def irreducible_missing(bwt, set_marks):
     mark is clear, and its q is the last rank of the latest run of its
     symbol, which each run records per symbol, across chunks too.
     """
-    n = bwt.n
-    view = bwt.stream()
-    if hasattr(set_marks, "rewind"):
-        marks = set_marks.rewind().chunks()
-    else:
-        held = bytes(set_marks)
-        marks = (held[i : i + view.capacity]
-                 for i in range(0, n, view.capacity))
     out = []
     last = [None] * bwt.sigma
     base = 0
-    for chunk, mark in zip(view.chunks(), marks):
+    marks = set_marks.rewind().chunks()
+    for chunk, mark in zip(bwt.stream().chunks(), marks):
         size = len(chunk)
         if not base:
             prev = chunk[0] ^ 1  # rank 0 is a run head

@@ -326,11 +326,6 @@ def emit_k(counts, n, shift=0):
     return PlcpBits(RsBitVector.from_packed(packed, len(text)), n, shift=shift)
 
 
-def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
-    """Full reorder: PD plus sampled ISA to the position-ordered K."""
-    return emit_k(position_counts(pd, bwt, sisa, factory), bwt.n, shift=shift)
-
-
 def reconstruct_text(bwt, sisa, factory=None):
     """Recover the text symbols from the BWT with the same walk.
 

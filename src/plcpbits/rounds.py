@@ -1,13 +1,13 @@
-"""Round-based builders for the rank-order difference bit vector PD.
+"""The round builder of the rank-order difference bit vector PD.
 
-Both builders set LCP values in increasing rounds via backward search.
-A rank is *active* from the round in which its LF image receives a value
-until the round in which the rank itself does; each active round adds
-one zero bit in front of the rank's one bit in PD.  The in-memory
-strategy walks a pruned interval queue over a wavelet tree.  The
-sequential strategy keeps the round's state as rank-order bit streams,
-one bit per rank, and PD as bit-plane counters; it moves marks only
-forward through LF, and works each pass a whole chunk at a time on packed
+Rounds of backward search set the LCP values in increasing order, as in
+Beller, Gog, Ohlebusch and Schnattinger (2013), who run them over a
+wavelet tree.  A rank is *active* from the round in which its LF image
+receives a value until the round in which the rank itself does; each
+active round adds one zero bit in front of the rank's one bit in PD.
+The builder keeps the round's state as rank-order bit streams, one bit
+per rank, and PD as bit-plane counters; it moves marks only forward
+through LF, and works each pass a whole chunk at a time on packed
 words of one bit per rank.  A symbol's ranks are an AND of the chunk's
 bit planes, gathered by an 8x8 bit-matrix transpose; its first marks are
 a carry add over them; their LF-forward is one byte translation of a key
@@ -18,11 +18,10 @@ Harley-Seal popcounts (Mula, Kurz and Lemire, 2018).
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from operator import add
 from time import perf_counter
 
 from . import emlayer
-from .emlayer import concat_buckets, from_planes, spread, to_planes
+from .emlayer import concat_buckets, from_planes, spread
 from .errors import NotIncreasing, OutOfRange
 from .succinct import GammaStream
 
@@ -126,15 +125,6 @@ class PdBits:
         self.n = n
         self.capacity = capacity
 
-    @classmethod
-    def from_counts(cls, counts, factory=None):
-        """Per-rank zero counts as PD, cut at the factory's capacity."""
-        factory = factory or emlayer.StreamFactory()
-        counts, cap = list(counts), factory.capacity
-        chunks = range(0, len(counts), cap)
-        return cls(None, len(counts), cap).written(
-            factory, (to_planes(counts[lo : lo + cap]) for lo in chunks))
-
     def written(self, factory, chunks):
         """PD of the same ranks from each chunk's bit planes, on a new
         stream that gives a chunk back whole up to 64 planes."""
@@ -196,53 +186,9 @@ RoundStats = namedtuple("RoundStats", "starts newly_set active pd_bits seconds")
 @dataclass
 class RoundResult:
     pd: PdBits
-    set_marks: object      # bit stream or list over ranks: value set
+    set_marks: object      # bit stream over ranks: value set
     rounds: int
     stats: list = field(default_factory=list)  # RoundStats per round
-
-
-def run_rounds_internal(bwt, max_rounds=None):
-    """Wavelet-tree round builder, entirely in memory.
-
-    Extends a pruned queue of rank intervals one symbol at a time; the
-    lower bound of each fresh extension receives its value in the current
-    round and activates its LF source.
-    """
-    n = bwt.n
-    wt = bwt.wavelet()
-    d = bwt.d_array
-    s_set = bytearray(n)
-    active = set()
-    pd_counts = [0] * n
-    queue = [(0, n)]
-    set_count = 0
-    rounds = 0
-    while set_count < n and queue and rounds <= n:
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        next_queue = []
-        newly_set = []
-        for lo, hi in queue:
-            for sym, rank_at_lo, width in wt.interval_symbols(lo, hi):
-                l2 = d[sym] + rank_at_lo
-                if not s_set[l2]:
-                    # LF source of l2: first sym occurrence in [lo, hi)
-                    l2src = wt.select(sym, rank_at_lo)
-                    newly_set.append(l2)
-                    if not s_set[l2src]:
-                        active.add(l2src)
-                    next_queue.append((l2, l2 + width))
-        for r in active:
-            pd_counts[r] += 1
-        for r in newly_set:
-            active.discard(r)
-            if not s_set[r]:
-                s_set[r] = 1
-                set_count += 1
-        queue = next_queue
-        rounds += 1
-    pd = PdBits.from_counts(pd_counts)
-    return RoundResult(pd, list(s_set), rounds)
 
 
 class _Zeros(emlayer.EmStream):

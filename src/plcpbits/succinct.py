@@ -3,7 +3,7 @@
 Elias gamma coding (shifted so zero is encodable), a rank/select bit
 vector whose select finds the word by bisection and the bit within it by
 broadword select (Vigna, 2008), the 2n-bit PLCP codec and a
-level-ordered wavelet tree used by the in-memory round builder.
+level-ordered wavelet tree, which the tests' round oracle walks.
 """
 
 import struct

@@ -111,7 +111,6 @@ class Bwt:
         self.d_array = [0] * (sigma + 1)
         for a in range(sigma):
             self.d_array[a + 1] = self.d_array[a] + counts[a]
-        self._wavelet = None
 
     def stream(self, factory=None):
         """Sequential view of the symbols, rewound to the start.
@@ -131,12 +130,6 @@ class Bwt:
         if self._held:
             return list(self._symbols)
         return list(self.stream().items())
-
-    def wavelet(self):
-        if self._wavelet is None:
-            from .succinct import WaveletTree
-            self._wavelet = WaveletTree(self.to_list(), self.sigma)
-        return self._wavelet
 
     def __len__(self):
         return self.n

@@ -14,10 +14,10 @@ import pytest
 
 from conftest import (abbab, adversarial_texts, banana, circular_bwt_raw,
                       de_bruijn_like, make_fixture, random_text)
-from plcpbits import (StreamFactory, build_circular_plcp, build_plcp,
-                      detect_period, plcp_encode, reconstruct_text,
-                      reorder_pd, run_rounds_external, run_rounds_internal,
-                      shrink_bwt)
+from oracle_rounds import reorder_pd, run_rounds_internal
+from plcpbits import (StreamFactory, build_plcp, detect_period, plcp_encode,
+                      reconstruct_text, run_rounds_external, shrink_bwt)
+from plcpbits.reorder import emit_k, position_counts
 from plcpbits.succinct import GammaStream
 from plcpbits.rounds import _next_starts
 from plcpbits.textcore import Text, brute_period
@@ -68,8 +68,8 @@ def builds(corpus):
         ks["internal"] = reorder_pd(internal.pd, fx.bwt, sisa).bit_string()
         f = StreamFactory()
         external = run_rounds_external(fx.bwt, f)
-        ks["external"] = reorder_pd(external.pd, fx.bwt, sisa,
-                                    factory=f).bit_string()
+        ks["external"] = emit_k(position_counts(external.pd, fx.bwt, sisa, f),
+                                n).bit_string()
         # None: the stop rule, the default a user gets
         for cutoff in {0, 1, 2, max(1, math.ceil(math.log2(n))), n, None}:
             ks["hybrid/%s" % cutoff] = build_plcp(
@@ -87,7 +87,7 @@ def test_criterion_01_paper_example():
     fx = abbab()
     ok = list(fx.plcp.values) == [2, 1, 0, 0, 3]
     ok &= plcp_encode([2, 1, 0, 0, 3]).bit_string() == "0001110100001"
-    k = build_circular_plcp(fx.bwt, fx.sisa(1))
+    k = build_plcp(fx.bwt, fx.sisa(1), "external")
     ok &= k.bit_string() == "0000111101"
     ok &= len(k.bit_string()) == 10
     ok &= k.decode_all() == [2, 1, 0, 0, 3]
@@ -119,7 +119,7 @@ def test_criterion_03_size_bound(corpus, builds):
         if brute_period(body) < n or len(set(body)) < 2:
             continue
         fx = make_fixture(body, 3, circular=True)
-        bits = build_circular_plcp(fx.bwt, fx.sisa(1)).bit_string()
+        bits = build_plcp(fx.bwt, fx.sisa(1), "external").bit_string()
         ok &= len(bits) == 2 * n and bits.count("1") == n
         circ += 1
     verdict(3, ok, "every K holds exactly 2n bits with n ones "
@@ -216,8 +216,8 @@ def test_criterion_08_period_detection():
         if p == m and len(set(w)) > 1 and built < 20:
             root = make_fixture(w, 2, circular=True)
             shrunk = shrink_bwt(circular_bwt_raw(body, 2))
-            a = build_circular_plcp(shrunk, root.sisa(1))
-            b = build_circular_plcp(root.bwt, root.sisa(1))
+            a = build_plcp(shrunk, root.sisa(1), "external")
+            b = build_plcp(root.bwt, root.sisa(1), "external")
             ok &= a.bit_string() == b.bit_string() and a.shift == b.shift
             built += 1
     verdict(8, ok, "period matches divisor brute force on 500 random + 200 "
@@ -248,7 +248,7 @@ def test_criterion_10_smoke_benchmark():
     start = time.monotonic()
     f = StreamFactory()
     result = run_rounds_external(fx.bwt, f)
-    k = reorder_pd(result.pd, fx.bwt, sisa, factory=f)
+    k = emit_k(position_counts(result.pd, fx.bwt, sisa, f), n)
     elapsed = time.monotonic() - start
     bits = k.bit_string()
     ok = elapsed < 300.0

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import abbab, banana, circular_bwt_raw, make_fixture
-from plcpbits import (StreamFactory, build_circular_plcp, circular,
-                      detect_period, rank_to_position, shrink_bwt)
+from plcpbits import (StreamFactory, circular, detect_period,
+                      rank_to_position, shrink_bwt)
+from plcpbits.circular import STRATEGIES
 from plcpbits.cli import build_plcp
 from plcpbits.errors import (CircularPowerInput, NotAPower, OutOfRange,
                              UnknownStrategy)
@@ -53,15 +54,15 @@ def test_shrink_equals_direct_root_build(rng):
         shrunk = shrink_bwt(power_bwt)
         assert shrunk.to_list() == root.bwt.to_list()
         sisa = root.sisa(1)
-        a = build_circular_plcp(shrunk, sisa)
-        b = build_circular_plcp(root.bwt, sisa)
+        a = build_plcp(shrunk, sisa, "external")
+        b = build_plcp(root.bwt, sisa, "external")
         assert a.bit_string() == b.bit_string() and a.shift == b.shift
 
 
 def test_build_circular_all_strategies():
     fx = abbab()
-    for strategy in ["internal", "external", "hybrid"]:
-        k = build_circular_plcp(fx.bwt, fx.sisa(1), strategy=strategy)
+    for strategy in STRATEGIES:
+        k = build_plcp(fx.bwt, fx.sisa(1), strategy)
         assert k.bit_string() == "0000111101"
         assert k.shift == 4
         assert k.decode_all() == [2, 1, 0, 0, 3]
@@ -69,31 +70,33 @@ def test_build_circular_all_strategies():
 
 def test_two_symbol_circular():
     fx = make_fixture([0, 1], 2, circular=True)
-    k = build_circular_plcp(fx.bwt, fx.sisa(1))
+    k = build_plcp(fx.bwt, fx.sisa(1), "external")
     assert k.bit_string() == "0101"
     assert k.decode_all() == [0, 0]
 
 
 def test_rejects_powers_and_tiny():
     with pytest.raises(CircularPowerInput):
-        build_circular_plcp(Bwt([1, 1, 0, 0], 2, circular=True), None)
+        build_plcp(Bwt([1, 1, 0, 0], 2, circular=True), None, "external")
     with pytest.raises(CircularPowerInput):
-        build_circular_plcp(Bwt([0], 1, circular=True), None)
+        build_plcp(Bwt([0], 1, circular=True), None, "external")
 
 
 def test_arguments_checked_before_any_work(monkeypatch):
-    """An unknown strategy, or a cutoff given to a strategy other than the
-    hybrid, fails before the period scan and the anchor walk."""
+    """An unknown strategy, ``internal`` among them (the wavelet-tree
+    rounds are a test oracle, not a strategy), or a cutoff given to a
+    strategy other than the hybrid, fails before the period scan and the
+    anchor walk."""
     def no_work(*args):
         raise AssertionError("the build started before its checks")
     monkeypatch.setattr(circular, "detect_period", no_work)
     monkeypatch.setattr(circular, "rank_to_position", no_work)
     fx = abbab()
-    with pytest.raises(UnknownStrategy):
-        build_plcp(fx.bwt, fx.sisa(1), "bogus")
-    for strategy in ("internal", "external"):
-        with pytest.raises(OutOfRange, match="hybrid strategy only"):
-            build_plcp(fx.bwt, fx.sisa(1), strategy, cutoff=0)
+    for strategy in ("bogus", "internal"):
+        with pytest.raises(UnknownStrategy):
+            build_plcp(fx.bwt, fx.sisa(1), strategy)
+    with pytest.raises(OutOfRange, match="hybrid strategy only"):
+        build_plcp(fx.bwt, fx.sisa(1), "external", cutoff=0)
 
 
 def test_rank_to_position_identity(rng):
@@ -115,7 +118,6 @@ def test_external_builds_keep_the_bwt_streamed(monkeypatch):
 
     def materialise(self):
         raise AssertionError("the BWT was materialised")
-    monkeypatch.setattr(Bwt, "wavelet", materialise)
     monkeypatch.setattr(Bwt, "to_list", materialise)
     for fx in fixtures:
         for strategy, cutoff in [("external", None), ("hybrid", 0)]:
@@ -127,8 +129,8 @@ def test_external_builds_keep_the_bwt_streamed(monkeypatch):
 def test_builds_release_every_stream():
     """A build leaves no stream registered with its factory."""
     for fx in [banana(), abbab()]:
-        for strategy, cutoff in [("internal", None), ("external", None),
-                                 ("hybrid", 1), ("hybrid", None)]:
+        for strategy, cutoff in [("external", None), ("hybrid", 1),
+                                 ("hybrid", None)]:
             f = StreamFactory()
             k = build_plcp(fx.bwt, fx.sisa(2), strategy, cutoff=cutoff,
                            factory=f)
@@ -147,10 +149,9 @@ def test_circular_random_decode(rng):
             continue
         fx = make_fixture(body, sigma, circular=True)
         rate = rng.choice([1, 2, max(1, n.bit_length())])
-        strategy = rng.choice(["internal", "external", "hybrid"])
+        strategy = rng.choice(STRATEGIES)
         f = StreamFactory()
-        k = build_circular_plcp(fx.bwt, fx.sisa(rate), factory=f,
-                                strategy=strategy)
+        k = build_plcp(fx.bwt, fx.sisa(rate), strategy, factory=f)
         assert k.decode_all() == list(fx.plcp.values)
         bits = k.bit_string()
         assert len(bits) == 2 * n and bits.count("1") == n

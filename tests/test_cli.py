@@ -105,7 +105,7 @@ def test_empty_artifacts_rejected(tmp_path, capsys, flags):
         fh.write(header(b"PLCPBWT1", 0, 4, flags))
     with open(pre + ".sisa", "wb") as fh:
         fh.write(header(b"PLCPISA1", 0, 4, flags) + struct.pack("<I", 1))
-    for strategy in ("internal", "external", "hybrid"):
+    for strategy in ("external", "hybrid"):
         code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
                            "-o", pre + ".plcp", "--strategy", strategy)
         assert code == 3 and "empty" in err
@@ -120,7 +120,7 @@ def test_malformed_bwt_header(tmp_path, capsys, n, sigma, what):
     pre = indexed_banana(tmp_path, capsys)
     with open(pre + ".bwt", "wb") as fh:
         fh.write(header(b"PLCPBWT1", n, sigma) + bytes(7))
-    for strategy in ("internal", "external", "hybrid"):
+    for strategy in ("external", "hybrid"):
         code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
                            "-o", pre + ".plcp", "--strategy", strategy)
         assert code == 3 and what in err
@@ -147,9 +147,9 @@ def test_build_rejects_bad_sisa_ranks(tmp_path, capsys, ranks):
 
 
 @pytest.mark.parametrize("options", [
-    ["--strategy", "internal"], ["--strategy", "external"],
-    ["--strategy", "hybrid"], ["--strategy", "hybrid", "--cutoff", "1"],
-], ids=["internal", "external", "hybrid", "hybrid-cutoff1"])
+    ["--strategy", "external"], ["--strategy", "hybrid"],
+    ["--strategy", "hybrid", "--cutoff", "1"],
+], ids=["external", "hybrid", "hybrid-cutoff1"])
 def test_build_rejects_swapped_sisa_samples(tmp_path, capsys, options):
     """Distinct in-range ranks that are not the text's ISA samples."""
     pre = indexed_banana(tmp_path, capsys)
@@ -163,9 +163,9 @@ def test_build_rejects_swapped_sisa_samples(tmp_path, capsys, options):
 @pytest.mark.parametrize("circular", [False, True],
                          ids=["linear", "circular"])
 @pytest.mark.parametrize("options", [
-    ["--strategy", "internal"], ["--strategy", "external"],
-    ["--strategy", "hybrid"], ["--strategy", "hybrid", "--cutoff", "1"],
-], ids=["internal", "external", "hybrid", "hybrid-cutoff1"])
+    ["--strategy", "external"], ["--strategy", "hybrid"],
+    ["--strategy", "hybrid", "--cutoff", "1"],
+], ids=["external", "hybrid", "hybrid-cutoff1"])
 def test_build_rejects_lf_of_several_cycles(tmp_path, capsys, options,
                                             circular):
     """LF has the cycles (0), (1) and (2 3); the samples at ranks 3 and 2
@@ -208,9 +208,9 @@ def two_zeros(tmp_path, capsys):
 @pytest.mark.parametrize("artifacts", [rotated_mississippi, two_zeros],
                          ids=["rotated-samples", "two-zeros"])
 @pytest.mark.parametrize("options", [
-    ["--strategy", "internal"], ["--strategy", "external"],
-    ["--strategy", "hybrid"], ["--strategy", "hybrid", "--cutoff", "0"],
-], ids=["internal", "external", "hybrid", "hybrid-cutoff0"])
+    ["--strategy", "external"], ["--strategy", "hybrid"],
+    ["--strategy", "hybrid", "--cutoff", "0"],
+], ids=["external", "hybrid", "hybrid-cutoff0"])
 def test_build_rejects_artifacts_of_no_linear_text(tmp_path, capsys,
                                                    options, artifacts):
     pre, message = artifacts(tmp_path, capsys)
@@ -227,7 +227,7 @@ def test_build_rejects_negative_cutoff(tmp_path, capsys):
     assert code == 1 and "cutoff -3 is negative" in err
 
 
-@pytest.mark.parametrize("strategy", ["internal", "external"])
+@pytest.mark.parametrize("strategy", ["external"])
 def test_build_rejects_cutoff_without_hybrid(tmp_path, capsys, strategy):
     pre = indexed_banana(tmp_path, capsys)
     code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
@@ -334,8 +334,7 @@ def test_walks_end_within_n_passes(tmp_path, capsys, monkeypatch, text,
         return lf_pass(*args)
     lf_pass = reorder._lf_pass
     monkeypatch.setattr(reorder, "_lf_pass", counted)
-    for options in (["--strategy", "internal"], ["--strategy", "external"],
-                    ["--strategy", "hybrid"],
+    for options in (["--strategy", "external"], ["--strategy", "hybrid"],
                     ["--strategy", "hybrid", "--cutoff", "1"]):
         code, out, _ = run(capsys, "build", pre + ".bwt", pre + ".sisa",
                            "-o", pre + ".plcp", "--verify-after-build",
@@ -350,7 +349,7 @@ def test_pipeline_linear(tmp_path, capsys):
     pre = str(tmp_path / "t")
     assert run(capsys, "index", str(src), "--rate", "3",
                "--output", pre)[0] == 0
-    for strategy in ["internal", "external", "hybrid"]:
+    for strategy in ["external", "hybrid"]:
         code, out, _ = run(capsys, "build", pre + ".bwt", pre + ".sisa",
                            "-o", pre + ".plcp", "--strategy", strategy,
                            "--verify-after-build")
@@ -393,7 +392,7 @@ def test_strategy_outputs_byte_identical(tmp_path, capsys):
     pre = str(tmp_path / "t")
     run(capsys, "index", str(src), "--output", pre)
     blobs = set()
-    for strategy in ["internal", "external", "hybrid"]:
+    for strategy in ["external", "hybrid"]:
         out = pre + ".%s.plcp" % strategy
         assert run(capsys, "build", pre + ".bwt", pre + ".sisa", "-o", out,
                    "--strategy", strategy)[0] == 0
@@ -420,6 +419,11 @@ def test_usage_errors(tmp_path, capsys):
     src = tmp_path / "e.txt"
     src.write_bytes(b"")
     assert run(capsys, "index", str(src))[0] == 1
+    # the wavelet-tree rounds are a test oracle, not a strategy
+    pre = indexed_banana(tmp_path, capsys)
+    assert run(capsys, "build", pre + ".bwt", pre + ".sisa", "-o",
+               pre + ".plcp", "--strategy", "internal")[0] == 1
+    assert not Path(pre + ".plcp").exists()
 
 
 def test_keep_temp(tmp_path, capsys):

@@ -4,11 +4,12 @@ import tracemalloc
 import pytest
 
 from conftest import banana, make_fixture, random_text
+from oracle_rounds import run_rounds_internal
 from plcpbits import Bwt, StreamFactory, build_plcp, hybrid, reorder
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.hybrid import KERNELS, hybrid_pd, irreducible_missing
 from plcpbits.reorder import annotate_positions
-from plcpbits.rounds import run_rounds_external, run_rounds_internal
+from plcpbits.rounds import run_rounds_external
 from plcpbits.textcore import brute_period, naive_lcp_pair
 
 
@@ -18,21 +19,29 @@ def test_banana_cutoff_two():
     assert k.bit_string() == "01000011110101"
 
 
+def _marks(f, marks):
+    """A finished bit stream of 0/1 marks, one per rank."""
+    stream = f.bits("starts")
+    stream.append_chunk(bytes(marks))
+    return stream.finish()
+
+
 def test_irreducible_missing_banana():
     fx = banana()
+    f = StreamFactory()
     # after two rounds exactly ranks 3 and 6 lack values
-    r = run_rounds_internal(fx.bwt, max_rounds=2)
-    unset = [rank for rank in range(7) if not r.set_marks[rank]]
+    r = run_rounds_internal(fx.bwt, max_rounds=2, factory=f)
+    unset = [rank for rank, m in enumerate(r.set_marks.items()) if not m]
     assert unset == [3, 6]
     # BWT a n n b $ a a: no b before rank 3
     assert irreducible_missing(fx.bwt, r.set_marks) == [(3, None)]
-    assert irreducible_missing(fx.bwt, [1] * 7) == []
+    assert irreducible_missing(fx.bwt, _marks(f, [1] * 7)) == []
     marks = [1] * 7
     marks[0] = 0
-    assert irreducible_missing(fx.bwt, marks) == [(0, None)]
+    assert irreducible_missing(fx.bwt, _marks(f, marks)) == [(0, None)]
     # rank 5 starts a run of a's after the a at rank 0
     marks[0], marks[5] = 1, 0
-    assert irreducible_missing(fx.bwt, marks) == [(5, 0)]
+    assert irreducible_missing(fx.bwt, _marks(f, marks)) == [(5, 0)]
 
 
 def _missing_per_rank(symbols, marks):
@@ -58,10 +67,8 @@ def test_irreducible_missing_matches_per_rank(rng, sigma, capacity):
         for unset in (0.0, 0.1, 0.5, 1.0):
             marks = bytes(rng.random() >= unset for _ in range(n))
             expected = _missing_per_rank(symbols, marks)
-            stream = f.stream("starts")
-            stream.append_chunk(marks)
-            assert irreducible_missing(bwt, stream.finish()) == expected
-            assert irreducible_missing(bwt, list(marks)) == expected
+            stream = _marks(f, marks)
+            assert irreducible_missing(bwt, stream) == expected
             f.release(stream)
 
 
@@ -204,29 +211,44 @@ def test_kernel_budget(monkeypatch, rng):
 
 
 def test_full_cutoff_skips_kernel(monkeypatch):
-    fx = banana()
-
+    """Rounds run to the last leave the kernel nothing to compute: the
+    hybrid's at a cutoff of n, and the external strategy's always, on
+    1^200 0 too, whose 200 rounds are far above the hybrid's cap of
+    3*ceil(log2 201) = 24."""
     def exploding_kernel(text, p, q):
         raise AssertionError("kernel must not run when nothing is missing")
     monkeypatch.setitem(KERNELS, "direct", exploding_kernel)
 
-    k = build_plcp(fx.bwt, fx.sisa(3), "hybrid", cutoff=fx.n)
-    assert k.bit_string() == "01000011110101"
+    for fx in (banana(), make_fixture([1] * 200 + [0], 2)):
+        for strategy, cutoff in [("hybrid", fx.n), ("external", None)]:
+            k = build_plcp(fx.bwt, fx.sisa(3), strategy, cutoff=cutoff)
+            assert k.bit_string() == fx.k_bits(), (fx.n, strategy)
 
 
 def test_rounds_that_set_every_rank_skip_the_missing_scan(monkeypatch, rng):
     """Once the rounds have set all n ranks none can be missing, so the
-    hybrid does not scan the BWT's run heads for them: on random text the
-    default stop rule never fires, and a full cutoff ends no round early."""
+    build does not scan the BWT's run heads for them: on random text the
+    hybrid's default stop rule never fires, a full cutoff ends no round
+    early, and the external strategy's rounds run to the last, on 1^200 0
+    too, which needs more rounds than the hybrid's cap."""
     def unreachable(bwt, set_marks):
         raise AssertionError("no rank is missing, so nothing to scan")
     monkeypatch.setattr(hybrid, "irreducible_missing", unreachable)
+
+    def build(fx, strategy, cutoff=None):
+        k = build_plcp(fx.bwt, fx.sisa(4), strategy, cutoff=cutoff,
+                       factory=StreamFactory())
+        assert k.decode_all() == list(fx.plcp.values), (fx.n, strategy)
+
     for n in (300, 2000):
         fx = make_fixture(random_text(rng, n, 4), 4)
         for cutoff in (None, n):
-            k = build_plcp(fx.bwt, fx.sisa(4), "hybrid", cutoff=cutoff,
-                           factory=StreamFactory())
-            assert k.decode_all() == list(fx.plcp.values), (n, cutoff)
+            build(fx, "hybrid", cutoff)
+        build(fx, "external")
+    # 200 rounds, which the hybrid's stop rule and cap would cut short
+    fx = make_fixture([1] * 200 + [0], 2)
+    build(fx, "hybrid", fx.n)
+    build(fx, "external")
 
 
 def test_irreducible_sum_sanity(rng):

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import abbab, banana, make_fixture, random_text
+from oracle_rounds import pd_from_counts, run_rounds_internal, to_planes
 from plcpbits import StreamFactory, emlayer
-from plcpbits.emlayer import STREAM_BUFFER_ITEMS, from_planes, to_planes
+from plcpbits.emlayer import STREAM_BUFFER_ITEMS, from_planes
 from plcpbits.errors import NotIncreasing, OutOfRange
-from plcpbits.reorder import reorder_pd
-from plcpbits.rounds import (IntervalList, PdBits, _grow, _next_starts,
-                             run_rounds_external, run_rounds_internal)
+from plcpbits.reorder import emit_k, position_counts
+from plcpbits.rounds import (IntervalList, _grow, _next_starts,
+                             run_rounds_external)
 
 
 def expected_pd_counts(fx):
@@ -35,7 +36,7 @@ def test_interval_list_roundtrip():
 
 
 def test_pd_bits_counts():
-    pd = PdBits.from_counts([1, 1, 0, 4, 1, 0, 0])
+    pd = pd_from_counts([1, 1, 0, 4, 1, 0, 0])
     assert pd.bit_string() == "01011000010111"
     assert pd.counts() == [1, 1, 0, 4, 1, 0, 0]
 
@@ -99,9 +100,8 @@ def test_value_set_in_lcp_round(rng, tmp_path):
         fx = make_fixture(random_text(rng, n, 4), 4)
         for cutoff in range(max(fx.lcp.values) + 2):
             r = run_rounds_internal(fx.bwt, max_rounds=cutoff)
-            for rank in range(n):
-                assert bool(r.set_marks[rank]) == (fx.lcp[rank] < cutoff)
             want = [int(fx.lcp[rank] < cutoff) for rank in range(n)]
+            assert list(r.set_marks.rewind().items()) == want
             for directory in (None, str(tmp_path)):
                 for capacity in (3, STREAM_BUFFER_ITEMS):
                     with StreamFactory(directory, capacity=capacity) as f:
@@ -177,7 +177,7 @@ def test_count_lanes_widen_past_a_byte(tmp_path, k):
             assert max(r.pd.counts()) == k
             widened = {lanes.typecode for lanes in r.pd.lanes()} != {"B"}
             assert widened == (k > 255)
-            plcp = reorder_pd(r.pd, fx.bwt, fx.sisa(7), factory=f)
+            plcp = emit_k(position_counts(r.pd, fx.bwt, fx.sisa(7), f), fx.n)
             assert plcp.decode_all() == list(fx.plcp.values)
             f.release(r.pd._bits, r.set_marks)
             assert f.streams == [] and f.total_non_sequential() == 0
@@ -236,7 +236,7 @@ def test_bit_planes_hold_counts_and_grow_by_carry_save(backend, capacity,
     want = [c + (marks >> i & 1) for i, c in enumerate(counts)]
     with (StreamFactory.tempdir(capacity) if backend == "file"
           else StreamFactory(capacity=capacity)) as f:
-        pd = PdBits.from_counts(counts, f)
+        pd = pd_from_counts(counts, f)
         assert pd.counts() == counts and len(pd) == n + sum(counts)
         chunks = range(0, n, capacity)
         grown = pd.written(f, map(_grow, pd.chunks(), (

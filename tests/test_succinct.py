@@ -177,7 +177,7 @@ def test_plcp_codec_roundtrip(n, sigma, seed):
 
 def test_wavelet_banana():
     fx = banana()
-    wt = fx.bwt.wavelet()
+    wt = WaveletTree(fx.bwt.to_list(), fx.bwt.sigma)
     assert wt.select(3, 0) == 1
     assert wt.interval_symbols(1, 4) == [(2, 0, 1), (3, 0, 2)]
 

@@ -106,12 +106,12 @@ def test_sample_isa_banana():
 
 
 def test_rate_mismatch_detected():
-    from plcpbits import reorder_pd, run_rounds_internal
+    from plcpbits import build_plcp
     from plcpbits.textcore import SampledIsa
     fx = banana()
     bad = SampledIsa(rate=3, n=7, ranks=(4, 2))  # one sample short
     with pytest.raises(RateMismatch):
-        reorder_pd(run_rounds_internal(fx.bwt).pd, fx.bwt, bad)
+        build_plcp(fx.bwt, bad, "external")
 
 
 @settings(max_examples=60, deadline=None)
