@@ -31,6 +31,7 @@ from .errors import StreamStateError
 # Default stream buffer capacity, in items.  Buffers up to this size are
 # considered I/O buffers and are excluded from resident-memory accounting.
 STREAM_BUFFER_ITEMS = 65536
+PART = 1024  # ints that ``EmStream.extend`` reads at a time, as "Q"
 
 
 def typecode(top):
@@ -265,10 +266,19 @@ class EmStream:
         self._packed += width
 
     def extend(self, items):
+        """Append an array as ``append_chunk`` does, or ints a buffer at a
+        time, read ``PART`` at a time into "Q" and narrowed as they come."""
         if isinstance(items, array):
             return self.append_chunk(items)
-        it = iter(items)
-        for chunk in iter(lambda: list(islice(it, self.capacity)), []):
+        items, cap, chunk = iter(items), self.capacity, array("B")
+        while part := array("Q", islice(items, min(PART, cap - len(chunk)))):
+            code = max(chunk.typecode, typecode(max(part)))  # "B" < ... < "Q"
+            chunk = array(code, chunk) if code > chunk.typecode else chunk
+            chunk.extend(array(code, part))
+            if len(chunk) == cap:
+                self.append_chunk(chunk)
+                chunk = array("B")
+        if chunk:
             self.append_chunk(chunk)
 
     def finish(self):
@@ -406,16 +416,15 @@ class StreamFactory:
         """A finished stream of ``items``.  Items that fit one buffer are
         handed on in memory, wrapped as a typed array: an array as it is,
         others in the narrowest that holds them; more go to a new stream,
-        read from ``items`` one buffer at a time."""
+        by ``EmStream.extend``, the first buffer read as one "Q" array."""
         if isinstance(items, array) and len(items) <= self.capacity:
             return self.wrap(items, name)
         items = iter(items)
-        head = list(islice(items, self.capacity + 1))
+        head = array("Q", islice(items, self.capacity + 1))
         if len(head) <= self.capacity:
             return self.wrap(array(typecode(max(head, default=0)), head), name)
         s = self.stream(name)
-        s.extend(head)
-        s.extend(items)
+        s.extend(chain(head, items))
         return s.finish()
 
     # -- accounting ------------------------------------------------------

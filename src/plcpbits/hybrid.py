@@ -6,20 +6,21 @@ once ``stop_rule`` prices the kernel below the rounds still to come, and
 computes the missing counts directly.  The external strategy is the same
 build with rounds that run until every rank is set: nothing is missing,
 and the kernel never runs.  Only missing *irreducible* ranks (rank 0 or
-a BWT symbol change) need work; every other missing rank provably
-contributes zero bits.  PD needs no cleaning: at a reducible rank r,
-BWT[r] = BWT[r - 1], so LF(r - 1) = LF(r) - 1 and LCP[LF(r)] =
-LCP[r] + 1; r is set a round before LF(r), is never active, and its
-count is 0.  The one LF walk that puts PD's counts in text order carries
-each rank's BWT symbol too, so it also gives the text and the positions
-whose suffixes the kernel, ``KERNELS["direct"]``, compares; its counts
-then replace the missing ranks' partial counts, left by the rounds cut
-short, as ``emit_k`` reads them.  The kernel is semi-external: it holds
-the whole text, n symbols as n bytes, noted with the meter under
-``hybrid_text``.
+a BWT symbol change) need work: at a reducible rank r, BWT[r] =
+BWT[r - 1], so LF(r - 1) = LF(r) - 1 and LCP[LF(r)] = LCP[r] + 1; r is
+set a round before LF(r), is never active, and its count is 0, so PD
+needs no cleaning.  The one LF walk that puts PD's counts in text order
+carries each rank's BWT symbol too, so it also gives the text and the
+positions whose suffixes the kernel, ``KERNELS["direct"]``, compares;
+its counts replace the missing ranks' partial counts as ``emit_k`` reads
+them.  The kernel holds the whole text, a byte a symbol (``hybrid_text``
+on the meter); its other state is typed arrays of a few entries a
+missing rank.
 """
 
-from itertools import compress, count
+from array import array
+from bisect import bisect_left
+from itertools import compress, count, islice, repeat
 
 from . import emlayer
 from .errors import CountConflict
@@ -36,21 +37,20 @@ NONZERO = bytes(c > 0 for c in range(256))
 
 
 def irreducible_missing(bwt, set_marks):
-    """Ranks without a value whose count cannot be deduced as zero.
-
-    Those are the unset ranks where the BWT changes symbol (or rank 0).
-    Returns them in rank order as pairs ``(r, q)``, q being the last rank
-    before r with r's BWT symbol, or None.  ``set_marks`` is a bit stream
-    cut like the BWT's chunks, read a chunk at a time as 0/1 bytes.
+    """Ranks without a value whose count cannot be deduced as zero: the
+    unset ranks where the BWT changes symbol (or rank 0), in rank order,
+    one typed array of ``r * (n + 1) + q + 1``, q the last rank before r
+    with r's BWT symbol, or -1.  ``set_marks`` is a bit stream cut like
+    the BWT's chunks, read a chunk at a time as 0/1 bytes.
 
     Per chunk, on big integers with one byte per rank, the chunk XOR
     itself shifted by one rank is non-zero at the run heads.  Only the
     heads are visited, one per BWT run: a head is missing when its set
-    mark is clear, and its q is the last rank of the latest run of its
-    symbol, which each run records per symbol, across chunks too.
+    mark is clear; it ends the run before it, across chunks too.
     """
-    out = []
-    last = [None] * bwt.sigma
+    radix = bwt.n + 1
+    out = array(emlayer.typecode(radix * radix - 1))
+    last = [-1] * 256  # per byte, the last rank of its latest run
     base = 0
     marks = set_marks.rewind().chunks()
     for chunk, mark in zip(bwt.stream().chunks(), marks):
@@ -60,18 +60,13 @@ def irreducible_missing(bwt, set_marks):
         x = int.from_bytes(chunk, "little")
         head = (x ^ (x << 8 | prev)).to_bytes(size + 1, "little")[:size]
         head = head.translate(NONZERO)
-        gaps = head.split(b"\x01")
-        r = base + len(gaps.pop(0))
-        if r > base:  # the chunk starts inside the run of prev
+        for r, a, m in zip(compress(count(base), head), compress(chunk, head),
+                           compress(mark, head)):
             last[prev] = r - 1
-        for gap, a, m in zip(map(len, gaps), compress(chunk, head),
-                             compress(mark, head)):
             if not m:
-                out.append((r, last[a]))
-            r += gap + 1
-            last[a] = r - 1
+                out.append(r * radix + last[a] + 1)
+            prev = a
         base += size
-        prev = chunk[-1]
     return out
 
 
@@ -105,35 +100,49 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     factory = factory or emlayer.StreamFactory()
     kernel_fn = KERNELS["direct"]
     n = bwt.n
+    radix = n + 1
     stop = stop_rule(n, min(sisa.rate, n)) if adaptive else None
     result = run_rounds_external(bwt, factory, cutoff_rounds, stop)
     # rounds that set every rank leave nothing missing, so nothing to scan
     unset = n - sum(s.newly_set for s in result.stats)
-    missing = irreducible_missing(bwt, result.set_marks) if unset else []
+    missing = irreducible_missing(bwt, result.set_marks) if unset else ()
     factory.release(result.set_marks)
-    find = {x for r, q in missing for x in (r - 1, r, q)} - {None, -1}
+    find = bytearray(n if missing else 0)  # r - 1, r and q of missing r
+    for r, q1 in map(divmod, missing, repeat(radix)):
+        find[max(r - 1, 0)] = find[r] = find[q1 - 1 if q1 else r] = 1
+    find = array(emlayer.typecode(n), compress(range(n), find))
     walked = position_counts(result.pd, bwt, sisa, factory, find)
     factory.release(result.pd._bits)
     if not find:
         return walked
     factory.meter.note("hybrid_sparse", len(find))
     factory.meter.note("hybrid_text", n)
-    counts, symbols, pos = walked
+    counts, symbols, keys, positions = walked
     text = Text(symbols, bwt.sigma, circular=bwt.circular)
-    del walked, symbols
-    patch = {}
-    for r, q in missing:
-        lcp = kernel_fn(text, pos[r], pos[r - 1]) if r else 0
-        if q is not None:
-            lcp -= kernel_fn(text, (pos[r] - 1) % n, (pos[q] - 1) % n)
+    del walked, symbols, find
+    patch = array("Q")  # a count packed as position * (n + 2) + count
+    for r, q1 in map(divmod, missing, repeat(radix)):
+        i = bisect_left(keys, r)  # r - 1, a key too, is key i - 1
+        at = positions[i]
+        lcp = kernel_fn(text, at, positions[i - 1]) if r else 0
+        if q1:
+            q = positions[bisect_left(keys, q1 - 1)]
+            lcp -= kernel_fn(text, (at - 1) % n, (q - 1) % n)
         if lcp < -1:
             raise CountConflict("negative count %d at rank %d" % (lcp + 1, r))
-        patch[pos[r]] = lcp + 1
-    del text, pos  # the kernel's state, not needed by emit_k
+        patch.append(at * (n + 2) + lcp + 1)
+    del text, keys, positions, missing  # not needed by emit_k
+    patch = array("Q", sorted(patch))  # by position
 
     def patched():
+        items, done = counts.items(), 0
         try:
-            yield from map(patch.get, count(), counts.items())
+            for at, value in map(divmod, patch, repeat(n + 2)):
+                yield from islice(items, at - done)
+                next(items)
+                yield value
+                done = at + 1
+            yield from items
         finally:
             factory.release(counts)
     return patched()

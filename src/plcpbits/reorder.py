@@ -5,43 +5,40 @@ text order.  With only a sampled inverse suffix array available, one
 cursor per sample walks backwards through the text via the LF mapping
 and takes the value at its rank on every step, until it has covered its
 window: the positions from its sample down to, but not including, the
-next sample below.  An LF pass moves every cursor one step and is
-strictly sequential: it visits the cursors in rank order alongside the
-BWT, a column of values (PD's counts, unsliced once from its bit planes
-and cut like the BWT, or the BWT itself) and the BWT's occurrence directory, sampled symbol counts
-(Ferragina and Manzini's FM-index) built once per walk, so a cursor's
-LF value costs one lookup and one count within a block.  Moved
-cursors are grouped by BWT symbol; the groups, read in symbol order,
-hold the next pass's cursors in rank order again.
+next sample below.  An LF pass moves every cursor one step, strictly
+sequentially: it visits the cursors in rank order alongside the BWT, a
+column of values cut like the BWT (PD's counts, or the BWT itself) and
+the BWT's occurrence directory (sampled symbol counts, as in Ferragina
+and Manzini's FM-index), so a cursor's LF value costs one lookup and
+one count within a block.  Moved cursors are grouped by BWT symbol; the
+groups, read in symbol order, hold the next pass's cursors in rank order.
 
 A cursor is one integer, its rank times a radix plus a payload (the
 walk's sample, or the rank a position search started from), so rank
-order is integer order; a pass's cursors sit in typed arrays, 4 bytes
-each while n times the radix stays below 2**32, or, above one buffer,
-in one bucket stream per symbol of the same integers, handed on to the
-next pass as they are.  A cursor carries no values: a pass puts its
-values in sample order, and text order is a zip of the passes.
-What fits one stream buffer is handed on in memory, so a walk whose n
-values and ceil(n / rate) cursors fit one buffer writes no cursor,
-bucket, block or value stream.
+order is integer order; a pass's cursors sit in typed arrays or, above
+one buffer, in one bucket stream per symbol, handed on as they are.  A
+cursor carries no values: a pass puts its values in sample order, and
+text order is a zip of the passes.  A walk whose n values and
+ceil(n / rate) cursors fit one buffer writes no stream at all.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
-text symbol one position back, reconstructs the text for verification
-(``reconstruct_text``); the hybrid takes both at once, count times sigma
-plus symbol, and the text positions of the ranks it asks for.  Retiring
-each cursor at the first sampled rank it meets instead finds the text
-position of the circular anchor (``annotate_positions``).
+text symbol one position back, reconstructs the text (``reconstruct_text``);
+the hybrid takes both at once, count times sigma plus symbol, and the
+text positions of the ranks it asks for.  Retiring each cursor at the
+first sampled rank it meets finds the circular anchor
+(``annotate_positions``).
 """
 
 from array import array
 from collections import defaultdict
 from functools import partial
-from itertools import chain, islice, repeat
+from heapq import merge
+from itertools import chain, groupby, islice, repeat
 from math import ceil
 from operator import add, floordiv, mod, mul
 
 from . import emlayer
-from .emlayer import typecode
+from .emlayer import PART, typecode
 from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
 from .rounds import unary_code
 from .succinct import PlcpBits, RsBitVector
@@ -144,9 +141,10 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
 
 def _walk(bwt, sisa, column, factory, find=()):
     """The values of ``column`` (see ``_lf_pass``) from text position 0 to
-    n - 1, as an iterator, and the text positions of the ranks in
-    ``find``, as a dict.  The iterator frees the passes' streams once it
-    is read to the end or, after its first value, closed.
+    n - 1, as an iterator; the sorted distinct ranks ``find`` and the
+    three below, a typed array of keys; and their text positions, one
+    typed array aligned with the keys.  The iterator frees the passes'
+    streams once it is read to the end or, after its first value, closed.
 
     One cursor starts at each sample, its payload the sample (radix m);
     on pass p it takes the value of position sample * rate - p (mod n)
@@ -185,18 +183,24 @@ def _walk(bwt, sisa, column, factory, find=()):
     chunk = max(1, cap // passes)  # of a pass's stream
     low = (cap - 1).bit_length()  # a spilled value's slot bits
     firsts = range(0, m, cap)  # each block's first slot
-    find, found, first = {*find, ranks[0], ranks[-1], 0}, {}, None
-    kept = []  # each pass's values: arrays if whole, else streams
+    top = max([n, *find[-1:]]) + 1  # a last key, past every rank
+    keys = array(typecode(top), (k for k, _ in groupby(
+        merge(find, sorted({ranks[0], ranks[-1], 0, top})))))
+    found = array(typecode(n), [n]) * (len(keys) - 1)  # n: not found yet
+    first, kept = None, []  # kept: each pass's values, arrays if whole
 
     def step(rank, sample, value, lf):
-        nonlocal first
-        if rank in find:
-            if rank in found:
+        nonlocal first, at, key
+        if rank >= key:  # a pass's cursors, in rank order, merge with keys
+            while key < rank:
+                at += 1
+                key = keys[at]
+            if key == rank and found[at] < n:
                 raise FormatError("the BWT's LF mapping is not one cycle: "
                                   "the walk visits rank %d twice" % rank)
-            found[rank] = position = (sample * rate - p) % n
-            if not position:
-                first = value
+            if key == rank:
+                found[at] = position = (sample * rate - p) % n
+                first = first if position else value
         if spill:
             block, slot = divmod((sample or m) - 1, cap)
             values[block].append(value << low | slot)
@@ -228,6 +232,7 @@ def _walk(bwt, sisa, column, factory, find=()):
         "cursors")]
     directory = _lf_directory(bwt, factory)
     for p in range(passes):
+        at, key = 0, keys[0]
         values = ([factory.stream("block", max(1, cap // len(firsts)))
                    for _ in firsts] if spill else [0] * m)
         cursors = _lf_pass(bwt, directory, cursors, step, factory, column, m)
@@ -239,8 +244,8 @@ def _walk(bwt, sisa, column, factory, find=()):
             kept[-1].append_chunk(row)
         kept[-1].finish()
     factory.release(*cursors, directory)
-    if len(found) < len(find):
-        raise FormatError("the walk misses rank %d" % min(find - found.keys()))
+    if n in found:
+        raise FormatError("the walk misses rank %d" % keys[found.index(n)])
     if not bwt.circular and found[0] != n - 1:
         raise FormatError("rank 0 is at position %d, not n - 1" % found[0])
     if not spill:
@@ -255,31 +260,19 @@ def _walk(bwt, sisa, column, factory, find=()):
         finally:
             if not whole:
                 factory.release(*kept)
-    return in_position_order(), found
-
-
-def _narrow(items, size):
-    """Ints, ``size`` at a time, each batch the narrowest typed array that
-    holds it: read into the widest type, "Q", and copied."""
-    for wide in iter(lambda: array("Q", islice(items, size)), array("Q")):
-        narrow = array(typecode(max(wide)), wide)
-        del wide  # not held while the caller reads the narrow copy
-        yield narrow
+    return in_position_order(), keys[:-1], found
 
 
 def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
-    The walk's column is a stream cut like the BWT: PD's counts,
-    unsliced once from its bit planes and held in memory if they fit one
-    buffer (``PdBits.column``), or with ranks to ``find`` a new stream.
-    Returns the walk's iterator of n counts, count i belonging to text
-    position i, to be read once (see ``_walk``).  With ranks to ``find``,
-    a value is ``count * sigma + symbol``, so the walk also gives the
-    text, as ``reconstruct_text`` does: returns a finished stream of the
-    counts, the text as bytes and a dict of the ranks' text positions.
-    The fused column and the counts are made a buffer at a time, each
-    chunk the narrowest typed array that holds it.
+    The walk's column is a stream cut like the BWT: PD's counts, held in
+    memory if they fit one buffer (``PdBits.column``), or with ranks to
+    ``find`` a new stream.  Returns the walk's iterator of n counts, count
+    i belonging to text position i, to be read once (see ``_walk``).  With
+    ranks to ``find``, a value is ``count * sigma + symbol``, so the walk
+    also gives the text: returns a finished stream of the counts, ``PART``
+    a chunk, the text as bytes, and ``_walk``'s keys and their positions.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
@@ -291,23 +284,21 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
     else:
         sigma = bwt.sigma
         column = factory.stream("column", view.capacity)
-        fused = map(add, map(mul, pd.iter_counts(), repeat(sigma)),
-                    view.items())
-        for chunk in _narrow(fused, view.capacity):
-            column.append_chunk(chunk)
+        column.extend(map(add, map(mul, pd.iter_counts(), repeat(sigma)),
+                          view.items()))
         column.finish()
-    values, found = _walk(bwt, sisa, column, factory, find)
+    values, keys, positions = _walk(bwt, sisa, column, factory, find)
     factory.release(column)
     if not find:
         return values
-    counts = factory.stream("counts")
-    text = bytearray()
-    for batch in _narrow(values, counts.capacity):
+    part = min(PART, factory.capacity)
+    counts, text = factory.stream("counts", part), bytearray()
+    for batch in iter(lambda: array("Q", islice(values, part)), array("Q")):
         text += bytes(map(mod, batch, repeat(sigma)))
         counts.append_chunk(array(typecode(max(batch) // sigma),
                                   map(floordiv, batch, repeat(sigma))))
     text.append(text.pop(0))
-    return counts.finish(), bytes(text), found
+    return counts.finish(), bytes(text), keys, positions
 
 
 def emit_k(counts, n, shift=0):
@@ -315,15 +306,16 @@ def emit_k(counts, n, shift=0):
     the 2n-bit K, rotated by ``shift``.
 
     The bit for text position ``shift`` comes first: the first ``shift``
-    counts are coded, then the rest, and the first part's code goes last.
-    K is coded like PD.
+    counts are coded, then the rest, and the first part's code goes last,
+    joined by one shift.  K is coded like PD, packed a piece at a time.
     """
     shift %= n
     counts = iter(counts)
-    head = "".join(unary_code(islice(counts, shift)))
-    text = "".join(unary_code(counts)) + head
-    packed = int(text[::-1], 2).to_bytes((len(text) + 7) // 8, "little")
-    return PlcpBits(RsBitVector.from_packed(packed, len(text)), n, shift=shift)
+    head, width = unary_code(islice(counts, shift))
+    k, bits = unary_code(counts)
+    packed = (k | head << bits).to_bytes((bits + width + 7) // 8, "little")
+    del k, head  # not held while K is loaded
+    return PlcpBits(RsBitVector.from_packed(packed, bits + width), n, shift)
 
 
 def reconstruct_text(bwt, sisa, factory=None):

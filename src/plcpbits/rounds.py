@@ -26,7 +26,7 @@ from .errors import NotIncreasing, OutOfRange
 from .succinct import GammaStream
 
 # unary_code codes this many counts at a time
-PIECE = 4096
+PIECE = 1024
 ZEROS = {c: "0" * c for c in range(64)}  # shared by the small counts
 
 
@@ -93,10 +93,17 @@ class IntervalList:
 
 
 def unary_code(counts):
-    """PD's coder: the 0/1 text of a count sequence, PIECE counts a piece."""
-    it = iter(counts)
+    """PD's coder: the code of counts, c zeros and a one a count, as an
+    integer, bit 0 first, and its length: PIECE counts at a time coded as
+    0/1 text and packed, the fewer than 8 bits left carried on."""
+    it, out, rest = iter(counts), bytearray(), ""
     for batch in iter(lambda: list(islice(it, PIECE)), []):
-        yield "1".join([ZEROS.get(c) or "0" * c for c in batch]) + "1"
+        bits = rest + "1".join([ZEROS.get(c) or "0" * c for c in batch]) + "1"
+        cut = len(bits) & ~7
+        out += int(bits[:cut][::-1] or "0", 2).to_bytes(cut >> 3, "little")
+        rest = bits[cut:]
+    high = int(rest[::-1] or "0", 2) << 8 * len(out)
+    return int.from_bytes(out, "little") | high, 8 * len(out) + len(rest)
 
 
 def _grow(planes, marks):
@@ -170,7 +177,8 @@ class PdBits:
         return chain.from_iterable(self.lanes())
 
     def bit_string(self):
-        return "".join(unary_code(self.iter_counts()))
+        word, bits = unary_code(self.iter_counts())
+        return format(word, "b").zfill(bits)[::-1] if bits else ""
 
     def __len__(self):
         return self.n + sum(p.bit_count() << j for planes in self.chunks()
