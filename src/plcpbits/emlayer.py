@@ -23,6 +23,7 @@ import os
 import shutil
 import tempfile
 from array import array
+from heapq import merge
 from itertools import chain, islice, repeat
 from operator import add, lshift
 
@@ -37,6 +38,16 @@ PART = 1024  # ints that ``EmStream.extend`` reads at a time, as "Q"
 def typecode(top):
     """The narrowest unsigned array type that holds ``top``."""
     return next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
+
+
+def sorted_array(items, code):
+    """``items`` ascending, one typed array of type ``code``: sorted ``PART``
+    at a time into arrays, then merged, so no list of them all exists."""
+    items, pieces = iter(items), []
+    while piece := sorted(islice(items, PART)):
+        pieces.append(array(code, piece))
+        del piece  # not alive while the next is made
+    return array(code, merge(*pieces))
 
 
 # 0/1 bytes to the ASCII digits of int(..., 2), and format(..., "b")'s

@@ -11,9 +11,10 @@ import os
 import struct
 import sys
 from array import array
-from itertools import islice
-from operator import eq
+from itertools import pairwise, repeat, starmap
+from operator import eq, floordiv
 
+from .emlayer import PART, typecode
 from .errors import FormatError, HeaderMismatch
 from .succinct import PlcpBits, RsBitVector
 from .textcore import Bwt, SampledIsa
@@ -49,11 +50,15 @@ def _read_header(fh, magic, path):
 
 
 def _read_exact(fh, count, path):
+    _expect_left(fh, count, path)
+    return fh.read(count)
+
+
+def _expect_left(fh, count, path):
     # checked against the file size first, so that a huge claimed length
     # ends here rather than in the allocation of its buffer
     if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise FormatError("%s: truncated payload" % path)
-    return fh.read(count)
 
 
 def _expect_end(fh, path):
@@ -95,18 +100,24 @@ def read_sisa(path):
         if rate < 1:
             raise FormatError("%s: zero sampling rate" % path)
         count = -(-n // rate)
-        ranks = array("Q", _read_exact(fh, 8 * count, path))
-        if sys.byteorder == "big":
-            ranks.byteswap()
+        _expect_left(fh, 8 * count, path)
+        ranks = array(typecode(n - 1))
+        while len(ranks) < count:  # PART at a time, never a whole copy
+            piece = array("Q", fh.read(8 * min(PART, count - len(ranks))))
+            if sys.byteorder == "big":
+                piece.byteswap()
+            if max(piece) >= n:
+                raise FormatError("%s: sampled rank outside 0..n-1" % path)
+            ranks.extend(array(ranks.typecode, piece))
         _expect_end(fh, path)
-    # sorted, not marked in a set or in n bytes: the header's n is not
-    # bounded by the file's size, the sample count is
-    ordered = sorted(ranks)
-    if ordered[-1] >= n:
-        raise FormatError("%s: sampled rank outside 0..n-1" % path)
-    if any(map(eq, ordered, islice(ordered, 1, None))):
+    if n * count > 1 << 64:
+        raise FormatError("%s: n times the sample count exceeds 2**64" % path)
+    # repeats are met in the walk's cursors, sorted once, not marked in a
+    # set or in n bytes: the header's n is not bounded by the file's size
+    sisa = SampledIsa(rate=rate, n=n, ranks=ranks)
+    if any(starmap(eq, pairwise(map(floordiv, sisa.cursors, repeat(count))))):
         raise FormatError("%s: repeated sampled rank" % path)
-    return SampledIsa(rate=rate, n=n, ranks=ranks), sigma, circular
+    return sisa, sigma, circular
 
 
 def write_plcp(path, plcp, sigma, circular=False):

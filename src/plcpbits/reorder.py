@@ -225,14 +225,10 @@ def _walk(bwt, sisa, column, factory, find=()):
             factory.meter.note("pass_values", len(row))
             yield row
 
-    # sample s's cursor: ranks[s] * m + s
-    cursors = [factory.from_items(
-        array(typecode(n * m - 1),
-              sorted(map(add, map(mul, ranks, repeat(m)), range(m)))),
-        "cursors")]
+    cursors = [factory.from_items(sisa.cursors, "cursors")]
     directory = _lf_directory(bwt, factory)
     for p in range(passes):
-        at, key = 0, keys[0]
+        at, key, values = 0, keys[0], None  # the last pass's list goes first
         values = ([factory.stream("block", max(1, cap // len(firsts)))
                    for _ in firsts] if spill else [0] * m)
         cursors = _lf_pass(bwt, directory, cursors, step, factory, column, m)
@@ -263,16 +259,17 @@ def _walk(bwt, sisa, column, factory, find=()):
     return in_position_order(), keys[:-1], found
 
 
-def position_counts(pd, bwt, sisa, factory=None, find=()):
+def position_counts(pd, bwt, sisa, factory=None, find=(), release=False):
     """PD counts permuted from rank order to text-position order.
 
     The walk's column is a stream cut like the BWT: PD's counts, held in
     memory if they fit one buffer (``PdBits.column``), or with ranks to
-    ``find`` a new stream.  Returns the walk's iterator of n counts, count
-    i belonging to text position i, to be read once (see ``_walk``).  With
-    ranks to ``find``, a value is ``count * sigma + symbol``, so the walk
-    also gives the text: returns a finished stream of the counts, ``PART``
-    a chunk, the text as bytes, and ``_walk``'s keys and their positions.
+    ``find`` a new stream; with ``release``, PD's planes go once it is
+    built.  Returns the walk's iterator of n counts, count i belonging to
+    text position i, to be read once (see ``_walk``).  With ranks to
+    ``find``, a value is ``count * sigma + symbol``, so the walk also gives
+    the text: returns a finished stream of the counts, ``PART`` a chunk,
+    the text as bytes, and ``_walk``'s keys and their positions.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
@@ -287,6 +284,7 @@ def position_counts(pd, bwt, sisa, factory=None, find=()):
         column.extend(map(add, map(mul, pd.iter_counts(), repeat(sigma)),
                           view.items()))
         column.finish()
+    factory.release(pd._bits if release else None)
     values, keys, positions = _walk(bwt, sisa, column, factory, find)
     factory.release(column)
     if not find:

@@ -212,15 +212,16 @@ class _Zeros(emlayer.EmStream):
         return ((0, min(cap, n - lo)) for lo in range(0, n, cap))
 
 
-# the bytes of a segment of _planes, which keeps the transpose's masks
-# and temporaries small; per delta swap of the transpose, its distance
+# the bytes of a segment of _planes and _keys, which keeps their masks and
+# temporaries small; per delta swap of the transpose, its distance
 # and its mask, the bits that move, in every 64-bit lane of a segment
-SEGMENT = 8192
+SEGMENT = 4096
 SWAPS = [(shift, int.from_bytes(mask.to_bytes(8, "little") * (SEGMENT >> 3),
                                 "little"))
          for shift, mask in ((7, 0x00AA00AA00AA00AA),
                              (14, 0x0000CCCC0000CCCC),
                              (28, 0x00000000F0F0F0F0))]
+ONES = int.from_bytes(b"\x01" * SEGMENT, "little")  # 0/1 bytes of spread
 # a key byte's mark, its low bit, as an ASCII digit for int(digits, 2)
 DIGIT = b"01" * 128
 # per symbol a below 128, every key byte but a's two, 2a and 2a + 1
@@ -270,28 +271,34 @@ def _masks(planes, word, value=0):
     yield from _masks(low, high, value << 1 | 1)
 
 
-def _key(values, marks, ones, size):
-    """Each rank's value·2 + mark, one byte, highest rank first: ``values``
-    one byte a rank, rank 0 lowest, and ``marks`` packed."""
-    return (values << 1 | spread(marks, ones)).to_bytes(size, "big")
+def _key(values, marks, size):
+    """Each rank's value·2 + mark, one byte, highest rank first, of at most
+    a segment: ``values`` a byte a rank, rank 0 lowest; ``marks`` packed."""
+    return (values << 1 | spread(marks, ONES)).to_bytes(size, "big")
 
 
-def _keys(chunk, planes, marks, ones):
-    """The chunk's key, symbol·2 + mark a rank: one key for symbols below
-    128; above, one for the symbols of either top bit, each in rank order,
-    split by two translate-deletes of a top·2 + mark key."""
-    size = len(chunk)
-    if len(planes) < 8:
-        return [_key(int.from_bytes(chunk, "little"), marks, ones, size)]
-    tops = _key(spread(planes[7], ones), marks, ones, size)
-    rev = chunk[::-1]
-    keys = []
-    for half, other in enumerate(HALVES):
-        low = rev.translate(LOW7, other)
-        digits = tops.translate(DIGIT, OTHERS[half]) or b"0"
-        keys.append(_key(int.from_bytes(low, "big"), int(digits, 2), ones,
-                         len(low)))
-    return keys
+def _keys(chunk, marks, split):
+    """The chunk's key, symbol·2 + mark a rank, one ``bytes`` made a segment
+    of ranks at a time, the highest first: for symbols below 128, one key;
+    with ``split``, one for the symbols of either top bit, each in rank
+    order, split by two translate-deletes of a top·2 + mark key."""
+    raw = marks.to_bytes((len(chunk) + 7) >> 3, "little")
+    keys = [[], []]
+    for lo in reversed(range(0, len(chunk), SEGMENT)):
+        seg = memoryview(chunk)[lo : lo + SEGMENT]
+        values = int.from_bytes(seg, "little")
+        mark = int.from_bytes(raw[lo >> 3 : (lo + SEGMENT) >> 3], "little")
+        if not split:
+            keys[0].append(_key(values, mark, len(seg)))
+            continue
+        tops = _key(values >> 7 & ONES, mark, len(seg))
+        rev = bytes(seg)[::-1]
+        for half, other in enumerate(HALVES):
+            low = rev.translate(LOW7, other)
+            digits = tops.translate(DIGIT, OTHERS[half]) or b"0"
+            keys[half].append(_key(int.from_bytes(low, "big"),
+                                   int(digits, 2), len(low)))
+    return [b"".join(parts) for parts in keys]
 
 
 def _next_starts(keys, starts, sigma, factory):
@@ -320,7 +327,6 @@ def _next_starts(keys, starts, sigma, factory):
     """
     carry = [1] * sigma
     count = max(1, (sigma - 1).bit_length())
-    ones = int.from_bytes(b"\x01" * min(len(keys), keys.capacity), "little")
     if len(keys) <= keys.capacity:
         nxt = factory.bits("starts", keys.capacity)
         buckets = defaultdict(lambda: nxt)
@@ -343,7 +349,7 @@ def _next_starts(keys, starts, sigma, factory):
         for a, out in present:
             carry[a] = out
         first.append_word(word, size)
-        keyed = _keys(chunk, planes, word, ones)
+        keyed = _keys(chunk, word, count == 8)
         for a, _ in present:
             digits = keyed[a >> 7].translate(DIGIT, OTHERS[a & 127])
             buckets[a].append_word(int(digits, 2), len(digits))

@@ -8,9 +8,11 @@ minimal terminator (rank 0).
 
 from array import array
 from dataclasses import dataclass, field
-from operator import add
+from functools import cached_property
+from itertools import repeat
+from operator import add, mul
 
-from .emlayer import StreamFactory, typecode
+from .emlayer import StreamFactory, sorted_array, typecode
 from .errors import (AlphabetTooLarge, CircularPowerInput, LengthMismatch,
                      OutOfRange)
 
@@ -147,6 +149,14 @@ class SampledIsa:
     def __post_init__(self):
         object.__setattr__(self, "ranks",
                            array(typecode(self.n - 1), self.ranks))
+
+    @cached_property
+    def cursors(self):
+        """The walk's start cursors, ``ranks[s] * m + s`` for each of the m
+        samples s, in rank order: one typed array, made on first use."""
+        m = len(self.ranks)
+        return sorted_array(map(add, map(mul, self.ranks, repeat(m)),
+                                range(m)), typecode(self.n * m - 1))
 
     def __len__(self):
         return len(self.ranks)

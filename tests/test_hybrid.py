@@ -326,6 +326,29 @@ def test_hybrid_heap_on_near_copies():
         assert peak <= bound * fx.n, (fx.n, peak / fx.n)
 
 
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@pytest.mark.parametrize("strategy, cutoff", [("external", None),
+                                              ("hybrid", 2)])
+def test_pd_planes_released_before_the_walk(monkeypatch, tmp_path, backend,
+                                            strategy, cutoff):
+    """PD's planes are released once the walk's column is built: no "pd"
+    stream is live when the walk's first LF pass starts."""
+    fx = make_fixture(random_text(random.Random(3), 600, 5), 5)
+    live = []
+    lf_pass = reorder._lf_pass
+
+    def spy(bwt, directory, cursors, step, factory, *rest):
+        if not live:
+            live.append([s.name for s in factory.streams])
+        return lf_pass(bwt, directory, cursors, step, factory, *rest)
+    monkeypatch.setattr(reorder, "_lf_pass", spy)
+    with StreamFactory(str(tmp_path) if backend == "file" else None) as f:
+        k = build_plcp(fx.bwt, fx.sisa(5), strategy, cutoff=cutoff,
+                       factory=f)
+    assert k.bit_string() == fx.k_bits()
+    assert live and "pd" not in live[0], live
+
+
 def full_rounds(fx):
     return run_rounds_external(fx.bwt, StreamFactory()).rounds
 

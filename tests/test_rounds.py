@@ -15,6 +15,7 @@ from plcpbits.errors import NotIncreasing, OutOfRange
 from plcpbits.reorder import emit_k, position_counts
 from plcpbits.rounds import (IntervalList, _grow, _next_starts,
                              run_rounds_external)
+from plcpbits.textcore import Text, build_bwt, build_suffix_array
 
 
 def expected_pd_counts(fx):
@@ -381,3 +382,28 @@ def test_next_starts_heap_stays_under_9_bytes_per_rank(sigma):
         tracemalloc.stop()
     assert len(out) == len(first) == n
     assert peak <= 9 * n, peak / n
+
+
+@pytest.mark.parametrize("sigma, bound", [(5, 7), (65, 7), (200, 10)])
+def test_round_keys_made_a_segment_at_a_time(sigma, bound):
+    """A round makes its key, symbol·2 + mark a rank, a segment of ranks
+    at a time: three rounds over one chunk of 3 * 10**4 ranks peak at
+    most 7 B/rank of Python heap below σ=128, and 10 above, where the key
+    splits by its top bit (5.6, 6.2 and 6.6 here; 8.5, 9.2 and 11.0 with
+    the key made of whole-chunk big integers)."""
+    n = 30_000
+    text = Text(random_text(random.Random(sigma), n, sigma), sigma)
+    bwt = build_bwt(text, build_suffix_array(text))
+    f = StreamFactory()
+    bwt.stream(f)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        r = run_rounds_external(bwt, f, 3)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert r.rounds == 3
+    f.release(r.pd._bits, r.set_marks)
+    assert f.streams == []
+    assert peak <= bound * n, peak / n
