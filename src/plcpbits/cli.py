@@ -66,9 +66,8 @@ def cmd_index(args):
         raw = fh.read()
     text, remap = ingest(raw, args.circular)
     sa = build_suffix_array(text)
-    isa = invert_sa(sa)
     bwt = build_bwt(text, sa)
-    sisa = sample_isa(isa, args.rate)
+    sisa = sample_isa(invert_sa(sa), args.rate)
     prefix = args.output or args.text
     formats.write_bwt(prefix + ".bwt", bwt)
     formats.write_sisa(prefix + ".sisa", sisa, text.sigma,
@@ -83,9 +82,8 @@ def cmd_index(args):
 def _verify(text, plcp):
     """Compare every decoded value with the Kasai oracle on ``text``."""
     if len(text) != plcp.n:
-        raise HeaderMismatch(
-            "text has %d symbols, artifact says %d" % (len(text), plcp.n)
-        )
+        raise HeaderMismatch("text has %d symbols, artifact says %d"
+                             % (len(text), plcp.n))
     sa = build_suffix_array(text)
     expected = permute_lcp(kasai_lcp(text, sa), invert_sa(sa))
     got = plcp.decode_all()
@@ -116,10 +114,8 @@ def cmd_build(args):
 
 def cmd_decode(args):
     plcp, _sigma, _circ = formats.read_plcp(args.plcp)
-    if args.all:
-        values = plcp.decode_all()
-    else:
-        values = [plcp.decode(int(p)) for p in args.positions.split(",")]
+    values = (plcp.decode_all() if args.all else
+              [plcp.decode(int(p)) for p in args.positions.split(",")])
     print(" ".join(map(str, values)))
     return EXIT_OK
 
@@ -163,8 +159,7 @@ def make_parser():
     p.add_argument("bwt")
     p.add_argument("sisa")
     p.add_argument("--output", "-o")
-    p.add_argument("--strategy", default="external",
-                   choices=STRATEGIES)
+    p.add_argument("--strategy", default="external", choices=STRATEGIES)
     p.add_argument("--cutoff", type=int, default=None,
                    help="hybrid round cutoff (default: stop once the rounds"
                    " set too few ranks, at most 3*ceil(log2 n) rounds)")
@@ -198,14 +193,12 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except VerificationFailed as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VERIFY
-    except (FormatError, HeaderMismatch) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_FORMAT
     except (PlcpError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        if isinstance(exc, VerificationFailed):
+            return EXIT_VERIFY
+        if isinstance(exc, (FormatError, HeaderMismatch)):
+            return EXIT_FORMAT
         return EXIT_USAGE
 
 

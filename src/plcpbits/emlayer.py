@@ -23,7 +23,8 @@ import os
 import shutil
 import tempfile
 from array import array
-from heapq import merge
+from bisect import bisect_right
+from collections import deque
 from itertools import chain, islice, repeat
 from operator import add, lshift
 
@@ -42,12 +43,32 @@ def typecode(top):
 
 def sorted_array(items, code):
     """``items`` ascending, one typed array of type ``code``: sorted ``PART``
-    at a time into arrays, then merged, so no list of them all exists."""
-    items, pieces = iter(items), []
+    at a time into arrays, then merged up to eight at a time, so no list of
+    more than ``PART`` of them exists (of distinct items; see ``_merge``)."""
+    items, runs = iter(items), deque()
     while piece := sorted(islice(items, PART)):
-        pieces.append(array(code, piece))
+        runs.append(array(code, piece))
         del piece  # not alive while the next is made
-    return array(code, merge(*pieces))
+    while len(runs) > 1:
+        runs.append(_merge([runs.popleft() for _ in range(min(8, len(runs)))]))
+    return runs.pop() if runs else array(code)
+
+
+def _merge(runs):
+    """Ascending arrays as one, by ``sorted`` over a block at a time: from
+    each run, its items up to the least of the runs' next ``PART // 2 //
+    len(runs)``, so the C sort does the per-item work."""
+    out, step = array(runs[0].typecode), PART // 2 // len(runs)
+    runs = [(run, 0) for run in runs]
+    while len(runs) > 1:
+        top = min(run[min(i + step, len(run)) - 1] for run, i in runs)
+        runs = [(run, i, bisect_right(run, top, i)) for run, i in runs]
+        out.extend(sorted(chain.from_iterable(run[i:end]
+                                              for run, i, end in runs)))
+        runs = [(run, end) for run, _, end in runs if end < len(run)]
+    for run, i in runs:
+        out += run[i:]
+    return out
 
 
 # 0/1 bytes to the ASCII digits of int(..., 2), and format(..., "b")'s

@@ -11,8 +11,6 @@ import os
 import struct
 import sys
 from array import array
-from itertools import pairwise, repeat, starmap
-from operator import eq, floordiv
 
 from .emlayer import PART, typecode
 from .errors import FormatError, HeaderMismatch
@@ -115,7 +113,7 @@ def read_sisa(path):
     # repeats are met in the walk's cursors, sorted once, not marked in a
     # set or in n bytes: the header's n is not bounded by the file's size
     sisa = SampledIsa(rate=rate, n=n, ranks=ranks)
-    if any(starmap(eq, pairwise(map(floordiv, sisa.cursors, repeat(count))))):
+    if sisa.repeated():
         raise FormatError("%s: repeated sampled rank" % path)
     return sisa, sigma, circular
 

@@ -111,8 +111,7 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     for r, q1 in map(divmod, missing, repeat(radix)):
         find[max(r - 1, 0)] = find[r] = find[q1 - 1 if q1 else r] = 1
     find = array(emlayer.typecode(n), compress(range(n), find))
-    walked = position_counts(result.pd, bwt, sisa, factory, find,
-                             release=True)
+    walked = position_counts(result.pd, bwt, sisa, factory, find)
     if not find:
         return walked
     factory.meter.note("hybrid_sparse", len(find))
@@ -120,22 +119,19 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     counts, symbols, keys, positions = walked
     text = Text(symbols, bwt.sigma, circular=bwt.circular)
     del walked, symbols, find
-
-    def kernel(text, keys, positions, missing):  # position * (n + 2) + count
-        for r, q1 in map(divmod, missing, repeat(radix)):
-            i = bisect_left(keys, r)  # r - 1, a key too, is key i - 1
-            at = positions[i]
-            lcp = kernel_fn(text, at, positions[i - 1]) if r else 0
-            if q1:
-                q = positions[bisect_left(keys, q1 - 1)]
-                lcp -= kernel_fn(text, (at - 1) % n, (q - 1) % n)
-            if lcp < -1:
-                raise CountConflict("negative count %d at rank %d"
-                                    % (lcp + 1, r))
-            yield at * (n + 2) + lcp + 1
-    counted = kernel(text, keys, positions, missing)
-    del text, keys, positions, missing  # the kernel's alone: freed as it ends
-    patch = emlayer.sorted_array(counted, "Q")  # by position
+    patch = array("Q")  # a count packed as position * (n + 2) + count
+    for r, q1 in map(divmod, missing, repeat(radix)):
+        i = bisect_left(keys, r)  # r - 1, a key too, is key i - 1
+        at = positions[i]
+        lcp = kernel_fn(text, at, positions[i - 1]) if r else 0
+        if q1:
+            q = positions[bisect_left(keys, q1 - 1)]
+            lcp -= kernel_fn(text, (at - 1) % n, (q - 1) % n)
+        if lcp < -1:
+            raise CountConflict("negative count %d at rank %d" % (lcp + 1, r))
+        patch.append(at * (n + 2) + lcp + 1)
+    del text, keys, positions, missing  # not needed by emit_k
+    patch = emlayer.sorted_array(patch, "Q")  # by position
 
     def patched():
         items, done = counts.items(), 0

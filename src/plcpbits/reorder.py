@@ -259,17 +259,17 @@ def _walk(bwt, sisa, column, factory, find=()):
     return in_position_order(), keys[:-1], found
 
 
-def position_counts(pd, bwt, sisa, factory=None, find=(), release=False):
+def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
     The walk's column is a stream cut like the BWT: PD's counts, held in
     memory if they fit one buffer (``PdBits.column``), or with ranks to
-    ``find`` a new stream; with ``release``, PD's planes go once it is
-    built.  Returns the walk's iterator of n counts, count i belonging to
-    text position i, to be read once (see ``_walk``).  With ranks to
-    ``find``, a value is ``count * sigma + symbol``, so the walk also gives
-    the text: returns a finished stream of the counts, ``PART`` a chunk,
-    the text as bytes, and ``_walk``'s keys and their positions.
+    ``find`` a new stream; PD's planes are released once it is built, so
+    a PD is walked once.  Returns the walk's iterator of n counts, count i
+    belonging to text position i, to be read once (see ``_walk``).  With
+    ranks to ``find``, a value is ``count * sigma + symbol``, so the walk
+    also gives the text: returns a finished stream of the counts, ``PART``
+    a chunk, the text as bytes, and ``_walk``'s keys and their positions.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
@@ -284,7 +284,7 @@ def position_counts(pd, bwt, sisa, factory=None, find=(), release=False):
         column.extend(map(add, map(mul, pd.iter_counts(), repeat(sigma)),
                           view.items()))
         column.finish()
-    factory.release(pd._bits if release else None)
+    factory.release(pd._bits)
     values, keys, positions = _walk(bwt, sisa, column, factory, find)
     factory.release(column)
     if not find:

@@ -231,9 +231,8 @@ def plcp_encode(plcp):
     for v in values:
         d = v + 1 if prev < 0 else v - prev + 1
         if d < 0:
-            raise DiffBoundViolation(
-                "PLCP drops by more than one (%d after %d)" % (v, prev)
-            )
+            raise DiffBoundViolation("PLCP drops by more than one (%d after "
+                                     "%d)" % (v, prev))
         bits.extend([0] * d)
         bits.append(1)
         prev = v
@@ -268,10 +267,7 @@ class WaveletTree:
             bits = self.levels[lvl]
             bit = (sym >> (self.nlevels - 1 - lvl)) & 1
             z_in = bits.rank0(b) - bits.rank0(a)
-            if bit:
-                a = a + z_in
-            else:
-                b = a + z_in
+            a, b = (a + z_in, b) if bit else (a, a + z_in)
         if not 0 <= j < b - a:
             raise OutOfRange("select argument %d out of range" % j)
         pos = j
@@ -279,10 +275,9 @@ class WaveletTree:
             a, b = ranges[lvl]
             bits = self.levels[lvl]
             bit = (sym >> (self.nlevels - 1 - lvl)) & 1
-            if bit:
-                pos = bits.select1(bits.rank1(a) + pos) - a
-            else:
-                pos = bits.select0(bits.rank0(a) + pos) - a
+            select, rank = ((bits.select1, bits.rank1) if bit
+                            else (bits.select0, bits.rank0))
+            pos = select(rank(a) + pos) - a
         return pos
 
     def interval_symbols(self, lo, hi):

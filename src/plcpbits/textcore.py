@@ -9,8 +9,8 @@ minimal terminator (rank 0).
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import add, mul
+from itertools import pairwise, repeat, starmap
+from operator import add, eq, floordiv, mul
 
 from .emlayer import StreamFactory, sorted_array, typecode
 from .errors import (AlphabetTooLarge, CircularPowerInput, LengthMismatch,
@@ -158,6 +158,11 @@ class SampledIsa:
         return sorted_array(map(add, map(mul, self.ranks, repeat(m)),
                                 range(m)), typecode(self.n * m - 1))
 
+    def repeated(self):
+        """Whether a rank is sampled twice: neighbours in ``cursors``."""
+        high = map(floordiv, self.cursors, repeat(len(self.ranks)))
+        return any(starmap(eq, pairwise(high)))
+
     def __len__(self):
         return len(self.ranks)
 
@@ -176,12 +181,6 @@ def brute_period(symbols):
     return n
 
 
-def _circular_key(text, i):
-    n = len(text)
-    doubled = text.symbols + text.symbols
-    return (doubled[i : i + n], i)
-
-
 def _suffix_array_doubling(text):
     """Prefix-doubling suffix sort; used above the direct-comparison size."""
     n = len(text)
@@ -196,11 +195,8 @@ def _suffix_array_doubling(text):
             key = lambda i: (rank[i], rank[i + d] if i + d < n else -1)
         order.sort(key=key)
         nrank = [0] * n
-        for j in range(1, n):
-            nrank[order[j]] = nrank[order[j - 1]] + (
-                0 if key(order[j - 1]) == key(order[j]) else 1
-            )
-        nrank[order[0]] = 0
+        for a, b in pairwise(order):
+            nrank[b] = nrank[a] + (key(a) != key(b))
         rank = nrank
         if rank[order[-1]] == n - 1:
             break
@@ -226,7 +222,8 @@ def build_suffix_array(text):
     if n > _DIRECT_SORT_LIMIT:
         order = _suffix_array_doubling(text)
     elif text.circular:
-        order = sorted(range(n), key=lambda i: _circular_key(text, i))
+        doubled = text.symbols * 2
+        order = sorted(range(n), key=lambda i: (doubled[i : i + n], i))
     else:
         order = sorted(range(n), key=lambda i: text.symbols[i:])
     return SuffixArray(order)

@@ -31,7 +31,8 @@ def pd_from_counts(counts, factory=None):
 
 
 def reorder_pd(pd, bwt, sisa, factory=None, shift=0):
-    """K of a rank-order PD, by the product's walk and ``emit_k``."""
+    """K of a rank-order PD, by the product's walk and ``emit_k``; the walk
+    releases PD's planes, so each walk takes a PD of its own."""
     return emit_k(position_counts(pd, bwt, sisa, factory), bwt.n, shift=shift)
 
 

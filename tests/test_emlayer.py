@@ -3,7 +3,7 @@ from array import array
 import pytest
 
 from plcpbits import emlayer
-from plcpbits.emlayer import StreamFactory, pack, unpack
+from plcpbits.emlayer import PART, StreamFactory, pack, sorted_array, unpack
 from plcpbits.errors import PlcpError
 
 
@@ -162,3 +162,13 @@ def test_meter_tracks_peaks():
     f.meter.note("y", 1)
     assert f.meter.peak("x") == 5
     assert f.meter.peak("missing") == 0
+
+
+@pytest.mark.parametrize("m", [0, 1, PART + 1, 9 * PART + 3, 70 * PART])
+def test_sorted_array_matches_sorted(rng, m):
+    """Sorted ``PART`` at a time and merged up to eight runs at a time,
+    over as many as three levels, items come out as ``sorted`` gives
+    them, repeats too."""
+    for top in (10 * m, 5):
+        items = [rng.randrange(top + 1) for _ in range(m)]
+        assert sorted_array(iter(items), "Q") == array("Q", sorted(items))

@@ -7,7 +7,7 @@ from math import ceil
 import pytest
 
 from conftest import abbab, banana, make_fixture, random_text
-from oracle_rounds import reorder_pd, run_rounds_internal
+from oracle_rounds import pd_from_counts, reorder_pd, run_rounds_internal
 from plcpbits import (Bwt, StreamFactory, build_plcp, emlayer,
                       reconstruct_text, reorder)
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
@@ -53,8 +53,8 @@ def test_reorder_matches_oracle_across_rates(rng):
         sigma = rng.choice([2, 4, 16])
         fx = make_fixture(random_text(rng, n, sigma), sigma)
         f = StreamFactory()
-        pd = run_rounds_external(fx.bwt, f).pd
         for rate in {1, 2, max(1, n.bit_length()), n}:
+            pd = run_rounds_external(fx.bwt, f).pd  # a walk releases its PD
             k = emit_k(position_counts(pd, fx.bwt, fx.sisa(rate), f), n)
             assert k.bit_string() == fx.k_bits(), (n, sigma, rate)
         assert f.total_non_sequential() == 0
@@ -96,7 +96,7 @@ def test_walks_match_oracle_at_every_rate(tmp_path, rng):
     texts += [make_fixture(random_text(rng, n, 4), 4) for n in (2, 5, 11)]
     for i, fx in enumerate(texts):
         n = fx.n
-        pd = run_rounds_internal(fx.bwt).pd
+        counts = run_rounds_internal(fx.bwt).pd.counts()
         # a circular K starts right after a position of PLCP zero
         shift = (fx.sa[0] + 1) % n if fx.text.circular else 0
         for capacity in (1, 3, STREAM_BUFFER_ITEMS):
@@ -109,7 +109,8 @@ def test_walks_match_oracle_at_every_rate(tmp_path, rng):
                 for rate in range(1, n + 3):
                     sisa = fx.sisa(rate)
                     case = (list(fx.text.symbols), capacity, directory, rate)
-                    k = reorder_pd(pd, fx.bwt, sisa, factory=f, shift=shift)
+                    k = reorder_pd(pd_from_counts(counts), fx.bwt, sisa,
+                                   factory=f, shift=shift)
                     assert k.decode_all() == list(fx.plcp.values), case
                     assert reconstruct_text(fx.bwt, sisa, f) == \
                         list(fx.text.symbols), case
@@ -124,7 +125,7 @@ def test_text_walk_finds_positions(tmp_path, rng):
     texts += [make_fixture(random_text(rng, n, 4), 4) for n in (2, 5, 11)]
     for i, fx in enumerate(texts):
         n = fx.n
-        pd = run_rounds_internal(fx.bwt).pd
+        pd_counts = run_rounds_internal(fx.bwt).pd.counts()
         for capacity in (1, 3, STREAM_BUFFER_ITEMS):
             for directory in (None, tmp_path / ("%d-%d" % (i, capacity))):
                 if directory:
@@ -134,11 +135,13 @@ def test_text_walk_finds_positions(tmp_path, rng):
                 for rate in {1, 3, max(1, (n - 1).bit_length()), n + 2}:
                     case = (list(fx.text.symbols), capacity, directory, rate)
                     counts, text, keys, positions = position_counts(
-                        pd, fx.bwt, fx.sisa(rate), f, find=range(n))
+                        pd_from_counts(pd_counts), fx.bwt, fx.sisa(rate), f,
+                        find=range(n))
                     assert text == fx.text.symbols, case
                     assert dict(zip(keys, positions)) == \
                         dict(enumerate(fx.sa)), case
-                    plain = position_counts(pd, fx.bwt, fx.sisa(rate), f)
+                    plain = position_counts(pd_from_counts(pd_counts),
+                                            fx.bwt, fx.sisa(rate), f)
                     assert list(counts) == list(plain), case
                     f.release(counts)
                 assert f.streams == [] and f.total_non_sequential() == 0
@@ -338,13 +341,14 @@ def test_spilled_lf_pass_buckets_fill_one_buffer(rng, monkeypatch):
 def test_walk_buffers_do_not_exceed_the_capacity(rng):
     n = 1000
     fx = make_fixture(random_text(rng, n, 4), 4)
-    pd = run_rounds_internal(fx.bwt).pd
+    counts = run_rounds_internal(fx.bwt).pd.counts()
     # rate 100, 10 cursors: each pass's values fit one list of m slots;
     # rate 4, 250 cursors: every pass spills, and its values are placed
     # one block of 64 slots at a time
     for rate in (100, 4):
         f = StreamFactory(capacity=64)
-        k = reorder_pd(pd, fx.bwt, fx.sisa(rate), factory=f)
+        k = reorder_pd(pd_from_counts(counts), fx.bwt, fx.sisa(rate),
+                       factory=f)
         assert k.decode_all() == list(fx.plcp.values), rate
         peaks = f.meter.peaks
         assert peaks["count_column"] > 0, rate
@@ -450,7 +454,7 @@ def test_walk_writes_no_more_per_value_at_a_higher_rate(tmp_path, rng,
     every pass re-wrote each cursor's window."""
     n = 8000
     fx = make_fixture(random_text(rng, n, 4), 4)
-    pd = run_rounds_internal(fx.bwt).pd
+    counts = run_rounds_internal(fx.bwt).pd.counts()
     written = []
     append_chunk = emlayer._FileBackend.append_chunk
 
@@ -464,7 +468,8 @@ def test_walk_writes_no_more_per_value_at_a_higher_rate(tmp_path, rng,
         directory.mkdir()
         with StreamFactory(str(directory), capacity=256) as f:
             written.append(0)
-            k = emit_k(position_counts(pd, fx.bwt, fx.sisa(rate), f), n)
+            k = emit_k(position_counts(pd_from_counts(counts), fx.bwt,
+                                       fx.sisa(rate), f), n)
             assert k.decode_all() == list(fx.plcp.values), rate
             assert f.streams == [] and f.total_non_sequential() == 0
     assert 0 < written[1] <= 1.25 * written[0], written
@@ -558,12 +563,13 @@ def test_emit_k_transient_stays_a_piece(rng):
 def test_count_column_holds_counts_above_a_byte(tmp_path, rng, capacity):
     unit = [rng.randrange(1, 4) for _ in range(300)]
     fx = make_fixture(unit * 2 + [0], 4)
-    pd = run_rounds_internal(fx.bwt).pd
-    assert max(pd.counts()) > 255
+    counts = run_rounds_internal(fx.bwt).pd.counts()
+    assert max(counts) > 255
     for directory in (None, str(tmp_path)):
         f = StreamFactory(directory, capacity=capacity)
         for rate in (1, 7, fx.n):
-            k = reorder_pd(pd, fx.bwt, fx.sisa(rate), factory=f)
+            k = reorder_pd(pd_from_counts(counts), fx.bwt, fx.sisa(rate),
+                           factory=f)
             assert k.decode_all() == list(fx.plcp.values), (directory, rate)
         assert f.streams == [] and f.total_non_sequential() == 0
 
@@ -588,11 +594,12 @@ def test_text_walk_reads_out_bytes_and_typed_arrays(tmp_path, rng,
     """With ranks to find, the fused column and the counts come as typed
     arrays, a buffer at a time, and the text as bytes."""
     fx = make_fixture(random_text(rng, 300, 5), 5)
-    pd = run_rounds_internal(fx.bwt).pd
+    pd_counts = run_rounds_internal(fx.bwt).pd.counts()
     for directory in (None, str(tmp_path)):
         f = StreamFactory(directory, capacity=capacity)
         fused_columns.clear()
-        counts, text, _, _ = position_counts(pd, fx.bwt, fx.sisa(7), f,
+        counts, text, _, _ = position_counts(pd_from_counts(pd_counts),
+                                             fx.bwt, fx.sisa(7), f,
                                              find=range(fx.n))
         assert isinstance(text, bytes) and text == fx.text.symbols
         chunks = list(counts.rewind().chunks())
@@ -612,7 +619,7 @@ def test_fused_column_switches_to_four_bytes(tmp_path, rng, fused_columns,
     sigma 256, so a count above 255 needs the record type I."""
     unit = [rng.randrange(1, 256) for _ in range(300)]
     fx = make_fixture(unit * 2 + [0], 256)
-    pd = run_rounds_internal(fx.bwt).pd
+    pd_counts = run_rounds_internal(fx.bwt).pd.counts()
     for directory in (None, str(tmp_path)):
         f = StreamFactory(directory, capacity=capacity)
         for cutoff in (0, 1):
@@ -621,7 +628,8 @@ def test_fused_column_switches_to_four_bytes(tmp_path, rng, fused_columns,
             assert k.decode_all() == list(fx.plcp.values), (directory, cutoff)
         fused_columns.clear()
         counts, text, keys, positions = position_counts(
-            pd, fx.bwt, fx.sisa(7), f, find=range(fx.n))
+            pd_from_counts(pd_counts), fx.bwt, fx.sisa(7), f,
+            find=range(fx.n))
         assert emit_k(counts, fx.n).decode_all() == list(fx.plcp.values)
         assert text == fx.text.symbols
         assert dict(zip(keys, positions)) == dict(enumerate(fx.sa))
