@@ -146,6 +146,9 @@ class _MemoryBackend:
     def __len__(self):
         return sum(map(len, self.pieces))
 
+    def codes(self):
+        return (getattr(piece, "typecode", "B") for piece in self.pieces)
+
     def dispose(self):
         self.pieces = []
 
@@ -205,6 +208,9 @@ class _FileBackend:
 
     def __len__(self):
         return self._count
+
+    def codes(self):
+        return (code or "B" for _, code in self._index[1:])
 
     def dispose(self):
         if self.path:
@@ -298,10 +304,9 @@ class EmStream:
         self._packed += width
 
     def extend(self, items):
-        """Append an array as ``append_chunk`` does, or ints a buffer at a
-        time, read ``PART`` at a time into "Q" and narrowed as they come."""
-        if isinstance(items, array):
-            return self.append_chunk(items)
+        """Append ints a buffer at a time, read ``PART`` at a time into "Q"
+        and narrowed as they come, so each chunk is the narrowest array
+        that holds its items, whatever type they came in."""
         items, cap, chunk = iter(items), self.capacity, array("B")
         while part := array("Q", islice(items, min(PART, cap - len(chunk)))):
             code = max(chunk.typecode, typecode(max(part)))  # "B" < ... < "Q"
@@ -383,6 +388,11 @@ class EmStream:
         if self.bits:
             return self._packed + self._width
         return len(self._backend) + len(self._buffer or ())
+
+    def widest(self):
+        """The widest type of its chunks, "B" for bytes: an array of that
+        type holds every item it has handed to its backend."""
+        return max(self._backend.codes(), default="B")
 
     def dispose(self):
         self._backend.dispose()

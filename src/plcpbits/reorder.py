@@ -156,16 +156,18 @@ def _walk(bwt, sisa, column, factory, find=()):
     one 0, at rank 0 and position n - 1.  Otherwise: FormatError.
 
     A pass puts its values in sample order, in m slots, sample s's in
-    slot (s - 1) mod m: in a list of m zeros if its cursors fit one
-    buffer; else tagged with their slots within blocks of ``cap`` slots,
-    ``value << b | slot % cap`` (b the bits of cap - 1), in the ``block``
-    stream of ``slot // cap``, each block read back after the pass into a
-    list of at most ``cap`` zeros (metered as ``pass_values``).  The
+    slot (s - 1) mod m: in a typed array of m zeros, as wide as the
+    column's widest chunk, if its cursors fit one buffer; else tagged with
+    their slots within blocks of ``cap`` slots, ``value << b | slot %
+    cap`` (b the bits of cap - 1), in the ``block`` stream of ``slot //
+    cap``, each block read back after the pass into such an array of at
+    most ``cap`` zeros (metered as ``pass_values``).  The
     ceil(m / cap) block streams take 1 / ceil(m / cap) of a buffer a
     chunk, so their write buffers fit one buffer while m <= cap**2, about
-    4 * 10**9 cursors at the default capacity.  A pass's list is held as
-    the narrowest typed array if n values and m cursors fit one buffer,
-    else its lists go to a stream of 1 / passes of a buffer a chunk.
+    4 * 10**9 cursors at the default capacity.  A pass's array is held
+    narrowed to its values if n values and m cursors fit one buffer, else
+    its arrays go to a stream of 1 / passes of a buffer a chunk, each
+    chunk narrowed as it is cut (``EmStream.extend``).
     Passes rate - 1, ..., 0 of sample s >= 1 are positions (s - 1) * rate
     + 1, ..., s * rate: text order is a zip of the passes, last first.
     """
@@ -182,6 +184,7 @@ def _walk(bwt, sisa, column, factory, find=()):
     whole = n + m <= cap  # every pass's values stay in memory
     chunk = max(1, cap // passes)  # of a pass's stream
     low = (cap - 1).bit_length()  # a spilled value's slot bits
+    zero = array("B" if column is None else column.widest(), [0])
     firsts = range(0, m, cap)  # each block's first slot
     top = max([n, *find[-1:]]) + 1  # a last key, past every rank
     keys = array(typecode(top), (k for k, _ in groupby(
@@ -218,7 +221,7 @@ def _walk(bwt, sisa, column, factory, find=()):
         """The values of each block stream in turn, placed by slot."""
         mask = (1 << low) - 1
         for lo, block in zip(firsts, blocks):
-            row = [0] * min(cap, m - lo)
+            row = zero * min(cap, m - lo)
             for item in block.finish().items():
                 row[item & mask] = item >> low
             factory.release(block)
@@ -228,16 +231,16 @@ def _walk(bwt, sisa, column, factory, find=()):
     cursors = [factory.from_items(sisa.cursors, "cursors")]
     directory = _lf_directory(bwt, factory)
     for p in range(passes):
-        at, key, values = 0, keys[0], None  # the last pass's list goes first
+        at, key, values = 0, keys[0], None  # the last pass's array goes first
         values = ([factory.stream("block", max(1, cap // len(firsts)))
-                   for _ in firsts] if spill else [0] * m)
+                   for _ in firsts] if spill else zero * m)
         cursors = _lf_pass(bwt, directory, cursors, step, factory, column, m)
         if whole:
             kept.append(array(typecode(max(values)), values))
             continue
         kept.append(factory.stream("values", chunk))
         for row in placed(values) if spill else [values]:
-            kept[-1].append_chunk(row)
+            kept[-1].extend(row)
         kept[-1].finish()
     factory.release(*cursors, directory)
     if n in found:

@@ -5,13 +5,14 @@ Beller, Gog, Ohlebusch and Schnattinger (2013), who run them over a
 wavelet tree.  A rank is *active* from the round in which its LF image
 receives a value until the round in which the rank itself does; each
 active round adds one zero bit in front of the rank's one bit in PD.
-The builder keeps the round's state as rank-order bit streams, one bit
-per rank, and PD as bit-plane counters; it moves marks only forward
-through LF, and works each pass a whole chunk at a time on packed
+The builder keeps two streams, the interval starts, one bit per rank,
+and PD as bit-plane counters; it moves marks only forward through LF,
+and works each round in one pass, a whole chunk at a time on packed
 words of one bit per rank.  A symbol's ranks are an AND of the chunk's
 bit planes, gathered by an 8x8 bit-matrix transpose; its first marks are
 a carry add over them; their LF-forward is one byte translation of a key
-of symbol·2 + mark a rank; and PD grows by the carry-save add of
+of symbol·2 + mark a rank; the active ranks are the first marks that
+are not starts; and PD grows by them in the carry-save add of
 Harley-Seal popcounts (Mula, Kurz and Lemire, 2018).
 """
 
@@ -133,8 +134,9 @@ class PdBits:
         self.capacity = capacity
 
     def written(self, factory, chunks):
-        """PD of the same ranks from each chunk's bit planes, on a new
-        stream that gives a chunk back whole up to 64 planes."""
+        """PD of the same ranks from each chunk's bit planes, taken and
+        written one chunk at a time, on a new stream that gives a chunk
+        back whole up to 64 planes."""
         out = factory.stream("pd", ((self.capacity + 7) >> 3) << 6)
         for planes, size in zip(chunks, self._sizes()):
             out.append_whole(b"".join(p.to_bytes((size + 7) >> 3, "little")
@@ -301,8 +303,9 @@ def _keys(chunk, marks, split):
     return [b"".join(parts) for parts in keys]
 
 
-def _next_starts(keys, starts, sigma, factory):
-    """The next round's interval starts, and this round's first marks.
+def _round(keys, starts, pd, sigma, factory):
+    """One round in one pass: the next round's interval starts; PD grown
+    by the round's active ranks; and how many starts and active ranks.
 
     A rank is *first* when its BWT symbol a occurs there for the first
     time in its interval.  Per chunk, on packed words of one bit per rank,
@@ -316,6 +319,12 @@ def _next_starts(keys, starts, sigma, factory):
     marked in ``starts`` or not.  The OR of all symbols' first marks is
     the chunk's first word, first[r] = next_starts[LF(r)].
 
+    The active ranks are first & ~B, and the chunk's PD planes grow by
+    them (``_grow``) and go to the new PD before the next chunk is read.
+    In round k, first[r] is LCP[LF(r)] <= k and B[r] is LCP[r] >= k
+    negated, so rank r gains a zero bit in the rounds LCP[LF(r)] to
+    LCP[r], LCP[r] - LCP[LF(r)] + 1 in all: the PLCP difference.
+
     The LF-forward of the marks is one translate-delete per symbol of the
     chunk's key, a byte symbol·2 + mark a rank, highest rank first
     (``_keys``): it deletes the other symbols' bytes and maps a's to the
@@ -325,7 +334,6 @@ def _next_starts(keys, starts, sigma, factory):
     one chunk yields the marks in symbol order already, so they go
     straight to the next starts, with no stream per symbol.
     """
-    carry = [1] * sigma
     count = max(1, (sigma - 1).bit_length())
     if len(keys) <= keys.capacity:
         nxt = factory.bits("starts", keys.capacity)
@@ -333,76 +341,56 @@ def _next_starts(keys, starts, sigma, factory):
     else:
         nxt = None
         buckets = defaultdict(lambda: factory.bits("bucket"))
-    first = factory.bits("first", keys.capacity)
-    for chunk, (b, size) in zip(keys.chunks(), starts.rewind().words()):
-        mask = (1 << size) - 1
-        planes = _planes(chunk, count)
-        word = 0
-        present = []
-        for a, at in _masks(planes, mask):
-            d = mask ^ at
-            t = d + (b & d) + carry[a]
-            word |= at & (t | b)
-            present.append((a, t >> size))
-        if b:  # a start carries into the next a of every symbol absent
-            carry = [1] * sigma
-        for a, out in present:
-            carry[a] = out
-        first.append_word(word, size)
-        keyed = _keys(chunk, word, count == 8)
-        for a, _ in present:
-            digits = keyed[a >> 7].translate(DIGIT, OTHERS[a & 127])
-            buckets[a].append_word(int(digits, 2), len(digits))
+    tally = [0, 0]  # the next starts, the active ranks
+
+    def grown():
+        """Each chunk's PD planes, grown by its active ranks."""
+        carry = [1] * sigma
+        for chunk, (b, size), held in zip(keys.chunks(),
+                                          starts.rewind().words(),
+                                          pd.chunks()):
+            mask = (1 << size) - 1
+            planes = _planes(chunk, count)
+            word = 0
+            present = []
+            for a, at in _masks(planes, mask):
+                d = mask ^ at
+                t = d + (b & d) + carry[a]
+                word |= at & (t | b)
+                present.append((a, t >> size))
+            if b:  # a start carries into the next a of every symbol absent
+                carry = [1] * sigma
+            for a, out in present:
+                carry[a] = out
+            keyed = _keys(chunk, word, count == 8)
+            for a, _ in present:
+                digits = keyed[a >> 7].translate(DIGIT, OTHERS[a & 127])
+                buckets[a].append_word(int(digits, 2), len(digits))
+            active = word & ~b
+            tally[0] += word.bit_count()
+            tally[1] += active.bit_count()
+            yield _grow(held, active)
+
+    pd = pd.written(factory, grown())
     if nxt is None:
         nxt = concat_buckets(buckets, factory, "starts", keys.capacity)
-    return nxt.finish(), first.finish()
-
-
-def _active(new, old, first, first_prev, active, act_next, tally):
-    """The round's marks, chunk by chunk: the ranks active in this round.
-
-    The newly set ranks are the new starts that are not old starts.  A
-    rank r turns active when its LF image is newly set, which is
-    first[r] and not first_prev[r], unless r itself was set before this
-    round (``old``: a rank set in this same round still gains its zero
-    bit).  All five streams are read as packed words, one bit per rank,
-    and the marks are yielded as packed words, for ``_grow``.  The next
-    active marks, without the set ranks, go to ``act_next``; ``tally``
-    counts the starts, the newly set and the active ranks.
-    """
-    words = zip(new.rewind().words(), old.rewind().words(),
-                first.rewind().words(), first_prev.rewind().words(),
-                active.rewind().words())
-    for (now, width), (was, _), (fc, _), (pc, _), (ac, _) in words:
-        a = ac | (fc & ~pc & ~was)
-        tally[0] += now.bit_count()
-        tally[1] += (now & ~was).bit_count()
-        tally[2] += a.bit_count()
-        act_next.append_word(a & ~now, width)
-        yield a
+    return nxt.finish(), pd, *tally
 
 
 def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     """Sequential round builder over rank-order bit streams.
 
-    The state is four streams: three bit streams of one bit per rank, the
-    interval starts, the previous round's first marks and the active
-    marks, and PD's bit planes.  After k rounds the starts are the ranks
-    that begin an interval of equal length-k prefixes, which are the ranks
-    of LCP below k: the set marks (none before round 0).  Per round, two
-    passes, both chunk-wise:
-
-    - the first marks, and the next starts as their LF images
-      (``_next_starts``);
-    - the active marks (``_active``): the newly set ranks are the new
-      starts not old; a rank turns active when its LF image is newly set,
-      unless it was set before this round; the set ranks leave the active
-      set.  Every active rank gains a zero bit in PD: its count grows by
-      one, in a ripple-carry add of the marks to the planes (``_grow``).
-
-    Marks move only forward through LF: the LF image of rank r is a new
-    start exactly when r is first, and was an old start exactly when r
-    was first in the round before.
+    The state is two streams: the interval starts, a bit stream of one
+    bit per rank, and PD's bit planes.  After k rounds the starts are the
+    ranks that begin an interval of equal length-k prefixes, which are
+    the ranks of LCP below k: the set marks (none before round 0).  A
+    round is one pass, chunk by chunk (``_round``): the first marks, the
+    next starts as their LF images, and PD grown by one at the active
+    ranks, first and not a start, in a ripple-carry add of their marks to
+    the planes (``_grow``).  Marks move only forward through LF: the LF
+    image of rank r is a new start exactly when r is first.  The starts
+    only grow, so a round's newly set ranks are its starts less the
+    round before's.
 
     Besides stream buffers and one chunk of PD's planes, a round keeps one
     carry of the first marks per symbol in memory.  Each round appends its
@@ -412,10 +400,9 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     """
     factory = factory or emlayer.StreamFactory()
     n = bwt.n
-    sigma = bwt.sigma
     cap = bwt.stream(factory).capacity
 
-    starts = first = active = _Zeros(n, cap)
+    starts = _Zeros(n, cap)
     pd = PdBits(None, n, cap)  # no planes: every count 0
     bits = n  # PD's length: n plus every round's active ranks
     set_count = 0
@@ -426,23 +413,15 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
             break
         factory.meter.note("round_state", 8)
         began = perf_counter()
-
-        nxt, first_next = _next_starts(bwt.stream(factory), starts, sigma,
-                                       factory)
-        act_next = factory.bits("active", cap)
-        tally = [0, 0, 0]
-        marks = _active(nxt, starts, first_next, first, active, act_next,
-                        tally)
-        grown = pd.written(factory, map(_grow, pd.chunks(), marks))
-        factory.release(pd._bits, starts, first, active)
-        pd = grown
-        starts, first = nxt, first_next
-        active = act_next.finish()
-        set_count += tally[1]
-        bits += tally[2]
-        stats.append(RoundStats(*tally, bits, perf_counter() - began))
+        nxt, grown, count, active = _round(bwt.stream(factory), starts, pd,
+                                           bwt.sigma, factory)
+        factory.release(pd._bits, starts)
+        pd, starts = grown, nxt
+        bits += active
+        stats.append(RoundStats(count, count - set_count, active, bits,
+                                perf_counter() - began))
+        set_count = count
         if stop is not None and stop(stats):
             break
 
-    factory.release(first, active)
     return RoundResult(pd, starts, len(stats), stats)

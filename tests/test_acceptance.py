@@ -19,7 +19,7 @@ from plcpbits import (StreamFactory, build_plcp, detect_period, plcp_encode,
                       reconstruct_text, run_rounds_external, shrink_bwt)
 from plcpbits.reorder import emit_k, position_counts
 from plcpbits.succinct import GammaStream
-from plcpbits.rounds import _next_starts
+from plcpbits.rounds import PdBits, _round
 from plcpbits.textcore import Text, brute_period
 
 _SIZES = [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128, 192,
@@ -173,7 +173,9 @@ def test_criterion_06_gamma_size():
 
 def test_criterion_07_inverse_sort_identity():
     """The rounds move marks forward through LF only: the next starts at
-    LF(r) are the first marks at r, so no inverse sort is needed."""
+    LF(r) are the first marks at r, so no inverse sort is needed.  A
+    round grows PD by the first marks that are not starts, and a start is
+    first, so from a zero PD they are the starts OR the grown counts."""
     rng = random.Random(31)
     ok = True
     for _ in range(1000):
@@ -188,10 +190,11 @@ def test_criterion_07_inverse_sort_identity():
             lf[r] = i
         marks = f.bits("starts")
         marks.append_chunk(starts)
-        nxt, first = _next_starts(f.wrap(bytes(keys)), marks.finish(),
-                                  sigma, f)
-        nxt, first = list(nxt.items()), list(first.items())
-        ok &= all(nxt[lf[r]] == first[r] for r in range(n))
+        nxt, pd, _, _ = _round(f.wrap(bytes(keys)), marks.finish(),
+                               PdBits(None, n, 16), sigma, f)
+        nxt, grown = list(nxt.items()), pd.counts()
+        ok &= all(nxt[lf[r]] == starts[r] | grown[r] and
+                  not starts[r] & grown[r] for r in range(n))
     verdict(7, ok, "next starts at LF(r) equal the first marks at r on "
             "1000 random streams")
 

@@ -294,15 +294,15 @@ def test_failed_build_removes_temp_dir(tmp_path, capsys, monkeypatch, keep):
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    next_starts = rounds._next_starts
+    one_round = rounds._round
     calls = []
 
     def fail_in_second_round(*args):
         calls.append(args)
         if len(calls) == 2:
             raise PlcpError("injected failure")
-        return next_starts(*args)
-    monkeypatch.setattr(rounds, "_next_starts", fail_in_second_round)
+        return one_round(*args)
+    monkeypatch.setattr(rounds, "_round", fail_in_second_round)
     code, _, err = run(capsys, "build", pre + ".bwt", pre + ".sisa",
                        "-o", pre + ".plcp", *(["--keep-temp"] if keep else []))
     assert code == 1 and "injected failure" in err

@@ -172,3 +172,23 @@ def test_sorted_array_matches_sorted(rng, m):
     for top in (10 * m, 5):
         items = [rng.randrange(top + 1) for _ in range(m)]
         assert sorted_array(iter(items), "Q") == array("Q", sorted(items))
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_widest_is_the_type_of_the_widest_chunk(tmp_path, backend):
+    """``widest`` reads the chunks' types, not their items: "B" for bytes
+    and for a stream with no chunk."""
+    f = StreamFactory(str(tmp_path) if backend == "file" else None,
+                      capacity=4)
+    lanes = f.stream("lanes")
+    for lane in (array("B", [1]), array("I", [70000]), array("H", [3])):
+        lanes.append_chunk(lane)
+    raw = f.stream("bytes")
+    raw.append_chunk(b"\x00\x01\xff")
+    listed = f.stream("list")
+    listed.extend([1, 2, 3, 4, 300])
+    assert [s.finish().widest() for s in (lanes, raw, listed)] == \
+        ["I", "B", "H"]
+    assert f.stream("empty").finish().widest() == "B"
+    assert f.wrap(array("H", [1, 2])).widest() == "H"
+    f.release(*f.streams)

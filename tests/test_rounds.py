@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import abbab, banana, make_fixture, random_text
 from oracle_rounds import pd_from_counts, run_rounds_internal, to_planes
-from plcpbits import StreamFactory, emlayer
+from plcpbits import StreamFactory, emlayer, rounds
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS, from_planes
 from plcpbits.errors import NotIncreasing, OutOfRange
 from plcpbits.reorder import emit_k, position_counts
-from plcpbits.rounds import (IntervalList, _grow, _next_starts,
+from plcpbits.rounds import (IntervalList, PdBits, _grow, _round,
                              run_rounds_external)
-from plcpbits.textcore import Text, build_bwt, build_suffix_array
+from plcpbits.textcore import (Text, brute_period, build_bwt,
+                               build_suffix_array)
 
 
 def expected_pd_counts(fx):
@@ -91,6 +92,38 @@ def test_strategies_agree(rng):
             c = run_rounds_external(fx.bwt, StreamFactory(capacity=capacity))
             assert c.pd.bit_string() == a.pd.bit_string(), (n, capacity)
             assert c.rounds == a.rounds
+
+
+def primitive_text(rng, n, sigma):
+    """A random circular text of n symbols below σ, none a power."""
+    while True:
+        symbols = [rng.randrange(sigma) for _ in range(n)]
+        if brute_period(symbols) == n:
+            return symbols
+
+
+@pytest.mark.parametrize("circular", [False, True])
+@pytest.mark.parametrize("sigma", [2, 4, 16, 200])
+def test_rounds_match_oracle_round_for_round(rng, sigma, circular):
+    """Rounds cut after k, as the hybrid cuts them, give the oracle's PD
+    counts and set marks after k rounds, for every k from 0 to the last,
+    on chunks of 3 and 64 ranks and of the default buffer."""
+    for _ in range(3):
+        n = rng.randrange(2, 150)
+        fx = (make_fixture(primitive_text(rng, n, sigma), sigma, True)
+              if circular else make_fixture(random_text(rng, n, sigma), sigma))
+        last = run_rounds_internal(fx.bwt).rounds
+        for k in range(last + 1):
+            want = run_rounds_internal(fx.bwt, max_rounds=k)
+            marks = list(want.set_marks.rewind().items())
+            for capacity in (3, 64, STREAM_BUFFER_ITEMS):
+                f = StreamFactory(capacity=capacity)
+                r = run_rounds_external(fx.bwt, f, max_rounds=k)
+                assert r.rounds == want.rounds == k, (n, k, capacity)
+                assert r.pd.counts() == want.pd.counts(), (n, k, capacity)
+                assert list(r.set_marks.rewind().items()) == marks
+                f.release(r.pd._bits, r.set_marks)
+                assert f.streams == [] and f.total_non_sequential() == 0
 
 
 def test_value_set_in_lcp_round(rng, tmp_path):
@@ -214,6 +247,28 @@ def test_pd_on_disk_takes_at_most_half_a_byte_per_rank(tmp_path, rng):
         f.release(r.pd._bits, r.set_marks)
 
 
+def test_a_round_holds_one_chunk_of_pd_planes(rng, monkeypatch):
+    """Above one buffer, a round appends each chunk's grown planes to the
+    new PD before it grows the next chunk's: it holds one chunk of them."""
+    n, capacity = 1000, 64
+    fx = make_fixture(random_text(rng, n, 4), 4)
+    events = []
+    grow, append = rounds._grow, emlayer.EmStream.append_whole
+
+    def grown(planes, marks):
+        events.append("grow")
+        return grow(planes, marks)
+
+    def appended(stream, chunk):
+        events.append("append")
+        append(stream, chunk)
+    monkeypatch.setattr(rounds, "_grow", grown)
+    monkeypatch.setattr(emlayer.EmStream, "append_whole", appended)
+    r = run_rounds_external(fx.bwt, StreamFactory(capacity=capacity))
+    assert r.pd.counts() == expected_pd_counts(fx)
+    assert events == ["grow", "append"] * (-(-n // capacity) * r.rounds)
+
+
 # counts that cross a byte and two bytes, among small ones
 COUNTS = st.lists(st.one_of(st.integers(0, 3), st.sampled_from(
     [254, 255, 256, 65534, 65535, 65536])), min_size=1, max_size=40)
@@ -252,21 +307,29 @@ def test_bit_planes_hold_counts_and_grow_by_carry_save(backend, capacity,
                          [(3001, 64), (700, 3), (2000, STREAM_BUFFER_ITEMS)])
 def test_mark_streams_on_disk_take_a_bit_per_rank(tmp_path, monkeypatch, n,
                                                   capacity):
-    """On temp files, once a round is done, each of its starts, first and
-    active streams holds at most ceil(n / 8) bytes plus one per chunk;
-    above one buffer, so do the round's per-symbol bucket streams
-    together, plus one byte per symbol."""
+    """On temp files, once a round is done, its starts stream holds at
+    most ceil(n / 8) bytes plus one per chunk, and its PD stream at most
+    that per plane; above one buffer, so do the round's per-symbol bucket
+    streams together, plus one byte per symbol.  No stream of first or
+    active marks is ever made: a round's state is its starts and PD."""
     fx = make_fixture(random_text(random.Random(n), n, 4), 4)
     bound = -(-n // 8) + -(-n // capacity)
+    planes = max(expected_pd_counts(fx)).bit_length()
     released = []  # sizes of the bucket files of the round under way
-    dispose = emlayer._FileBackend.dispose
+    made = set()  # the kinds of stream a file was made for
+    dispose, init = emlayer._FileBackend.dispose, emlayer._FileBackend.__init__
 
     def measured(backend):
         if backend.path and os.path.basename(backend.path).startswith(
                 "bucket"):
             released.append(os.path.getsize(backend.path))
         dispose(backend)
+
+    def named(backend, path, spares):
+        made.add(os.path.basename(path).rsplit("-", 1)[0])
+        init(backend, path, spares)
     monkeypatch.setattr(emlayer._FileBackend, "dispose", measured)
+    monkeypatch.setattr(emlayer._FileBackend, "__init__", named)
     buckets = []
 
     def stop(stats):
@@ -275,8 +338,8 @@ def test_mark_streams_on_disk_take_a_bit_per_rank(tmp_path, monkeypatch, n,
             kind = name.rsplit("-", 1)[0]
             sizes.setdefault(kind, []).append(
                 os.path.getsize(os.path.join(tmp_path, name)))
-        for kind in ("starts", "first", "active"):
-            assert 0 < max(sizes[kind]) <= bound, (kind, sizes[kind])
+        assert 0 < max(sizes["starts"]) <= bound, sizes["starts"]
+        assert 0 < max(sizes["pd"]) <= planes * bound, sizes["pd"]
         buckets.append(sum(released))
         released.clear()
         return False
@@ -290,6 +353,7 @@ def test_mark_streams_on_disk_take_a_bit_per_rank(tmp_path, monkeypatch, n,
         else:
             assert not any(buckets)
         f.release(r.pd._bits, r.set_marks)
+    assert {"starts", "pd"} <= made and not made & {"first", "active"}, made
 
 
 def reference_next_starts(keys, starts, sigma):
@@ -307,37 +371,49 @@ def reference_next_starts(keys, starts, sigma):
                      for a in range(sigma)), bytes(first))
 
 
+def round_from_zero_pd(keys, starts, sigma, capacity):
+    """``_round`` on the 0/1 ``starts`` from a PD of zero counts: the next
+    starts, as 0/1 bytes, and the grown counts, one PD chunk a stream
+    chunk."""
+    f = StreamFactory(capacity=capacity)
+    marks = f.bits("starts")
+    marks.append_chunk(starts)
+    marks.finish()
+    out, pd, count, active = _round(f.wrap(bytes(keys)), marks,
+                                    PdBits(None, len(keys), capacity),
+                                    sigma, f)
+    assert count == sum(out.rewind().items())
+    assert active == sum(pd.counts())
+    assert [len(c) for c in out.rewind().chunks()] == \
+        [len(c) for c in marks.rewind().chunks()] == \
+        [len(c) for c in pd.lanes()]
+    return bytes(out.rewind().items()), bytes(pd.counts())
+
+
+def grown_by_reference(keys, starts, sigma):
+    """The next starts and the counts grown from zero by the reference:
+    the first marks that are not starts; rank 0 begins an interval,
+    marked in the starts or not."""
+    nxt, first = reference_next_starts(keys, b"\1" + starts[1:], sigma)
+    return nxt, bytes(f & (1 - b) for f, b in zip(first, starts))
+
+
 @pytest.mark.parametrize("sigma", [1, 2, 5, 64, 255, 256])
 def test_next_starts_match_per_rank_reference(rng, sigma):
+    """The next starts and, grown from a zero PD, the active marks: the
+    first marks that are not starts, which with the starts are all the
+    first marks, since a start is first."""
     for capacity in (1, 3, 8, STREAM_BUFFER_ITEMS):
         for density in (0.0, 0.05, 0.5, 1.0):
             n = rng.randrange(1, 400)
             keys = [rng.randrange(sigma) for _ in range(n)]
             rest = [rng.random() < density for _ in range(n - 1)]
-            want = reference_next_starts(keys, bytes([1] + rest), sigma)
             # rank 0 begins an interval, marked in the starts or not
             for head in (1, 0):
                 starts = bytes([head] + rest)
-                f = StreamFactory(capacity=capacity)
-                marks = f.bits("starts")
-                marks.append_chunk(starts)
-                out, first = _next_starts(f.wrap(bytes(keys)), marks.finish(),
-                                          sigma, f)
-                got = (bytes(out.rewind().items()),
-                       bytes(first.rewind().items()))
+                want = grown_by_reference(keys, starts, sigma)
+                got = round_from_zero_pd(keys, starts, sigma, capacity)
                 assert got == want, (n, capacity, density, head)
-                for stream in (out, first):
-                    assert [len(c) for c in stream.rewind().chunks()] == \
-                        [len(c) for c in marks.rewind().chunks()]
-
-
-def packed_next_starts(keys, starts, sigma, capacity):
-    """``_next_starts`` on the 0/1 ``starts``, as 0/1 bytes."""
-    f = StreamFactory(capacity=capacity)
-    marks = f.bits("starts")
-    marks.append_chunk(starts)
-    out, first = _next_starts(f.wrap(bytes(keys)), marks.finish(), sigma, f)
-    return bytes(out.rewind().items()), bytes(first.rewind().items())
 
 
 @pytest.mark.parametrize("sigma", [127, 128, 129, 200])
@@ -352,11 +428,10 @@ def test_next_starts_across_chunk_and_key_byte_edges(rng, sigma):
             n = 2 * rng.randrange(500, 1500) + 1
             keys = [rng.randrange(sigma) for _ in range(n)]
             rest = [rng.random() < density for _ in range(n - 1)]
-            want = reference_next_starts(keys, bytes([1] + rest), sigma)
-            # rank 0 begins an interval, marked in the starts or not
             for head in (1, 0):
-                got = packed_next_starts(keys, bytes([head] + rest), sigma,
-                                         capacity)
+                starts = bytes([head] + rest)
+                want = grown_by_reference(keys, starts, sigma)
+                got = round_from_zero_pd(keys, starts, sigma, capacity)
                 assert got == want, (n, capacity, density, head)
 
 
@@ -376,11 +451,11 @@ def test_next_starts_heap_stays_under_9_bytes_per_rank(sigma):
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        out, first = _next_starts(keys, marks, sigma, f)
+        out, pd, _, _ = _round(keys, marks, PdBits(None, n, n), sigma, f)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert len(out) == len(first) == n
+    assert len(out) == len(pd.counts()) == n
     assert peak <= 9 * n, peak / n
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -102,7 +103,11 @@ def test_select0_ignores_the_bits_past_n(n, rng):
 
 
 def line_events(call):
-    """The number of line events traced while ``call()`` runs."""
+    """The number of line events traced while ``call()`` runs.  The cyclic
+    collector is run before and kept off during the trace: a collection
+    that starts inside it, on ``call``'s allocations, runs the finalisers
+    of what it frees, such as a suspended generator's ``finally``, and
+    their lines would be counted too."""
     count = 0
 
     def tracer(frame, event, arg):
@@ -110,12 +115,17 @@ def line_events(call):
         count += event == "line"
         return tracer
 
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     before = sys.gettrace()
     sys.settrace(tracer)
     try:
         call()
     finally:
         sys.settrace(before)
+        if enabled:
+            gc.enable()
     return count
 
 
