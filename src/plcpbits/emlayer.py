@@ -34,6 +34,7 @@ from .errors import StreamStateError
 # considered I/O buffers and are excluded from resident-memory accounting.
 STREAM_BUFFER_ITEMS = 65536
 PART = 1024  # ints that ``EmStream.extend`` reads at a time, as "Q"
+CODES = (None, "B", "H", "I", "Q")  # a file chunk's type: bytes, or arrays
 
 
 def typecode(top):
@@ -157,19 +158,19 @@ class _FileBackend:
     """Chunk file: each chunk's raw bytes, ``itemsize * len`` of them,
     one after the other.
 
-    Each chunk's end offset is kept with its array type (None for
-    bytes); a read takes one chunk's bytes by one ``os.pread`` and
-    rebuilds the array from them.  The file is open only while a chunk
-    is written or read, as a raw descriptor, so the many bucket and
-    block streams of an LF pass hold no file buffers while they fill,
-    and a suspended reader holds no file: a walk reads all its passes'
-    streams side by side, more of them than a process may open.  A
-    disposed file is emptied and put on ``spares``, the factory's list,
-    and the next new stream renames it rather than creating a file: on
-    an ext4 virtual disk, creating one took 0.2-0.8 ms and renaming it
-    0.03 ms.  Opening it empty once more keeps ext4 from writing the new
-    stream's data to disk at its next close, as it does after a
-    truncation.
+    Each chunk's end offset and its type, an index in ``CODES``, are
+    kept as one integer, ``end << 3 | type``, in a typed array; a read
+    takes one chunk's bytes by one ``os.pread`` and rebuilds the array
+    from them.  The file is open only while a chunk is written or read,
+    as a raw descriptor, so the many bucket and block streams of an LF
+    pass hold no file buffers while they fill, and a suspended reader
+    holds no file: a walk reads all its passes' streams side by side,
+    more of them than a process may open.  A disposed file is emptied and
+    put on ``spares``, the factory's list, and the next new stream
+    renames it rather than creating a file: on an ext4 virtual disk,
+    creating one took 0.2-0.8 ms and renaming it 0.03 ms.  Opening it
+    empty once more keeps ext4 from writing the new stream's data to
+    disk at its next close, as it does after a truncation.
     """
 
     def __init__(self, path, spares):
@@ -179,29 +180,31 @@ class _FileBackend:
             os.replace(spares.pop(), path)
         os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
         self._count = 0
-        self._index = [(0, None)]  # per chunk: the offset it ends at, its type
+        self._index = array("Q", [0])  # per chunk: end << 3 | type
 
     def append_chunk(self, chunk):
         data = memoryview(chunk).cast("B")
-        end = self._index[-1][0] + len(data)
+        end = (self._index[-1] >> 3) + len(data)
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
         try:
             while data:
                 data = data[os.write(fd, data):]
         finally:
             os.close(fd)
-        self._index.append((end, getattr(chunk, "typecode", None)))
+        code = CODES.index(getattr(chunk, "typecode", None))
+        self._index.append(end << 3 | code)
         self._count += len(chunk)
 
     def chunks(self, start, capacity):
         first, skip = divmod(start, capacity)
         index = self._index[first:]
-        for (lo, _), (hi, code) in zip(index, index[1:]):
+        for lo, hi in zip(index, index[1:]):
             fd = os.open(self.path, os.O_RDONLY)
             try:
-                chunk = os.pread(fd, hi - lo, lo)
+                chunk = os.pread(fd, (hi >> 3) - (lo >> 3), lo >> 3)
             finally:
                 os.close(fd)
+            code = CODES[hi & 7]
             chunk = array(code, chunk) if code else chunk
             yield chunk[skip:] if skip else chunk
             skip = 0
@@ -210,7 +213,7 @@ class _FileBackend:
         return self._count
 
     def codes(self):
-        return (code or "B" for _, code in self._index[1:])
+        return (CODES[entry & 7] or "B" for entry in self._index[1:])
 
     def dispose(self):
         if self.path:
@@ -407,10 +410,10 @@ class StreamFactory:
     """
 
     def __init__(self, directory=None, capacity=STREAM_BUFFER_ITEMS,
-                 meter=None, keep_temp=False):
+                 keep_temp=False):
         self.directory = directory
         self.capacity = capacity
-        self.meter = meter if meter is not None else MemoryMeter()
+        self.meter = MemoryMeter()
         self.keep_temp = keep_temp
         self.streams = []
         self._borrowed = []
@@ -422,9 +425,8 @@ class StreamFactory:
         self._spares = []   # emptied files of released streams
 
     @classmethod
-    def tempdir(cls, capacity=STREAM_BUFFER_ITEMS, meter=None, keep_temp=False,
-                prefix="plcp-run-"):
-        factory = cls(tempfile.mkdtemp(prefix=prefix), capacity, meter, keep_temp)
+    def tempdir(cls, capacity=STREAM_BUFFER_ITEMS, keep_temp=False):
+        factory = cls(tempfile.mkdtemp(prefix="plcp-run-"), capacity, keep_temp)
         factory._owns_dir = True
         return factory
 

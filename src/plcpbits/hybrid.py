@@ -10,16 +10,17 @@ a BWT symbol change) need work: at a reducible rank r, BWT[r] =
 BWT[r - 1], so LF(r - 1) = LF(r) - 1 and LCP[LF(r)] = LCP[r] + 1; r is
 set a round before LF(r), is never active, and its count is 0, so PD
 needs no cleaning.  The one LF walk that puts PD's counts in text order
-carries each rank's BWT symbol too, so it also gives the text and the
-positions whose suffixes the kernel, ``KERNELS["direct"]``, compares;
-its counts replace the missing ranks' partial counts as ``emit_k`` reads
-them.  The kernel holds the whole text, a byte a symbol (``hybrid_text``
-on the meter); its other state is typed arrays of a few entries a
-missing rank.
+writes each rank's BWT symbol at the text position before the rank's, so
+it also gives the text and the positions whose suffixes the kernel,
+``KERNELS["direct"]``, compares; its counts replace the missing ranks'
+partial counts as ``emit_k`` reads them.  The kernel holds the whole
+text, a byte a symbol (``hybrid_text`` on the meter); its other state is
+typed arrays of a few entries a missing rank.
 """
 
 from array import array
 from bisect import bisect_left
+from contextlib import closing
 from itertools import compress, count, islice, repeat
 
 from . import emlayer
@@ -134,14 +135,12 @@ def hybrid_pd(bwt, sisa, cutoff_rounds, factory=None, adaptive=False):
     patch = emlayer.sorted_array(patch, "Q")  # by position
 
     def patched():
-        items, done = counts.items(), 0
-        try:
+        with closing(counts):
+            done = 0
             for at, value in map(divmod, patch, repeat(n + 2)):
-                yield from islice(items, at - done)
-                next(items)
+                yield from islice(counts, at - done)
+                next(counts)
                 yield value
                 done = at + 1
-            yield from items
-        finally:
-            factory.release(counts)
+            yield from counts
     return patched()

@@ -22,23 +22,25 @@ text order is a zip of the passes.  A walk whose n values and
 ceil(n / rate) cursors fit one buffer writes no stream at all.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
-text symbol one position back, reconstructs the text (``reconstruct_text``);
-the hybrid takes both at once, count times sigma plus symbol, and the
-text positions of the ranks it asks for.  Retiring each cursor at the
-first sampled rank it meets finds the circular anchor
+text symbol one position back, reconstructs the text (``reconstruct_text``).
+The hybrid walks PD's counts too, and its walk writes each step's BWT
+symbol at the text position before the cursor's, so it also gives the
+text, and the text positions of the ranks it asks for.  Retiring each
+cursor at the first sampled rank it meets finds the circular anchor
 (``annotate_positions``).
 """
 
 from array import array
+from bisect import bisect_right
 from collections import defaultdict
 from functools import partial
 from heapq import merge
 from itertools import chain, groupby, islice, repeat
 from math import ceil
-from operator import add, floordiv, mod, mul
+from operator import add
 
 from . import emlayer
-from .emlayer import PART, typecode
+from .emlayer import typecode
 from .errors import FormatError, LengthMismatch, OutOfRange, RateMismatch
 from .rounds import unary_code
 from .succinct import PlcpBits, RsBitVector
@@ -142,9 +144,10 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
 def _walk(bwt, sisa, column, factory, find=()):
     """The values of ``column`` (see ``_lf_pass``) from text position 0 to
     n - 1, as an iterator; the sorted distinct ranks ``find`` and the
-    three below, a typed array of keys; and their text positions, one
-    typed array aligned with the keys.  The iterator frees the passes'
-    streams once it is read to the end or, after its first value, closed.
+    three below, a typed array of keys; their text positions, one typed
+    array aligned with the keys; and, with ranks to find, the text as a
+    bytearray.  The iterator frees the passes' streams once it is read to
+    the end or, after its first value, closed.
 
     One cursor starts at each sample, its payload the sample (radix m);
     on pass p it takes the value of position sample * rate - p (mod n)
@@ -170,6 +173,8 @@ def _walk(bwt, sisa, column, factory, find=()):
     chunk narrowed as it is cut (``EmStream.extend``).
     Passes rate - 1, ..., 0 of sample s >= 1 are positions (s - 1) * rate
     + 1, ..., s * rate: text order is a zip of the passes, last first.
+    The step that takes position i writes the text at i - 1 (mod n): the
+    BWT symbol at i's rank, the one in whose D-range LF(rank) lies.
     """
     n, rate = bwt.n, sisa.rate
     if sisa.n != n or len(sisa.ranks) != ceil(n / rate):
@@ -191,6 +196,7 @@ def _walk(bwt, sisa, column, factory, find=()):
         merge(find, sorted({ranks[0], ranks[-1], 0, top})))))
     found = array(typecode(n), [n]) * (len(keys) - 1)  # n: not found yet
     first, kept = None, []  # kept: each pass's values, arrays if whole
+    text, d = bytearray(n if find else 0), bwt.d_array
 
     def step(rank, sample, value, lf):
         nonlocal first, at, key
@@ -204,6 +210,8 @@ def _walk(bwt, sisa, column, factory, find=()):
             if key == rank:
                 found[at] = position = (sample * rate - p) % n
                 first = first if position else value
+        if text:
+            text[(sample * rate - p - 1) % n] = bisect_right(d, lf) - 1
         if spill:
             block, slot = divmod((sample or m) - 1, cap)
             values[block].append(value << low | slot)
@@ -259,47 +267,29 @@ def _walk(bwt, sisa, column, factory, find=()):
         finally:
             if not whole:
                 factory.release(*kept)
-    return in_position_order(), keys[:-1], found
+    return in_position_order(), keys[:-1], found, text
 
 
 def position_counts(pd, bwt, sisa, factory=None, find=()):
     """PD counts permuted from rank order to text-position order.
 
-    The walk's column is a stream cut like the BWT: PD's counts, held in
-    memory if they fit one buffer (``PdBits.column``), or with ranks to
-    ``find`` a new stream; PD's planes are released once it is built, so
-    a PD is walked once.  Returns the walk's iterator of n counts, count i
-    belonging to text position i, to be read once (see ``_walk``).  With
-    ranks to ``find``, a value is ``count * sigma + symbol``, so the walk
-    also gives the text: returns a finished stream of the counts, ``PART``
-    a chunk, the text as bytes, and ``_walk``'s keys and their positions.
+    The walk's column is PD's counts cut like the BWT, held in memory if
+    they fit one buffer (``PdBits.column``); PD's planes are released once
+    it is built, so a PD is walked once.  Returns the walk's iterator of n
+    counts, count i belonging to text position i, to be read once (see
+    ``_walk``); with ranks to ``find``, also the text as bytes, which the
+    walk writes as it steps, and ``_walk``'s keys and their positions.
     """
     factory = factory or emlayer.StreamFactory()
     if pd.n != bwt.n:
         raise LengthMismatch("PD has %d ranks, the BWT %d" % (pd.n, bwt.n))
-    view = bwt.stream(factory)
-    factory.meter.note("count_column", min(view.capacity, pd.n))
-    if not find:
-        column = pd.column(view.capacity, factory)
-    else:
-        sigma = bwt.sigma
-        column = factory.stream("column", view.capacity)
-        column.extend(map(add, map(mul, pd.iter_counts(), repeat(sigma)),
-                          view.items()))
-        column.finish()
+    capacity = bwt.stream(factory).capacity
+    factory.meter.note("count_column", min(capacity, pd.n))
+    column = pd.column(capacity, factory)
     factory.release(pd._bits)
-    values, keys, positions = _walk(bwt, sisa, column, factory, find)
+    counts, keys, positions, text = _walk(bwt, sisa, column, factory, find)
     factory.release(column)
-    if not find:
-        return values
-    part = min(PART, factory.capacity)
-    counts, text = factory.stream("counts", part), bytearray()
-    for batch in iter(lambda: array("Q", islice(values, part)), array("Q")):
-        text += bytes(map(mod, batch, repeat(sigma)))
-        counts.append_chunk(array(typecode(max(batch) // sigma),
-                                  map(floordiv, batch, repeat(sigma))))
-    text.append(text.pop(0))
-    return counts.finish(), bytes(text), keys, positions
+    return (counts, bytes(text), keys, positions) if find else counts
 
 
 def emit_k(counts, n, shift=0):

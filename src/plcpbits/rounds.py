@@ -173,13 +173,10 @@ class PdBits:
 
     def counts(self):
         """Zero-bit count in front of each rank's one bit."""
-        return list(self.iter_counts())
-
-    def iter_counts(self):
-        return chain.from_iterable(self.lanes())
+        return list(chain.from_iterable(self.lanes()))
 
     def bit_string(self):
-        word, bits = unary_code(self.iter_counts())
+        word, bits = unary_code(chain.from_iterable(self.lanes()))
         return format(word, "b").zfill(bits)[::-1] if bits else ""
 
     def __len__(self):

@@ -10,7 +10,7 @@ from plcpbits import Bwt, StreamFactory, build_plcp, hybrid, reorder
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.hybrid import KERNELS, hybrid_pd, irreducible_missing
 from plcpbits.reorder import annotate_positions
-from plcpbits.rounds import run_rounds_external
+from plcpbits.rounds import PdBits, run_rounds_external
 from plcpbits.textcore import brute_period, naive_lcp_pair
 
 
@@ -200,7 +200,7 @@ def test_kernel_budget(monkeypatch, rng):
         n = rng.randrange(4, 80)
         fx = make_fixture(random_text(rng, n, 4), 4)
         for cutoff in [0, 2]:
-            from plcpbits.rounds import run_rounds_external
+            from plcpbits.rounds import PdBits, run_rounds_external
             r = run_rounds_external(fx.bwt, StreamFactory(),
                                     max_rounds=cutoff)
             missing = _missing(fx.bwt, r.set_marks)
@@ -305,10 +305,10 @@ def near_copies(rng, unit_length, copies=8, mutations=3):
 
 def test_hybrid_heap_on_near_copies():
     """On 8 near-copies of one unit, the kernel's text is a byte a symbol,
-    the walk's keys, positions and patch are typed arrays, and its fused
-    column, read-out and emit_k work a fraction of a buffer at a time: a
+    the walk's keys, positions and patch are typed arrays, its column is
+    PD's counts and emit_k works a fraction of a buffer at a time: a
     memory-stream hybrid build peaks at most 13 B/symbol of Python heap
-    above its entry at n about 10**4, and 12 at 4 * 10**4 (9.8 and 8.8
+    above its entry at n about 10**4, and 12 at 4 * 10**4 (6.3 and 5.4
     here; 22.1 and 18.9 with the missing ranks as tuples, the ranks to
     find in a set, their positions in a dict, whole buffers read into "Q"
     and K coded as 0/1 text)."""
@@ -347,6 +347,36 @@ def test_pd_planes_released_before_the_walk(monkeypatch, tmp_path, backend,
                        factory=f)
     assert k.bit_string() == fx.k_bits()
     assert live and "pd" not in live[0], live
+
+
+def test_hybrid_walks_pd_column(monkeypatch, tmp_path):
+    """A hybrid build whose kernel runs walks PD's own column, as the
+    external build does: ``PdBits.column`` once, and its counts go from
+    the walk to emit_k with no stream of their own."""
+    fx = make_fixture(near_copies(random.Random(2), 300), 5)
+    calls, names, compared = [], [], []
+    column, stream = PdBits.column, StreamFactory.stream
+
+    def counted(pd, *args):
+        calls.append(pd.n)
+        return column(pd, *args)
+
+    def opened(factory, name="tmp", capacity=None):
+        names.append(name)
+        return stream(factory, name, capacity)
+
+    def kernel(text, p, q):
+        compared.append(p)
+        return naive_lcp_pair(text, p, q)
+    monkeypatch.setattr(PdBits, "column", counted)
+    monkeypatch.setattr(StreamFactory, "stream", opened)
+    monkeypatch.setitem(KERNELS, "direct", kernel)
+    with StreamFactory(str(tmp_path), capacity=256) as f:
+        k = build_plcp(fx.bwt, fx.sisa(8), "hybrid", cutoff=1, factory=f)
+        assert f.streams == [] and f.total_non_sequential() == 0
+    assert k.bit_string() == fx.k_bits()
+    assert compared and calls == [fx.n], calls
+    assert "counts" not in names and "column" in names, names
 
 
 def full_rounds(fx):
