@@ -401,6 +401,30 @@ class EmStream:
         self._backend.dispose()
 
 
+class JoinedBits(EmStream):
+    """Finished bit streams, ``parts``, read in place as one bit stream of
+    ``n`` ranks, re-cut to ``capacity`` ranks a chunk: never written, and
+    with no parts n zero marks.  Releasing it releases its parts."""
+
+    def __init__(self, parts, n, capacity):
+        super().__init__(_MemoryBackend(), "joined", capacity)
+        self.parts = parts
+        self.bits, self._writable, self._packed = True, False, n
+
+    def words(self):
+        cap, word, width = self.capacity, 0, 0
+        mask = (1 << cap) - 1
+        pieces = (chain.from_iterable(p.rewind().words() for p in self.parts)
+                  if self.parts else [(0, self._packed)])
+        for piece, size in pieces:
+            word, width = word | piece << width, width + size
+            while width >= cap:
+                yield word & mask, cap
+                word, width = word >> cap, width - cap
+        if width:
+            yield word, width
+
+
 class StreamFactory:
     """Creates streams over one backing store (memory or a temp dir).
 
@@ -482,10 +506,13 @@ class StreamFactory:
                    [s.rewinds for s in self.streams + self._borrowed])
 
     def release(self, *streams):
-        """Dispose of streams, skipping None (a stream never made)."""
+        """Dispose of streams, skipping None (a stream never made), and
+        the parts of a ``JoinedBits``."""
         for s in streams:
             if s is None:
                 continue
+            if isinstance(s, JoinedBits):
+                self.release(*s.parts)
             for owned in (self.streams, self._borrowed):
                 if s in owned:
                     owned.remove(s)
@@ -506,16 +533,3 @@ class StreamFactory:
     def __exit__(self, *exc):
         self.cleanup()
         return False
-
-
-def concat_buckets(buckets, factory, name, capacity=None):
-    """One finished bit stream of the bit streams of a ``{key: stream}``
-    dict, concatenated in key order and re-cut to ``capacity`` ranks a
-    chunk; each bucket is released once copied."""
-    out = factory.bits(name, capacity)
-    for k in sorted(buckets):
-        bucket = buckets.pop(k).finish()
-        for word, width in bucket.words():
-            out.append_word(word, width)
-        factory.release(bucket)
-    return out.finish()

@@ -31,7 +31,7 @@ cursor at the first sampled rank it meets finds the circular anchor
 """
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import partial
 from heapq import merge
@@ -310,14 +310,15 @@ def emit_k(counts, n, shift=0):
 
 
 def reconstruct_text(bwt, sisa, factory=None):
-    """Recover the text symbols from the BWT with the same walk.
+    """Recover the text, as bytes, from the BWT with the same walk.
 
     The BWT symbol at the rank of position i is the text symbol at i - 1,
-    so the text is the walk's output rotated by one.
+    so the text is the walk's output rotated by one: its first value,
+    T[n - 1], goes last.
     """
-    factory = factory or emlayer.StreamFactory()
-    text = list(_walk(bwt, sisa, None, factory)[0])
-    return text[1:] + text[:1]
+    symbols = _walk(bwt, sisa, None, factory or emlayer.StreamFactory())[0]
+    last = next(symbols)
+    return bytes(chain(symbols, [last]))
 
 
 def annotate_positions(bwt, sisa, ranks, factory=None):
@@ -326,18 +327,20 @@ def annotate_positions(bwt, sisa, ranks, factory=None):
     Walks all cursors backwards together; each retires at the first
     sampled rank it meets, within min(rate, n) LF passes.  A cursor's
     payload is the rank it started from (radix n), and its steps are the
-    pass number.
+    pass number.  A rank is sampled if ``bisect_left`` finds it in the
+    samples' own sorted ``SampledIsa.cursors``, ``rank * m + sample``.
     """
     factory = factory or emlayer.StreamFactory()
-    n = bwt.n
-    samples = dict(sisa.pairs())
-    factory.meter.note("isa_samples", len(samples))
+    n, samples, m = bwt.n, sisa.cursors, len(sisa.ranks)
+    factory.meter.note("isa_samples", m)
     out = {}
 
     def step(rank, orig, sym, lf):
-        if rank not in samples:
+        i = bisect_left(samples, rank * m)
+        sample = samples[i] - rank * m if i < m else m
+        if sample >= m:
             return orig
-        out[orig] = (samples[rank] + p) % n
+        out[orig] = (sample * sisa.rate + p) % n
         return None
 
     cursors = [factory.from_items(

@@ -22,7 +22,7 @@ from itertools import chain, islice, repeat
 from time import perf_counter
 
 from . import emlayer
-from .emlayer import concat_buckets, from_planes, spread
+from .emlayer import JoinedBits, from_planes, spread
 from .errors import NotIncreasing, OutOfRange
 from .succinct import GammaStream
 
@@ -198,19 +198,6 @@ class RoundResult:
     stats: list = field(default_factory=list)  # RoundStats per round
 
 
-class _Zeros(emlayer.EmStream):
-    """n zero marks read as a finished bit stream, never written or
-    opened: the rounds' state before round 0."""
-
-    def __init__(self, n, capacity):
-        super().__init__(emlayer._MemoryBackend(), "zeros", capacity)
-        self.bits, self._writable, self._packed = True, False, n
-
-    def words(self):
-        cap, n = self.capacity, self._packed
-        return ((0, min(cap, n - lo)) for lo in range(0, n, cap))
-
-
 # the bytes of a segment of _planes and _keys, which keeps their masks and
 # temporaries small; per delta swap of the transpose, its distance
 # and its mask, the bits that move, in every 64-bit lane of a segment
@@ -327,17 +314,14 @@ def _round(keys, starts, pd, sigma, factory):
     (``_keys``): it deletes the other symbols' bytes and maps a's to the
     digits of its marks, so ``int(digits, 2)`` is a's marks, one bit per
     rank.  Appending each symbol's marks to its own bit stream is the LF
-    mapping; the streams are then concatenated in symbol order.  A BWT of
-    one chunk yields the marks in symbol order already, so they go
-    straight to the next starts, with no stream per symbol.
+    mapping; the finished buckets, in symbol order, are read in place as
+    the next starts (``JoinedBits``).  A BWT of one chunk yields the marks
+    in symbol order already, so they go straight to one starts stream.
     """
     count = max(1, (sigma - 1).bit_length())
-    if len(keys) <= keys.capacity:
-        nxt = factory.bits("starts", keys.capacity)
-        buckets = defaultdict(lambda: nxt)
-    else:
-        nxt = None
-        buckets = defaultdict(lambda: factory.bits("bucket"))
+    one = len(keys) <= keys.capacity  # one chunk: one starts stream
+    nxt = factory.bits("starts", keys.capacity) if one else None
+    buckets = defaultdict(lambda: nxt if one else factory.bits("bucket"))
     tally = [0, 0]  # the next starts, the active ranks
 
     def grown():
@@ -369,8 +353,9 @@ def _round(keys, starts, pd, sigma, factory):
             yield _grow(held, active)
 
     pd = pd.written(factory, grown())
-    if nxt is None:
-        nxt = concat_buckets(buckets, factory, "starts", keys.capacity)
+    if not one:
+        nxt = JoinedBits([buckets.pop(a).finish() for a in sorted(buckets)],
+                         len(keys), keys.capacity)
     return nxt.finish(), pd, *tally
 
 
@@ -379,15 +364,15 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
 
     The state is two streams: the interval starts, a bit stream of one
     bit per rank, and PD's bit planes.  After k rounds the starts are the
-    ranks that begin an interval of equal length-k prefixes, which are
-    the ranks of LCP below k: the set marks (none before round 0).  A
-    round is one pass, chunk by chunk (``_round``): the first marks, the
-    next starts as their LF images, and PD grown by one at the active
-    ranks, first and not a start, in a ripple-carry add of their marks to
-    the planes (``_grow``).  Marks move only forward through LF: the LF
-    image of rank r is a new start exactly when r is first.  The starts
-    only grow, so a round's newly set ranks are its starts less the
-    round before's.
+    ranks that begin an interval of equal length-k prefixes, the ranks of
+    LCP below k: the set marks (none before round 0, an empty
+    ``JoinedBits``).  A round is one pass, chunk by chunk (``_round``):
+    the first marks, the next starts as their LF images, and PD grown by
+    one at the active ranks, first and not a start, in a ripple-carry add
+    of their marks to the planes (``_grow``).  Marks move only forward
+    through LF: the LF image of rank r is a new start exactly when r is
+    first.  The starts only grow, so a round's newly set ranks are its
+    starts less the round before's.
 
     Besides stream buffers and one chunk of PD's planes, a round keeps one
     carry of the first marks per symbol in memory.  Each round appends its
@@ -399,7 +384,7 @@ def run_rounds_external(bwt, factory=None, max_rounds=None, stop=None):
     n = bwt.n
     cap = bwt.stream(factory).capacity
 
-    starts = _Zeros(n, cap)
+    starts = JoinedBits([], n, cap)
     pd = PdBits(None, n, cap)  # no planes: every count 0
     bits = n  # PD's length: n plus every round's active ranks
     set_count = 0

@@ -166,10 +166,6 @@ class SampledIsa:
     def __len__(self):
         return len(self.ranks)
 
-    def pairs(self):
-        """(rank, position) pairs in position order."""
-        return [(r, i * self.rate) for i, r in enumerate(self.ranks)]
-
 
 def brute_period(symbols):
     """Smallest p such that symbols = root^(n/p); checks every divisor."""

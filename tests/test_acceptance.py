@@ -236,7 +236,7 @@ def test_criterion_09_reconstruction(corpus):
         n = fx.n
         for rate in {1, 3, max(1, math.ceil(math.log2(n))), n}:
             got = reconstruct_text(fx.bwt, fx.sisa(rate))
-            ok &= got == list(symbols)
+            ok &= got == bytes(symbols)
             tested += 1
     verdict(9, ok, "reconstruct_text inverted build_bwt in %d runs over "
             "rates {1,3,ceil(log n),n}" % tested)

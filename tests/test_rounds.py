@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import abbab, banana, make_fixture, random_text
 from oracle_rounds import pd_from_counts, run_rounds_internal, to_planes
-from plcpbits import StreamFactory, emlayer, rounds
+from plcpbits import StreamFactory, build_plcp, emlayer, rounds
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS, from_planes
 from plcpbits.errors import NotIncreasing, OutOfRange
 from plcpbits.reorder import emit_k, position_counts
@@ -307,53 +307,90 @@ def test_bit_planes_hold_counts_and_grow_by_carry_save(backend, capacity,
                          [(3001, 64), (700, 3), (2000, STREAM_BUFFER_ITEMS)])
 def test_mark_streams_on_disk_take_a_bit_per_rank(tmp_path, monkeypatch, n,
                                                   capacity):
-    """On temp files, once a round is done, its starts stream holds at
-    most ceil(n / 8) bytes plus one per chunk, and its PD stream at most
-    that per plane; above one buffer, so do the round's per-symbol bucket
-    streams together, plus one byte per symbol.  No stream of first or
-    active marks is ever made: a round's state is its starts and PD."""
+    """On temp files, once a round is done, its PD stream holds at most
+    ceil(n / 8) bytes plus one per chunk per plane, and its next starts
+    at most ceil(n / 8) plus one per chunk: in one buffer, a starts
+    stream; above, the round's per-symbol bucket streams together, plus
+    one byte per symbol, read in place as the next round's starts, so no
+    starts stream is made.  No stream of first or active marks is ever
+    made: a round's state is its starts and PD."""
     fx = make_fixture(random_text(random.Random(n), n, 4), 4)
     bound = -(-n // 8) + -(-n // capacity)
     planes = max(expected_pd_counts(fx)).bit_length()
-    released = []  # sizes of the bucket files of the round under way
     made = set()  # the kinds of stream a file was made for
-    dispose, init = emlayer._FileBackend.dispose, emlayer._FileBackend.__init__
-
-    def measured(backend):
-        if backend.path and os.path.basename(backend.path).startswith(
-                "bucket"):
-            released.append(os.path.getsize(backend.path))
-        dispose(backend)
+    init = emlayer._FileBackend.__init__
 
     def named(backend, path, spares):
         made.add(os.path.basename(path).rsplit("-", 1)[0])
         init(backend, path, spares)
-    monkeypatch.setattr(emlayer._FileBackend, "dispose", measured)
     monkeypatch.setattr(emlayer._FileBackend, "__init__", named)
-    buckets = []
+    kind = "bucket" if n > capacity else "starts"
+    starts = []  # per round, the bytes of its next starts
 
     def stop(stats):
         sizes = {}
         for name in os.listdir(tmp_path):
-            kind = name.rsplit("-", 1)[0]
-            sizes.setdefault(kind, []).append(
+            sizes.setdefault(name.rsplit("-", 1)[0], []).append(
                 os.path.getsize(os.path.join(tmp_path, name)))
-        assert 0 < max(sizes["starts"]) <= bound, sizes["starts"]
         assert 0 < max(sizes["pd"]) <= planes * bound, sizes["pd"]
-        buckets.append(sum(released))
-        released.clear()
+        starts.append(sum(sizes[kind]))  # a released file is emptied
         return False
 
     with StreamFactory(str(tmp_path), capacity=capacity) as f:
         r = run_rounds_external(fx.bwt, f, stop=stop)
         assert r.pd.counts() == expected_pd_counts(fx)
-        assert len(buckets) == r.rounds
-        if n > capacity:
-            assert all(0 < b <= bound + 4 for b in buckets), buckets
-        else:
-            assert not any(buckets)
+        assert len(starts) == r.rounds
+        assert all(0 < b <= bound + 4 * (n > capacity) for b in starts), \
+            starts
         f.release(r.pd._bits, r.set_marks)
-    assert {"starts", "pd"} <= made and not made & {"first", "active"}, made
+        assert f.streams == []
+    assert "pd" in made and not made & {"first", "active"}, made
+    assert made & {"starts", "bucket"} == {kind}, made
+
+
+@pytest.mark.parametrize("sigma, bounds", [
+    (5, {"rounds": (5.18, 4.67), "build": (12.70, 20.27)}),
+    (65, {"rounds": (1.22, 0.83), "build": (9.30, 23.57)})])
+def test_traffic_above_one_buffer_stays_gated(tmp_path, monkeypatch, sigma,
+                                              bounds):
+    """On temp files at capacity 64, n = 3001, rate 8, the rounds alone
+    and a whole external build write and read at most the B/symbol
+    measured plus 2%: a round's per-symbol bucket streams are read in
+    place as the next starts, not copied into a starts stream (5.08 and
+    4.58 for the rounds at sigma 5, 12.45 and 19.87 for the build; 1.19
+    and 0.81, 9.11 and 23.10 at sigma 65; with the copy, 6.71 and 6.20,
+    14.08 and 21.50; 1.69 and 1.32, 9.61 and 23.61)."""
+    n = 3001
+    fx = make_fixture(random_text(random.Random(n), n, sigma), sigma)
+    tally = [0, 0]  # bytes written, bytes read
+    append_chunk, pread = emlayer._FileBackend.append_chunk, os.pread
+
+    def written(backend, chunk):
+        tally[0] += memoryview(chunk).nbytes
+        append_chunk(backend, chunk)
+
+    def read(fd, size, offset):
+        data = pread(fd, size, offset)
+        tally[1] += len(data)
+        return data
+    monkeypatch.setattr(emlayer._FileBackend, "append_chunk", written)
+    monkeypatch.setattr(os, "pread", read)
+    for what, (write_bound, read_bound) in bounds.items():
+        tally[:] = [0, 0]
+        with StreamFactory(str(tmp_path / what), capacity=64) as f:
+            os.mkdir(f.directory)
+            if what == "rounds":
+                r = run_rounds_external(fx.bwt, f)
+                used = tally[:]  # before the check reads PD
+                assert r.pd.counts() == expected_pd_counts(fx)
+                f.release(r.pd._bits, r.set_marks)
+            else:
+                k = build_plcp(fx.bwt, fx.sisa(8), "external", factory=f)
+                used = tally[:]
+                assert k.bit_string() == fx.k_bits()
+            assert f.streams == [] and f.total_non_sequential() == 0
+        assert used[0] <= write_bound * n, (what, used[0] / n)
+        assert used[1] <= read_bound * n, (what, used[1] / n)
 
 
 def reference_next_starts(keys, starts, sigma):
