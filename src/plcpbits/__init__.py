@@ -14,8 +14,7 @@ from .errors import PlcpError
 from .hybrid import KERNELS, hybrid_pd
 from .reorder import reconstruct_text
 from .rounds import IntervalList, PdBits, RoundResult, run_rounds_external
-from .succinct import (GammaStream, PlcpBits, RsBitVector, WaveletTree,
-                       plcp_encode)
+from .succinct import GammaStream, PlcpBits, RsBitVector, WaveletTree
 from .textcore import (Bwt, SampledIsa, Text, build_bwt, build_suffix_array,
                        invert_sa, kasai_lcp, permute_lcp, sample_isa)
 
@@ -27,6 +26,6 @@ __all__ = [
     "RoundResult", "RsBitVector", "SampledIsa", "StreamFactory", "Text",
     "WaveletTree", "build_bwt", "build_plcp", "build_suffix_array",
     "detect_period", "hybrid_pd", "invert_sa", "kasai_lcp", "permute_lcp",
-    "plcp_encode", "rank_to_position", "reconstruct_text",
-    "run_rounds_external", "sample_isa", "shrink_bwt",
+    "rank_to_position", "reconstruct_text", "run_rounds_external",
+    "sample_isa", "shrink_bwt",
 ]

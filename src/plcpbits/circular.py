@@ -8,21 +8,25 @@ leave.
 
 For a primitive circular string the machinery of the linear case carries
 over; the counts become purely differential, so the emitted bit vector
-is rotated to start right after a position of PLCP zero and the rotation
-offset is recorded as the decode shift.  Circular input is therefore
-one anchor shift on the same switch that builds linear input.  Integer
-powers are rejected: their rotations collide, but their BWT exposes the
-exponent through its run lengths, so a power can be shrunk to its
-primitive root first.
+is rotated to start right after rank 0's position, whose PLCP is zero,
+found by single LF steps of two BWT scans each (``rank_to_position``),
+and the rotation is recorded as the decode shift.  Circular input is
+therefore one anchor shift on the same switch that builds linear input.
+Integer powers are rejected: their rotations collide, but their BWT
+exposes the exponent through its run lengths, so a power can be shrunk
+to its primitive root first.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from . import emlayer
-from .errors import CircularPowerInput, NotAPower, OutOfRange, UnknownStrategy
+from .errors import (CircularPowerInput, FormatError, NotAPower, OutOfRange,
+                     UnknownStrategy)
 from .hybrid import hybrid_pd
-from .reorder import annotate_positions, emit_k
+from .reorder import emit_k
 from .textcore import Bwt
 
 
@@ -56,10 +60,11 @@ def detect_period(bwt):
     return PeriodReport(period=n // g, exponent=g)
 
 
-def shrink_bwt(bwt, exponent=None, factory=None):
-    """Transform of the primitive root: every e-th symbol of the input."""
+def shrink_bwt(bwt, factory=None):
+    """Transform of the primitive root: every e-th symbol of the input,
+    e the exponent ``detect_period`` finds."""
     factory = factory or emlayer.StreamFactory()
-    e = detect_period(bwt).exponent if exponent is None else exponent
+    e = detect_period(bwt).exponent
     if e == 1:
         raise NotAPower("input is already primitive")
     out = factory.stream("bwt")
@@ -71,10 +76,32 @@ def shrink_bwt(bwt, exponent=None, factory=None):
 
 
 def rank_to_position(bwt, sisa, rank):
-    """Text position of a rank, walking LF until a sampled rank."""
+    """Text position of a rank, by at most min(rate, n) single LF steps.
+
+    A step looks the rank up among the samples by ``bisect_left`` in
+    their sorted ``SampledIsa.cursors``, ``rank * m + sample``: a rank
+    sampled after p steps is at position sample * rate + p.  Else it
+    moves to LF(rank) = D[a] + occ(a, rank), a the BWT symbol at rank
+    (Ferragina and Manzini's count): one scan of the BWT reads a from
+    rank's chunk, a second counts the a's before rank.
+    """
     if not 0 <= rank < bwt.n:
         raise OutOfRange("rank %d out of range" % rank)
-    return annotate_positions(bwt, sisa, [rank])[rank]
+    n, rate, samples = bwt.n, sisa.rate, sisa.cursors
+    m = len(samples)
+    view = bwt.stream()
+    capacity = view.capacity
+    for p in range(min(rate, n)):
+        i = bisect_left(samples, rank * m)
+        if i < m and samples[i] < (rank + 1) * m:
+            return (samples[i] % m * rate + p) % n
+        k, off = divmod(rank, capacity)
+        a = next(islice(view.rewind().chunks(), k, None))[off]
+        chunks = view.rewind().chunks()
+        rank = (bwt.d_array[a] + sum(c.count(a) for c in islice(chunks, k))
+                + next(chunks).count(a, 0, off))
+    raise FormatError("ISA samples do not match the BWT: a cursor meets no "
+                      "sample")
 
 
 STRATEGIES = ("external", "hybrid")

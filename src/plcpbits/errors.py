@@ -21,10 +21,6 @@ class NotIncreasing(PlcpError):
     """Differential encoding requires a strictly increasing sequence."""
 
 
-class DiffBoundViolation(PlcpError):
-    """Adjacent PLCP values may drop by at most one."""
-
-
 class OutOfRange(PlcpError):
     """Index outside the valid domain of a structure."""
 

@@ -25,13 +25,11 @@ Taking PD counts gives K (``position_counts``); taking BWT symbols, the
 text symbol one position back, reconstructs the text (``reconstruct_text``).
 The hybrid walks PD's counts too, and its walk writes each step's BWT
 symbol at the text position before the cursor's, so it also gives the
-text, and the text positions of the ranks it asks for.  Retiring each
-cursor at the first sampled rank it meets finds the circular anchor
-(``annotate_positions``).
+text, and the text positions of the ranks it asks for.
 """
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from functools import partial
 from heapq import merge
@@ -320,39 +318,3 @@ def reconstruct_text(bwt, sisa, factory=None):
     last = next(symbols)
     return bytes(chain(symbols, [last]))
 
-
-def annotate_positions(bwt, sisa, ranks, factory=None):
-    """Text position of each rank in a sorted list, as a dict.
-
-    Walks all cursors backwards together; each retires at the first
-    sampled rank it meets, within min(rate, n) LF passes.  A cursor's
-    payload is the rank it started from (radix n), and its steps are the
-    pass number.  A rank is sampled if ``bisect_left`` finds it in the
-    samples' own sorted ``SampledIsa.cursors``, ``rank * m + sample``.
-    """
-    factory = factory or emlayer.StreamFactory()
-    n, samples, m = bwt.n, sisa.cursors, len(sisa.ranks)
-    factory.meter.note("isa_samples", m)
-    out = {}
-
-    def step(rank, orig, sym, lf):
-        i = bisect_left(samples, rank * m)
-        sample = samples[i] - rank * m if i < m else m
-        if sample >= m:
-            return orig
-        out[orig] = (sample * sisa.rate + p) % n
-        return None
-
-    cursors = [factory.from_items(
-        array(typecode(n * n - 1), (r * n + r for r in ranks)), "cursors")]
-    directory = _lf_directory(bwt, factory)
-    for p in range(min(sisa.rate, n)):
-        if not any(map(len, cursors)):
-            break
-        cursors = _lf_pass(bwt, directory, cursors, step, factory, None, n)
-    factory.release(directory)
-    if any(map(len, cursors)):
-        raise FormatError("ISA samples do not match the BWT: a cursor "
-                          "meets no sample")
-    factory.release(*cursors)
-    return out

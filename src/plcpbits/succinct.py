@@ -12,7 +12,7 @@ from itertools import accumulate
 from operator import sub
 
 from .emlayer import pack
-from .errors import DiffBoundViolation, OutOfRange, TruncatedCode
+from .errors import OutOfRange, TruncatedCode
 
 _WORD = 64
 L8 = 0x0101010101010101  # one in every byte lane
@@ -221,22 +221,6 @@ class PlcpBits:
 
     def __len__(self):
         return self.n
-
-
-def plcp_encode(plcp):
-    """Encode a PLCP array as the unary difference bit vector."""
-    values = list(plcp.values if hasattr(plcp, "values") else plcp)
-    bits = []
-    prev = -1
-    for v in values:
-        d = v + 1 if prev < 0 else v - prev + 1
-        if d < 0:
-            raise DiffBoundViolation("PLCP drops by more than one (%d after "
-                                     "%d)" % (v, prev))
-        bits.extend([0] * d)
-        bits.append(1)
-        prev = v
-    return PlcpBits(bits, len(values), shift=0)
 
 
 class WaveletTree:

@@ -5,8 +5,29 @@ from dataclasses import dataclass
 
 import pytest
 
-from plcpbits import (Bwt, Text, build_bwt, build_suffix_array, invert_sa,
-                      kasai_lcp, permute_lcp, plcp_encode, sample_isa)
+from plcpbits import (Bwt, PlcpBits, Text, build_bwt, build_suffix_array,
+                      invert_sa, kasai_lcp, permute_lcp, sample_isa)
+from plcpbits.errors import PlcpError
+
+
+class DiffBoundViolation(PlcpError):
+    """Adjacent PLCP values may drop by at most one."""
+
+
+def plcp_encode(plcp):
+    """K oracle: a PLCP array as the unary difference bit vector."""
+    values = list(plcp.values if hasattr(plcp, "values") else plcp)
+    bits = []
+    prev = -1
+    for v in values:
+        d = v + 1 if prev < 0 else v - prev + 1
+        if d < 0:
+            raise DiffBoundViolation("PLCP drops by more than one (%d after "
+                                     "%d)" % (v, prev))
+        bits.extend([0] * d)
+        bits.append(1)
+        prev = v
+    return PlcpBits(bits, len(values), shift=0)
 
 
 @dataclass

@@ -13,9 +13,9 @@ import time
 import pytest
 
 from conftest import (abbab, adversarial_texts, banana, circular_bwt_raw,
-                      de_bruijn_like, make_fixture, random_text)
+                      de_bruijn_like, make_fixture, plcp_encode, random_text)
 from oracle_rounds import reorder_pd, run_rounds_internal
-from plcpbits import (StreamFactory, build_plcp, detect_period, plcp_encode,
+from plcpbits import (StreamFactory, build_plcp, detect_period,
                       reconstruct_text, run_rounds_external, shrink_bwt)
 from plcpbits.reorder import emit_k, position_counts
 from plcpbits.succinct import GammaStream

@@ -102,6 +102,9 @@ def test_arguments_checked_before_any_work(monkeypatch):
 
 
 def test_rank_to_position_identity(rng):
+    """Every rank's position, on BWT views cut at the default capacity, 1
+    and 3, and on a file-backed BWT stream at capacity 3: no seek, and no
+    stream registered but the BWT's own."""
     for _ in range(15):
         n = rng.randrange(2, 48)
         body = [rng.randrange(2) for _ in range(n)]
@@ -110,8 +113,21 @@ def test_rank_to_position_identity(rng):
         fx = make_fixture(body, 2, circular=True)
         rate = rng.choice([1, 2, max(1, n.bit_length())])
         sisa = fx.sisa(rate)
-        for p in range(n):
-            assert rank_to_position(fx.bwt, sisa, fx.isa[p]) == p
+        with StreamFactory.tempdir(capacity=3) as disk:
+            stream = disk.stream("bwt")
+            stream.append_chunk(bytes(fx.bwt.to_list()))
+            bwts = [(fx.bwt, StreamFactory()),
+                    (Bwt(stream.finish(), 2, circular=True), disk)]
+            for capacity in (1, 3):
+                f = StreamFactory(capacity=capacity)
+                bwts.append((Bwt(fx.bwt.to_list(), 2, True, f), f))
+            for bwt, f in bwts:
+                bwt.stream(f)
+                for p in range(n):
+                    assert rank_to_position(bwt, sisa, fx.isa[p]) == p
+                assert f.total_non_sequential() == 0
+                assert f.streams == ([stream] if f is disk else [])
+            disk.release(stream)
 
 
 def test_external_builds_keep_the_bwt_streamed(monkeypatch):

@@ -9,7 +9,6 @@ from oracle_rounds import run_rounds_internal
 from plcpbits import Bwt, StreamFactory, build_plcp, hybrid, reorder
 from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.hybrid import KERNELS, hybrid_pd, irreducible_missing
-from plcpbits.reorder import annotate_positions
 from plcpbits.rounds import PdBits, run_rounds_external
 from plcpbits.textcore import brute_period, naive_lcp_pair
 
@@ -86,16 +85,6 @@ def test_kernel_examples():
     assert KERNELS["direct"](fx.text, 0, 1) == 0
 
 
-def test_annotate_positions(rng):
-    for _ in range(15):
-        n = rng.randrange(2, 80)
-        fx = make_fixture(random_text(rng, n, 4), 4)
-        rate = rng.choice([1, 3, max(1, n.bit_length())])
-        ranks = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
-        got = annotate_positions(fx.bwt, fx.sisa(rate), ranks)
-        assert got == {r: fx.sa[r] for r in ranks}
-
-
 def test_all_cutoffs_match_oracle(rng):
     def check(fx, rate, cutoffs, capacity=STREAM_BUFFER_ITEMS):
         for cutoff in cutoffs:
@@ -146,10 +135,10 @@ def test_circular_every_cutoff_matches_oracle(rng):
 
 
 def test_one_walk_per_build(monkeypatch, rng):
-    """Every LF walk builds one occurrence directory: a linear hybrid or
-    external build walks once, a circular hybrid build adds its anchor
-    walk.  The one walk of a linear hybrid build ends within min(rate, n)
-    LF passes."""
+    """Every build makes one LF walk, so one occurrence directory: a
+    circular build's anchor takes single LF steps by BWT scans, with no
+    directory and no pass.  The walk of a hybrid build ends within
+    min(rate, n) LF passes."""
     directories, passes = [], []
     lf_directory, lf_pass = reorder._lf_directory, reorder._lf_pass
 
@@ -182,8 +171,11 @@ def test_one_walk_per_build(monkeypatch, rng):
                 assert passes_made <= min(rate, fx.n)
             assert walk(fx, rate, "external")[0] == 1
     fx = make_fixture([0, 1, 1, 0, 2, 1, 1, 0, 2], 3, circular=True)
-    for cutoff in (0, 1, None):
-        assert walk(fx, 3, "hybrid", cutoff)[0] == 2
+    for rate in (1, 3, fx.n + 2):
+        for cutoff in (0, 1, None):
+            directories_made, passes_made = walk(fx, rate, "hybrid", cutoff)
+            assert directories_made == 1
+            assert passes_made <= min(rate, fx.n)
 
 
 def test_kernel_budget(monkeypatch, rng):

@@ -16,8 +16,7 @@ from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import (AlphabetTooLarge, FormatError, OutOfRange,
                              RateMismatch)
 from plcpbits.hybrid import hybrid_pd
-from plcpbits.reorder import (_lf_directory, _lf_pass, annotate_positions,
-                              emit_k, position_counts)
+from plcpbits.reorder import _lf_directory, _lf_pass, emit_k, position_counts
 from plcpbits.rounds import PIECE, run_rounds_external
 from plcpbits.textcore import SampledIsa
 
@@ -137,8 +136,6 @@ def test_walks_match_oracle_at_every_rate(tmp_path, rng):
                     assert k.decode_all() == list(fx.plcp.values), case
                     assert reconstruct_text(fx.bwt, sisa, f) == \
                         fx.text.symbols, case
-                    got = annotate_positions(fx.bwt, sisa, range(n), f)
-                    assert got == dict(enumerate(fx.sa)), case
                 assert f.streams == [] and f.total_non_sequential() == 0
 
 

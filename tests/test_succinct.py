@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import abbab, banana, make_fixture, random_text
+from conftest import (DiffBoundViolation, abbab, banana, make_fixture,
+                      plcp_encode, random_text)
 from plcpbits import build_plcp
-from plcpbits.errors import DiffBoundViolation, OutOfRange, TruncatedCode
+from plcpbits.errors import OutOfRange, TruncatedCode
 from plcpbits.succinct import (GammaStream, PlcpBits, RsBitVector,
-                               WaveletTree, _select_in_word, plcp_encode)
+                               WaveletTree, _select_in_word)
 
 
 def test_gamma_codewords():
