@@ -17,8 +17,9 @@ import sys
 from . import formats
 from .circular import STRATEGIES, build_plcp, detect_period
 from .emlayer import StreamFactory
-from .errors import (AlphabetTooLarge, EmptyInput, FormatError,
-                     HeaderMismatch, PlcpError, VerificationFailed)
+from .errors import (AlphabetTooLarge, CircularPowerInput, EmptyInput,
+                     FormatError, HeaderMismatch, PlcpError,
+                     VerificationFailed)
 from .reorder import reconstruct_text
 from .textcore import (Text, brute_period, build_bwt, build_suffix_array,
                        invert_sa, kasai_lcp, permute_lcp, sample_isa)
@@ -38,14 +39,16 @@ def ingest(raw, circular):
 
     Non-circular inputs get a rank-0 terminator: the existing last byte
     if it is unique and strictly minimal, otherwise an appended one.
-    Circular powers are reduced to their primitive root with a notice.
-    Returns (Text, remap dict).
+    Circular powers are reduced to their primitive root with a notice, a
+    one-symbol root is CircularPowerInput.  Returns (Text, remap dict).
     """
     if not raw:
         raise EmptyInput("input file is empty")
     distinct = sorted(set(raw))
     if circular:
         p = brute_period(raw)
+        if p == 1:
+            raise CircularPowerInput("circular input needs length above one")
         if p < len(raw):
             _warn("circular input is a power (exponent %d); indexing the "
                   "primitive root" % (len(raw) // p))

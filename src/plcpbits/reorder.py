@@ -13,23 +13,22 @@ and Manzini's FM-index), so a cursor's LF value costs one lookup and
 one count within a block.  Moved cursors are grouped by BWT symbol; the
 groups, read in symbol order, hold the next pass's cursors in rank order.
 
-A cursor is one integer, its rank times a radix plus a payload (the
-walk's sample, or the rank a position search started from), so rank
-order is integer order; a pass's cursors sit in typed arrays or, above
-one buffer, in one bucket stream per symbol, handed on as they are.  A
-cursor carries no values: a pass puts its values in sample order, and
-text order is a zip of the passes.  A walk whose n values and
-ceil(n / rate) cursors fit one buffer writes no stream at all.
+A cursor is one integer, its rank times m, the number of samples, plus
+its sample, so rank order is integer order; a pass's cursors sit in
+typed arrays or, above one buffer, in one bucket stream per symbol,
+handed on as they are.  A cursor carries no values: one loop a pass
+takes each cursor's LF step and value, puts the value in the sample's
+slot and moves or retires the cursor, so text order is a zip of the
+passes.  A walk whose n values and m cursors fit one buffer writes no
+stream at all.
 
 Taking PD counts gives K (``position_counts``); taking BWT symbols, the
 text symbol one position back, reconstructs the text (``reconstruct_text``).
-The hybrid walks PD's counts too, and its walk writes each step's BWT
-symbol at the text position before the cursor's, so it also gives the
-text, and the text positions of the ranks it asks for.
+The hybrid's walk of PD's counts also writes each step's BWT symbol one
+position back, giving the text and the positions of the ranks it asks for.
 """
 
 from array import array
-from bisect import bisect_right
 from collections import defaultdict
 from functools import partial
 from heapq import merge
@@ -75,46 +74,49 @@ def _lf_directory(bwt, factory):
     return out.finish()
 
 
-def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
-    """Move every cursor one LF step, releasing the streams it read.
+def _lf_pass(bwt, sisa, directory, column, factory, cursors, p, keys, found,
+             values, text):
+    """Pass ``p`` of ``_walk``, one loop over its cursors, releasing the
+    streams it read.
 
-    A pass's cursors are a list of finished streams, read one after the
-    other in rank order.  A cursor is one integer, ``rank * radix +
-    payload`` with the payload below ``radix``, so cursors in rank order
-    are in ascending order.  ``step(rank, payload, x, lf)``, with ``x``
-    the value at ``rank`` in ``column`` (a stream cut like the BWT) or,
-    if it is None, the BWT symbol, and ``lf`` = LF(rank), returns the
-    cursor's payload at rank ``lf``, or None to retire it.  LF(rank) is
-    D[a] plus the a's before the chunk, carried forward by each chunk's
-    last ``_lf_directory`` row and last block, plus the rank's row and
-    the a's within its block.  A moved cursor, ``lf * radix + payload``,
-    joins the group of its symbol; LF keeps the order of ranks that share
-    one, so the groups in symbol order hold the moved cursors in rank
-    order.  If the cursors fit one buffer, the groups are typed arrays
-    wide enough for ``n * radix - 1``, metered as ``walk_cursors``, and
-    handed on concatenated, as one ``from_items`` stream; else they are
-    bucket streams of 1 / sigma of a buffer a chunk, so that their write
-    buffers fit one buffer together, handed on as they are.
+    The cursors are a list of finished streams, read one after the other
+    in rank order, a cursor ``rank * m + sample`` as ``SampledIsa.cursors``
+    packs it.  LF(rank) is D[a], a the BWT symbol at the rank, plus the
+    a's before the chunk, carried forward by each chunk's last
+    ``_lf_directory`` row and last block, plus the rank's row and the a's
+    within its block.  The loop merges the cursors with ``keys``, putting
+    a met key's position in ``found``; writes a into ``text``, unless it
+    is empty, at the position before the cursor's; puts the value at the
+    rank in ``column`` (cut like the BWT; None: a) in the sample's slot of
+    ``values``; and retires the cursor at its window's end, where LF must
+    reach the next sample's rank, or moves it: ``lf * m + sample`` joins
+    the group of a.  LF keeps the order of ranks that share a symbol, so
+    the groups in symbol order hold the moved cursors in rank order.  If
+    the cursors fit one buffer, the groups are typed arrays, metered as
+    ``walk_cursors``, handed on concatenated as one ``from_items`` stream;
+    else bucket streams of 1 / sigma of a buffer a chunk, so that their
+    write buffers fit one buffer together, handed on as they are.  Returns
+    the moved cursors and position 0's value, met on pass 0 (else None).
     """
-    sigma = bwt.sigma
-    block = _block(sigma)
-    gather = sum(map(len, cursors)) <= factory.capacity
-    width = typecode(bwt.n * radix - 1)
+    n, rate, ranks, sigma = bwt.n, sisa.rate, sisa.ranks, bwt.sigma
+    m, cap, block = len(ranks), factory.capacity, _block(sigma)
+    tail, low = n - (m - 1) * rate, (cap - 1).bit_length()  # see _walk
+    gather = sum(map(len, cursors)) <= cap
+    width = typecode(n * m - 1)
     buckets = defaultdict(partial(array, width) if gather else partial(
-        factory.stream, "bucket", max(1, factory.capacity // sigma)))
+        factory.stream, "bucket", max(1, cap // sigma)))
     cols = repeat(None) if column is None else column.rewind().chunks()
     records = zip(directory.rewind().chunks(), bwt.stream(factory).chunks(),
                   cols)
-    base = bwt.d_array[:sigma]
+    base, key, first = bwt.d_array[:sigma], keys[0], None
     rows, chunk = [0] * sigma, b""  # nothing before the first chunk
-    start = end = 0
+    start = end = at = 0
     for cursor in chain.from_iterable(c.rewind().items() for c in cursors):
-        rank, payload = divmod(cursor, radix)
+        rank, sample = divmod(cursor, m)
         while rank >= end:
             record = next(records, None)
             if record is None:
-                raise OutOfRange("cursor rank %d is not below %d"
-                                 % (rank, bwt.n))
+                raise OutOfRange("cursor rank %d is not below %d" % (rank, n))
             base = list(map(add, base, rows[-sigma:]))  # the chunk passed
             for a in chunk[(len(chunk) - 1) // block * block :]:
                 base[a] += 1
@@ -122,21 +124,40 @@ def _lf_pass(bwt, directory, cursors, step, factory, column, radix):
             start, end = end, end + len(chunk)
             col = chunk if col is None else col
         off = rank - start
-        sym = chunk[off]
+        sym, value = chunk[off], col[off]
         blk = off // block
         lf = (base[sym] + rows[blk * sigma + sym]
               + chunk.count(sym, blk * block, off))
-        payload = step(rank, payload, col[off], lf)
-        if payload is not None:
-            buckets[sym].append(lf * radix + payload)
+        while key < rank:
+            at += 1
+            key = keys[at]
+        if key == rank:
+            if found[at] < n:
+                raise FormatError("the BWT's LF mapping is not one cycle: "
+                                  "the walk visits rank %d twice" % rank)
+            found[at] = position = (sample * rate - p) % n
+            first = first if position else value
+        if text:
+            text[(sample * rate - p - 1) % n] = sym
+        slot = (sample or m) - 1
+        if m > cap:  # tagged, in the block stream of its slot
+            values[slot // cap].append(value << low | slot % cap)
+        else:
+            values[slot] = value
+        if p < (rate if sample else tail) - 1:
+            buckets[sym].append(lf * m + sample)
+        elif lf != ranks[sample - 1]:
+            raise FormatError("ISA samples do not match the BWT: the walk "
+                              "from sample %d ends at rank %d, not %d"
+                              % (sample, lf, ranks[sample - 1]))
     factory.release(*cursors)
     if not gather:
-        return [buckets.pop(sym).finish() for sym in sorted(buckets)]
+        return [buckets.pop(sym).finish() for sym in sorted(buckets)], first
     moved = array(width)
     for sym in sorted(buckets):
         moved.extend(buckets.pop(sym))
     factory.meter.note("walk_cursors", len(moved))
-    return [factory.from_items(moved, "cursors")]
+    return [factory.from_items(moved, "cursors")], first
 
 
 def _walk(bwt, sisa, column, factory, find=()):
@@ -147,14 +168,15 @@ def _walk(bwt, sisa, column, factory, find=()):
     bytearray.  The iterator frees the passes' streams once it is read to
     the end or, after its first value, closed.
 
-    One cursor starts at each sample, its payload the sample (radix m);
-    on pass p it takes the value of position sample * rate - p (mod n)
-    and moves one position back, until it has its window: ``rate``
-    positions, or, for sample 0, position 0 and those after the last
-    sample; so within min(rate, n) passes.  Its last LF step must reach
-    the rank of the next sample below; the ranks of samples 0 and m - 1
-    and rank 0, always found, must be met once; a linear BWT must hold
-    one 0, at rank 0 and position n - 1.  Otherwise: FormatError.
+    One cursor starts at each sample; on pass p, one ``_lf_pass`` loop,
+    it takes the value of position sample * rate - p (mod n), writes the
+    text at the position before, the BWT symbol at its rank, and moves
+    one position back, until it has its window: ``rate`` positions, or,
+    for sample 0, position 0 and those after the last sample; so within
+    min(rate, n) passes.  Its last LF step must reach the rank of the
+    next sample below; the ranks of samples 0 and m - 1 and rank 0,
+    always found, must be met once; a linear BWT must hold one 0, at rank
+    0 and position n - 1.  Otherwise: FormatError.
 
     A pass puts its values in sample order, in m slots, sample s's in
     slot (s - 1) mod m: in a typed array of m zeros, as wide as the
@@ -171,8 +193,8 @@ def _walk(bwt, sisa, column, factory, find=()):
     chunk narrowed as it is cut (``EmStream.extend``).
     Passes rate - 1, ..., 0 of sample s >= 1 are positions (s - 1) * rate
     + 1, ..., s * rate: text order is a zip of the passes, last first.
-    The step that takes position i writes the text at i - 1 (mod n): the
-    BWT symbol at i's rank, the one in whose D-range LF(rank) lies.
+    The read-out holds one chunk of every pass, so max(cap, passes)
+    values: a buffer while rate <= cap, else one value a pass.
     """
     n, rate = bwt.n, sisa.rate
     if sisa.n != n or len(sisa.ranks) != ceil(n / rate):
@@ -193,35 +215,7 @@ def _walk(bwt, sisa, column, factory, find=()):
     keys = array(typecode(top), (k for k, _ in groupby(
         merge(find, sorted({ranks[0], ranks[-1], 0, top})))))
     found = array(typecode(n), [n]) * (len(keys) - 1)  # n: not found yet
-    first, kept = None, []  # kept: each pass's values, arrays if whole
-    text, d = bytearray(n if find else 0), bwt.d_array
-
-    def step(rank, sample, value, lf):
-        nonlocal first, at, key
-        if rank >= key:  # a pass's cursors, in rank order, merge with keys
-            while key < rank:
-                at += 1
-                key = keys[at]
-            if key == rank and found[at] < n:
-                raise FormatError("the BWT's LF mapping is not one cycle: "
-                                  "the walk visits rank %d twice" % rank)
-            if key == rank:
-                found[at] = position = (sample * rate - p) % n
-                first = first if position else value
-        if text:
-            text[(sample * rate - p - 1) % n] = bisect_right(d, lf) - 1
-        if spill:
-            block, slot = divmod((sample or m) - 1, cap)
-            values[block].append(value << low | slot)
-        else:
-            values[sample - 1] = value
-        if p < (rate if sample else tail) - 1:
-            return sample
-        if lf != ranks[sample - 1]:
-            raise FormatError("ISA samples do not match the BWT: the walk "
-                              "from sample %d ends at rank %d, not %d"
-                              % (sample, lf, ranks[sample - 1]))
-        return None
+    kept, text = [], bytearray(n if find else 0)  # kept: arrays if whole
 
     def placed(blocks):
         """The values of each block stream in turn, placed by slot."""
@@ -237,10 +231,12 @@ def _walk(bwt, sisa, column, factory, find=()):
     cursors = [factory.from_items(sisa.cursors, "cursors")]
     directory = _lf_directory(bwt, factory)
     for p in range(passes):
-        at, key, values = 0, keys[0], None  # the last pass's array goes first
+        values = None  # the last pass's array goes first
         values = ([factory.stream("block", max(1, cap // len(firsts)))
                    for _ in firsts] if spill else zero * m)
-        cursors = _lf_pass(bwt, directory, cursors, step, factory, column, m)
+        cursors, value = _lf_pass(bwt, sisa, directory, column, factory,
+                                  cursors, p, keys, found, values, text)
+        first = first if p else value  # position 0's, met on pass 0
         if whole:
             kept.append(array(typecode(max(values)), values))
             continue

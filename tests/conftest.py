@@ -4,10 +4,16 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from plcpbits import (Bwt, PlcpBits, Text, build_bwt, build_suffix_array,
                       invert_sa, kasai_lcp, permute_lcp, sample_isa)
 from plcpbits.errors import PlcpError
+
+
+# ``--hypothesis-profile=ci``: the same examples on every run, and a failing
+# one printed as a blob that ``@reproduce_failure`` replays
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 class DiffBoundViolation(PlcpError):

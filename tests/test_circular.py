@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import abbab, banana, circular_bwt_raw, make_fixture
 from plcpbits import (StreamFactory, circular, detect_period,
@@ -175,6 +177,39 @@ def test_circular_random_decode(rng):
         assert len(bits) == 2 * n and bits.count("1") == n
         assert f.total_non_sequential() == 0
         tested += 1
+
+
+@st.composite
+def whole_builds(draw):
+    """A linear or primitive circular text, a rate, a capacity and a build
+    strategy: capacities up to 140 make walks whose passes spill to
+    streams, gather in memory, or hold every value."""
+    sigma, n = draw(st.integers(2, 256)), draw(st.integers(2, 400))
+    circular = draw(st.booleans())
+    low = 0 if circular else 1  # a linear text's 0 goes last
+    body = draw(st.lists(st.integers(low, sigma - 1), min_size=n, max_size=n))
+    if circular:
+        assume(brute_period(body) == n)
+    else:
+        body[-1] = 0
+    fx = make_fixture(body, sigma, circular=circular)
+    return (fx, draw(st.integers(1, n + 2)), draw(st.integers(1, 140)),
+            draw(st.sampled_from([("external", None), ("hybrid", None),
+                                  ("hybrid", 0), ("hybrid", 1),
+                                  ("hybrid", 3)])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(whole_builds())
+def test_whole_build_matches_kasai(build):
+    """Every build gives the Kasai oracle's PLCP on memory streams, reads
+    them in order and releases them all."""
+    fx, rate, capacity, (strategy, cutoff) = build
+    f = StreamFactory(capacity=capacity)
+    k = build_plcp(fx.bwt, fx.sisa(rate), strategy, cutoff=cutoff, factory=f)
+    assert k.decode_all() == list(fx.plcp.values)
+    assert f.total_non_sequential() == 0
+    assert f.streams == []
 
 
 def test_anchor_finds_samples_in_the_sorted_cursors():

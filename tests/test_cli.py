@@ -11,7 +11,7 @@ import pytest
 
 from plcpbits import PlcpBits, StreamFactory, reorder, rounds
 from plcpbits.cli import ingest, main
-from plcpbits.errors import EmptyInput, PlcpError
+from plcpbits.errors import CircularPowerInput, EmptyInput, PlcpError
 from plcpbits.formats import (read_bwt, read_plcp, read_sisa, write_bwt,
                               write_plcp, write_sisa)
 from plcpbits.textcore import Bwt, SampledIsa
@@ -422,6 +422,20 @@ def test_circular_power_is_shrunk(tmp_path, capsys):
                        "--output", pre)
     assert code == 0 and "power" in err
     assert read_bwt(pre + ".bwt").to_list() == [1, 0, 0]
+
+
+@pytest.mark.parametrize("raw", [b"a", b"aaaa"])
+def test_circular_root_of_one_symbol_is_refused(tmp_path, capsys, raw):
+    """A circular input whose primitive root is one symbol has no build:
+    ``index`` refuses it and writes no artifact."""
+    with pytest.raises(CircularPowerInput, match="length above one"):
+        ingest(raw, circular=True)
+    src = tmp_path / "a.txt"
+    src.write_bytes(raw)
+    code, _, err = run(capsys, "index", str(src), "--circular",
+                       "--output", str(tmp_path / "a"))
+    assert code == 1 and "length above one" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
 
 
 def test_strategy_outputs_byte_identical(tmp_path, capsys):

@@ -329,10 +329,10 @@ def test_pd_planes_released_before_the_walk(monkeypatch, tmp_path, backend,
     live = []
     lf_pass = reorder._lf_pass
 
-    def spy(bwt, directory, cursors, step, factory, *rest):
+    def spy(*args):
         if not live:
-            live.append([s.name for s in factory.streams])
-        return lf_pass(bwt, directory, cursors, step, factory, *rest)
+            live.append([s.name for s in f.streams])
+        return lf_pass(*args)
     monkeypatch.setattr(reorder, "_lf_pass", spy)
     with StreamFactory(str(tmp_path) if backend == "file" else None) as f:
         k = build_plcp(fx.bwt, fx.sisa(5), strategy, cutoff=cutoff,

@@ -16,7 +16,7 @@ from plcpbits.emlayer import STREAM_BUFFER_ITEMS
 from plcpbits.errors import (AlphabetTooLarge, FormatError, OutOfRange,
                              RateMismatch)
 from plcpbits.hybrid import hybrid_pd
-from plcpbits.reorder import _lf_directory, _lf_pass, emit_k, position_counts
+from plcpbits.reorder import _lf_directory, emit_k, position_counts
 from plcpbits.rounds import PIECE, run_rounds_external
 from plcpbits.textcore import SampledIsa
 
@@ -178,49 +178,29 @@ def _random_bwt(rng, n, sigma):
 
 @pytest.mark.parametrize("sigma", [1, 2, 5, 64, 255, 256])
 def test_lf_pass_matches_per_rank_lf(tmp_path, rng, sigma):
+    """A rate-1 walk takes one LF step from every rank, chunk and block
+    edges included, and each step must reach the next sample's rank (the
+    walk's end-of-window check), so every LF value is checked; the text
+    it reads back is the BWT's own, linear or circular (whose 0s are not
+    one).  A rate-3 walk also hands its moved cursors on across passes.
+    One symbol has no valid BWT but the one-symbol text's."""
     block = max(64, 4 * sigma)
-    n = 2 * block + 37  # two full blocks and part of a third
-    bwt = _random_bwt(rng, n, sigma)
-    symbols = bwt.to_list()
-    # LF(r) = D[bwt[r]] + occ(bwt[r], r)
-    lf, seen = [], [0] * sigma
-    for sym in symbols:
-        lf.append(bwt.d_array[sym] + seen[sym])
-        seen[sym] += 1
+    n = 2 * block + 37 if sigma > 1 else 1  # two blocks and part of a third
+    linear = make_fixture(random_text(rng, n, sigma), sigma)
+    walks = [(linear, 1), (linear, 3)]
+    if sigma > 1:
+        walks.append((make_fixture([rng.randrange(sigma) for _ in range(n)],
+                                   sigma, circular=True), 1))
     for capacity in (1, 3, 8, 1000, STREAM_BUFFER_ITEMS):
-        edges = {n - 1}
-        for lo in range(0, n, capacity):
-            hi = min(lo + capacity, n)
-            edges.add(hi - 1)           # the last rank of a chunk
-            for b in range(lo, hi, block):
-                edges |= {b, min(b + block, hi) - 1}
-        cursor_sets = [sorted(edges), sorted(rng.sample(range(n), 5)),
-                       [r for r in range(n) if rng.random() < 0.6]]
         for directory in (None, tmp_path / str(capacity)):
             if directory:
                 directory.mkdir()
                 directory = str(directory)
             f = StreamFactory(directory, capacity=capacity)
-            table = _lf_directory(bwt, f)
-            for ranks in cursor_sets:
-                calls = []
-
-                def step(rank, payload, sym, image):
-                    calls.append((rank, payload, sym, image))
-                    return payload if rank % 2 else None
-                # cursor (rank r, payload r), packed at radix n, in two
-                # streams read one after the other
-                cut = len(ranks) // 2
-                cursors = [f.from_items([r * n + r for r in part], "cursors")
-                           for part in (ranks[:cut], ranks[cut:])]
-                moved = _lf_pass(bwt, table, cursors, step, f, None, n)
-                case = (capacity, directory, ranks)
-                assert calls == [(r, r, symbols[r], lf[r]) for r in ranks], case
-                assert [divmod(c, n) for s in moved
-                        for c in s.rewind().items()] == \
-                    sorted((lf[r], r) for r in ranks if r % 2), case
-                f.release(*cursors, *moved)
-            f.release(table)
+            for fx, rate in walks:
+                case = (capacity, directory, fx.text.circular, rate)
+                assert reconstruct_text(fx.bwt, fx.sisa(rate), f) == \
+                    fx.text.symbols, case
             assert f.streams == [] and f.total_non_sequential() == 0
 
 
@@ -256,30 +236,29 @@ def test_bwt_symbols_are_bytes():
         Bwt([0, 4], 4)
 
 
-def test_lf_pass_gathers_a_pass_that_fits_one_chunk(rng):
-    n = 500
-    bwt = _random_bwt(rng, n, 5)
-    lf, seen = [], [0] * 5
-    for sym in bwt.to_list():
-        lf.append(bwt.d_array[sym] + seen[sym])
-        seen[sym] += 1
-    f = StreamFactory(capacity=64)
-    table = _lf_directory(bwt, f)
-    for ranks in (sorted(rng.sample(range(n), 64)), range(n)):
-        cursors = [f.from_items([r * n + r for r in ranks], "cursors")]
-        opened = f._counter
-        moved = _lf_pass(bwt, table, cursors, lambda r, p, x, image: p, f,
-                         None, n)
-        if len(ranks) <= 64:  # handed on in memory, as a typed array
-            assert f._counter == opened and len(moved) == 1
-            assert isinstance(next(moved[0].rewind().chunks()), array)
-        else:  # one bucket stream per symbol, handed on uncopied
-            assert f._counter - opened == len(moved) > 1
-        assert [divmod(c, n) for s in moved for c in s.rewind().items()] == \
-            sorted((lf[r], r) for r in ranks)
-        f.release(*cursors, *moved)
-    f.release(table)
-    assert f.streams == [] and f.total_non_sequential() == 0
+def test_lf_pass_gathers_a_pass_that_fits_one_chunk(rng, monkeypatch):
+    """At capacity 64, passes whose cursors fit one chunk hand them on in
+    memory and open no cursor or bucket stream; a pass of more opens one
+    bucket stream per symbol it moves cursors to, and the next pass reads
+    them as they are, with no cursor stream but the start's."""
+    names = []
+    stream = StreamFactory.stream
+
+    def recorded(factory, name="tmp", capacity=None):
+        names.append(name)
+        return stream(factory, name, capacity)
+    monkeypatch.setattr(StreamFactory, "stream", recorded)
+    fx = make_fixture(random_text(rng, 500, 5), 5)
+    for rate in (8, 2):  # 63 and 250 cursors, 8 and 2 passes
+        names.clear()
+        f = StreamFactory(capacity=64)
+        assert reconstruct_text(fx.bwt, fx.sisa(rate), f) == fx.text.symbols
+        if rate == 8:  # handed on in memory
+            assert not {"cursors", "bucket"} & {*names}, names
+        else:  # pass 0 moves every cursor, pass 1 retires them
+            assert names.count("cursors") == 1, names
+            assert 1 < names.count("bucket") <= 5, names
+        assert f.streams == [] and f.total_non_sequential() == 0
 
 
 @pytest.mark.parametrize("circular", [False, True])
